@@ -26,12 +26,13 @@ def load_package() -> dict:
         raise ImportError(f"no diracvisc package under {SRC}")
     sys.path.insert(0, str(SRC))
     import diracvisc.cli
-    from diracvisc import kubo_dynamic, kubo_static, model, sweep
+    from diracvisc import kubo_dynamic, kubo_static, model, scba, sweep
     if Path(diracvisc.__file__).resolve().parent != SRC / "diracvisc":
         raise ImportError(f"diracvisc imported from {diracvisc.__file__}, "
                           f"not from {SRC}")
     return {"cli": diracvisc.cli, "sweep": sweep, "model": model,
-            "kubo_static": kubo_static, "kubo_dynamic": kubo_dynamic}
+            "kubo_static": kubo_static, "kubo_dynamic": kubo_dynamic,
+            "scba": scba}
 
 
 def main(argv: list[str]) -> int:

@@ -42,12 +42,10 @@ def record(workload: str, seed: int, main) -> dict:
 def main(argv: list[str] | None = None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--seeds", type=int, nargs="+", default=[0])
-    p.add_argument("--workload", choices=WORKLOADS, nargs="*",
-                   default=list(WORKLOADS))
     args = p.parse_args(argv)
     main_fn = load_package()["cli"].main
     checks.REFERENCE_DIR.mkdir(exist_ok=True)
-    for workload in args.workload:
+    for workload in WORKLOADS:
         for seed in args.seeds:
             ref = record(workload, seed, main_fn)
             path = checks.reference_path(workload, seed)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import inspect
 import json
 import statistics
-import sys
 from contextlib import contextmanager
 from time import perf_counter
 
@@ -34,9 +33,17 @@ SITES = (
     ("kubo_static", "solve_self_energy_landau", "scba.landau"),
     ("kubo_dynamic", "solve_self_energy_b0", "scba.b0"),
     ("kubo_dynamic", "solve_self_energy_landau", "scba.landau"),
+    # calls through the defining module (``scba.solve_...``) instead of an
+    # imported name
+    ("scba", "solve_self_energy_b0", "scba.b0"),
+    ("scba", "solve_self_energy_landau", "scba.landau"),
 )
-# counted, not spanned: tens of thousands of calls per pass
-COUNTED = (("kubo_dynamic", "_k_kernel", "kubo_dynamic.k_kernel"),)
+# counted, not spanned: tens of thousands of calls per pass. An entry with a
+# span-name prefix must be called directly inside a span of that prefix:
+# every SCBA solve runs the damped loop ``scba._iterate``, so a solve that
+# reaches it from outside a scba span went through an untraced call site.
+COUNTED = (("kubo_dynamic", "_k_kernel", "kubo_dynamic.k_kernel", None),
+           ("scba", "_iterate", "scba.iterate", "scba."))
 
 LAYERS = ("cli", "sweep", "model", "kubo_static", "kubo_dynamic", "scba")
 
@@ -53,14 +60,21 @@ class Tracer:
     def __init__(self):
         self.spans: list[list] = []
         self.counts: dict[str, int] = {}
+        self.site_calls: dict[str, int] = {}  # "module.attr" -> calls
+        self.problems: list[str] = []
         self._stack: list[int] = []
         self._row = None
         self._rows = 0
 
-    def wrap(self, name: str, fn, attrs=None, new_row: bool = False):
-        spans, stack = self.spans, self._stack
+    def wrap(self, name: str, fn, attrs=None, new_row: bool = False,
+             site: str | None = None):
+        spans, stack, site_calls = self.spans, self._stack, self.site_calls
+        if site is not None:
+            site_calls.setdefault(site, 0)
 
         def traced(*args, **kwargs):
+            if site is not None:
+                site_calls[site] += 1
             outer_row = self._row
             if new_row:
                 self._row, self._rows = self._rows, self._rows + 1
@@ -85,15 +99,41 @@ class Tracer:
 
         return traced
 
-    def count(self, name: str, fn):
-        counts = self.counts
+    def count(self, name: str, fn, inside: str | None = None):
+        """Count calls of fn; with inside, calls not made directly within a
+        span whose name starts with inside are also counted under
+        "<name>.outside"."""
+        counts, spans, stack = self.counts, self.spans, self._stack
         counts.setdefault(name, 0)
+        if inside is None:
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+        outside = name + ".outside"
+        counts.setdefault(outside, 0)
 
-        def counted(*args, **kwargs):
+        def guarded(*args, **kwargs):
             counts[name] += 1
+            if not stack or not spans[stack[-1]][0].startswith(inside):
+                counts[outside] += 1
             return fn(*args, **kwargs)
 
-        return counted
+        return guarded
+
+    def check(self, required_sites) -> list[str]:
+        """Self-check failures of one traced pass: sites that could not be
+        wrapped, required call sites that recorded no call, and guarded
+        calls made outside their spans."""
+        problems = list(self.problems)
+        problems += [f"trace: call site {site} recorded no call"
+                     for site in required_sites
+                     if not self.site_calls.get(site)]
+        problems += [f"trace: {n} calls of {name.removesuffix('.outside')} "
+                     "outside a traced span"
+                     for name, n in self.counts.items()
+                     if name.endswith(".outside") and n]
+        return problems
 
 
 def _scba_attrs(fn):
@@ -117,27 +157,35 @@ def instrument(tracer: Tracer, package: dict):
     """Route the call sites in SITES and COUNTED through tracer.
 
     package maps short module names to the imported diracvisc modules.
-    A site missing from the package is reported on stderr and skipped.
+    A site missing from the package is skipped and recorded in
+    tracer.problems, so the pass fails its self-check.
     """
-    def wrapper(name, fn):
+    def wrapper(site, name, fn):
         if name.startswith("scba."):
-            return tracer.wrap(name, fn, _scba_attrs(fn))
+            return tracer.wrap(name, fn, _scba_attrs(fn), site=site)
         if name == "model.build_spectrum":
-            return tracer.wrap(name, fn, _spectrum_attrs)
-        return tracer.wrap(name, fn, new_row=name == "sweep.row")
+            return tracer.wrap(name, fn, _spectrum_attrs, site=site)
+        return tracer.wrap(name, fn, new_row=name == "sweep.row", site=site)
 
     saved = []
+
+    def replace(mod_name, attr, make):
+        site = f"{mod_name}.{attr}"
+        mod = package.get(mod_name)
+        fn = getattr(mod, attr, None)
+        if fn is None:
+            tracer.problems.append(f"trace: call site {site} not found")
+            return
+        saved.append((mod, attr, fn))
+        setattr(mod, attr, make(site, fn))
+
     try:
-        for sites, make in ((SITES, wrapper), (COUNTED, tracer.count)):
-            for mod_name, attr, name in sites:
-                mod = package[mod_name]
-                fn = getattr(mod, attr, None)
-                if fn is None:
-                    print(f"trace: {mod_name}.{attr} not found; not traced",
-                          file=sys.stderr)
-                    continue
-                saved.append((mod, attr, fn))
-                setattr(mod, attr, make(name, fn))
+        for mod_name, attr, name in SITES:
+            replace(mod_name, attr,
+                    lambda site, fn: wrapper(site, name, fn))
+        for mod_name, attr, name, inside in COUNTED:
+            replace(mod_name, attr,
+                    lambda site, fn: tracer.count(name, fn, inside))
         yield tracer
     finally:
         for mod, attr, fn in reversed(saved):

@@ -49,6 +49,9 @@ class Workload:
     # x86-64 VM, Python 3.11.7, numpy 2.4.6, scipy 1.17.1), copied by hand
     # from the "layer_shares" entry of its results file
     shares: dict
+    # call sites ("module.attr", see tracer.SITES) that the workload's
+    # sweeps run; a traced pass in which one records no call fails
+    sites: tuple
     configs: dict  # sweep name -> sweep config
 
 
@@ -58,6 +61,10 @@ WORKLOADS = {
             "frequency window, no Landau ladder",
         shares={"scba": 0.958, "kubo_dynamic": 0.040, "kubo_static": 0.0005,
                 "sweep": 0.0011, "cli": 0.0005, "model": 0.0},
+        sites=("cli.run_sweep", "cli.result_to_csv", "sweep._eval_point",
+               "sweep.shear_b0_numeric", "sweep.shear_dynamic_b0",
+               "kubo_static.solve_self_energy_b0",
+               "kubo_dynamic.solve_self_energy_b0"),
         configs={
             "fig1": _config("static_shear", A=[10.0, 15.0, 20.0, 35.0],
                             E=_grid(-2.0, 2.0, 81)),
@@ -70,6 +77,10 @@ WORKLOADS = {
             "Hall sums and the sweep and CLI layers",
         shares={"scba": 0.779, "kubo_static": 0.149, "kubo_dynamic": 0.062,
                 "sweep": 0.0066, "model": 0.0020, "cli": 0.0012},
+        sites=("cli.run_sweep", "cli.result_to_csv", "sweep._eval_point",
+               "sweep.build_spectrum", "sweep.shear_bfield_numeric",
+               "sweep.hall_static_numeric", "sweep.hall_dynamic",
+               "kubo_static.solve_self_energy_landau"),
         configs={
             "fig3": _config("static_hall", A=[50.0, 100.0, 500.0],
                             E=_grid(-0.3, 0.3, 121), B=10.0),
@@ -84,6 +95,9 @@ WORKLOADS = {
             "arithmetic and memory traffic",
         shares={"scba": 0.970, "kubo_static": 0.030, "cli": 0.0005,
                 "sweep": 0.0002, "kubo_dynamic": 0.0, "model": 0.0},
+        sites=("cli.run_sweep", "cli.result_to_csv", "sweep._eval_point",
+               "sweep.build_spectrum", "sweep.shear_bfield_numeric",
+               "kubo_static.solve_self_energy_landau"),
         configs={
             "fig2b_0p1T": _config("static_shear", A=[15.0],
                                   E=_grid(-0.15, 0.15, 5), B=0.1,
@@ -94,6 +108,9 @@ WORKLOADS = {
             "every quadrature node",
         shares={"scba": 0.995, "kubo_dynamic": 0.0040, "cli": 0.0006,
                 "sweep": 0.0001, "kubo_static": 0.0, "model": 0.0},
+        sites=("cli.run_sweep", "cli.result_to_csv", "sweep._eval_point",
+               "sweep.build_spectrum", "sweep.shear_dynamic_bfield",
+               "kubo_dynamic.solve_self_energy_landau"),
         configs={
             "window_A20": _config("dynamic_shear", A=[20.0], E=0.1, B=10.0,
                                   Omega=_grid(0.05, 0.1, 2)),
