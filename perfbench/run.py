@@ -6,8 +6,10 @@
 A run times set-up in fresh interpreters (prepare.py), then runs the
 workload's sweep configs through ``diracvisc.cli.main(["sweep", ...])`` in
 this process, pass after pass, for --seconds, and checks every CSV written
-(checks.py). --trace 0 reports the end-to-end metrics; --trace 1 alternates
-untraced and traced passes and reports the per-layer metrics (tracer.py).
+(checks.py). Set-up and sweep times are scaled to a reference host speed
+by calibration rounds timed between them (calibrate.py). --trace 0 reports
+the end-to-end metrics; --trace 1 alternates untraced and traced passes and
+reports the per-layer metrics (tracer.py).
 The last line of standard output is one JSON object; a results file with a
 machine and library manifest goes to .perfbench_out/.
 """
@@ -29,11 +31,12 @@ from time import monotonic, perf_counter
 
 import checks
 import tracer as tr
+from calibrate import Calibration
 from prepare import ROOT, load_package
 from workloads import WORKLOADS, row_count, seeded_configs, write_configs
 
 OUT_DIR = ROOT / ".perfbench_out"
-SETUP_REPEATS = 5
+SETUP_REPEATS = 3
 MIN_PASSES = 3
 
 def time_setup(workload: str, seed: int, workdir: Path) -> float:
@@ -46,8 +49,10 @@ def time_setup(workload: str, seed: int, workdir: Path) -> float:
     return float(done.stdout.strip().splitlines()[-1]) - start
 
 
-def run_pass(main, sweeps: dict, workdir: Path) -> list[tuple]:
-    """Run every sweep once through the CLI: [(name, wall s, exit code)]."""
+def run_pass(main, sweeps: dict, workdir: Path,
+             after_each=None) -> list[tuple]:
+    """Run every sweep once through the CLI: [(name, wall s, exit code)].
+    after_each, if given, is called untimed after every sweep."""
     out = []
     for name, cfg_path in sweeps.items():
         csv = workdir / f"{name}.csv"
@@ -62,6 +67,8 @@ def run_pass(main, sweeps: dict, workdir: Path) -> list[tuple]:
                 code = None
             wall = perf_counter() - start
         out.append((name, wall, code))
+        if after_each is not None:
+            after_each()
     return out
 
 
@@ -116,28 +123,38 @@ def manifest(seed: int, configs: dict, package: dict) -> dict:
 
 
 def measure(workload: str, seed: int, seconds: float, trace: bool,
-            package: dict, workdir: Path) -> dict:
+            package: dict, workdir: Path, cal: Calibration) -> dict:
     configs = seeded_configs(workload, seed)
     sweeps = {name: workdir / f"{name}.json" for name in configs}
     reference = checks.load_reference(workload, seed)
     main = package["cli"].main
     passes, tracers = [], []
     start = perf_counter()
+    cal.round()
     while True:
         # traced runs go untraced, traced, traced, then alternate
         i = len(passes)
         traced = trace and i > 0 and (i <= 2 or i % 2 == 0)
+        before = len(cal.rounds) - 1  # the round just before this pass
         if traced:
             tracer = tr.Tracer()
             with tr.instrument(tracer, package):
                 results = run_pass(tracer.wrap("cli.main", main), sweeps,
-                                   workdir)
+                                   workdir, cal.round)
         else:
-            results = run_pass(main, sweeps, workdir)
+            results = run_pass(main, sweeps, workdir, cal.round)
         wall = sum(r[1] for r in results)
+        # each sweep scaled by the rounds just before and after it
+        slowness = [cal.slowness(before + k, before + k + 1,
+                                 WORKLOADS[workload].kernels)
+                    for k in range(len(results))]
         checked = check_pass(results, configs, workdir, reference)
-        record = {"traced": traced, "wall_s": wall, **checked,
-                  "points_per_s": checked["rows"] / wall}
+        record = {"traced": traced, "wall_s": wall,
+                  "sweep_wall_s": [r[1] for r in results],
+                  "slowness": slowness,
+                  "scaled_wall_s": sum(r[1] / x for r, x in
+                                       zip(results, slowness)),
+                  **checked, "points_per_s": checked["rows"] / wall}
         if traced:
             metrics, layer_s, tail_pct = tr.layer_metrics(
                 tracer, checked["bytes_out"])
@@ -189,21 +206,26 @@ def run_one(args) -> int:
         return 2
     workdir = OUT_DIR / f"{args.workload}-seed{args.seed}"
     write_configs(args.workload, args.seed, workdir)
-    setup = [] if args.trace else [
-        time_setup(args.workload, args.seed, workdir)
-        for _ in range(SETUP_REPEATS)]
-    run = measure(args.workload, args.seed, args.seconds, bool(args.trace),
-                  package, workdir)
+    setup_raw, setup = [], []
+    with Calibration() as cal:
+        if not args.trace:
+            cal.round()
+            for _ in range(SETUP_REPEATS):
+                setup_raw.append(time_setup(args.workload, args.seed,
+                                            workdir))
+                cal.round()
+                setup.append(setup_raw[-1] / cal.slowness(-2, -1))
+        run = measure(args.workload, args.seed, args.seconds,
+                      bool(args.trace), package, workdir, cal)
     passes = run["passes"]
     attempted = sum(row_count(c) for c in run["configs"].values()) * len(passes)
     failed = sum(p["failed"] for p in passes)
     problems = sorted({w for p in passes for w in p["problems"]})
     untraced = [p for p in passes if not p["traced"]]
+    rows = sum(p["rows"] for p in untraced)
     end_to_end = {
-        # all measured time counts: over 3-8 passes the total rate varied
-        # less from run to run than the median pass did
-        "points_per_s": (sum(p["rows"] for p in untraced)
-                         / sum(p["wall_s"] for p in untraced)),
+        # all measured time counts
+        "points_per_s": rows / sum(p["scaled_wall_s"] for p in untraced),
         "setup_s": statistics.median(setup) if setup else None,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }
@@ -231,7 +253,12 @@ def run_one(args) -> int:
         "manifest": manifest(args.seed, run["configs"], package),
         "reference_checked": run["reference_seed"],
         "fail_share": failed / attempted, "end_to_end": end_to_end,
-        "setup_samples_s": setup, "layer_shares": shares,
+        "unscaled": {"points_per_s":
+                     rows / sum(p["wall_s"] for p in untraced),
+                     "setup_s": (statistics.median(setup_raw)
+                                 if setup_raw else None)},
+        "setup_samples_s": setup, "setup_raw_samples_s": setup_raw,
+        "calibration_rounds": cal.rounds, "layer_shares": shares,
         "problems": problems, "result": result,
         "passes": [{k: v for k, v in p.items() if k != "problems"}
                    for p in passes]}, indent=1))

@@ -52,6 +52,9 @@ class Workload:
     # call sites ("module.attr", see tracer.SITES) that the workload's
     # sweeps run; a traced pass in which one records no call fails
     sites: tuple
+    # calibration kernels (calibrate.KERNELS) that do the kind of work the
+    # sweeps spend their time on; they scale the sweeps' wall times
+    kernels: tuple
     configs: dict  # sweep name -> sweep config
 
 
@@ -59,18 +62,29 @@ WORKLOADS = {
     "b0_window": Workload(
         why="B = 0 only: scalar SCBA inside the radial kernel and the "
             "frequency window, no Landau ladder",
-        shares={"scba": 0.958, "kubo_dynamic": 0.040, "kubo_static": 0.0005,
-                "sweep": 0.0011, "cli": 0.0005, "model": 0.0},
+        shares={"scba": 0.960, "kubo_dynamic": 0.037, "sweep": 0.0016,
+                "cli": 0.0015, "kubo_static": 0.0008, "model": 0.0},
         sites=("cli.run_sweep", "cli.result_to_csv", "sweep._eval_point",
                "sweep.shear_b0_numeric", "sweep.shear_dynamic_b0",
                "kubo_static.solve_self_energy_b0",
                "kubo_dynamic.solve_self_energy_b0"),
+        # the scalar SCBA loop (Python complex arithmetic, numpy scalar
+        # calls); the interpreter kernel alone followed it less well than
+        # all three over ten seeds
+        kernels=("interpreter", "memory", "page_faults"),
         configs={
             "fig1": _config("static_shear", A=[10.0, 15.0, 20.0, 35.0],
                             E=_grid(-2.0, 2.0, 81)),
-            "dynamic_shear_b0": _config(
-                "dynamic_shear", A=[10.0, 35.0], E=_grid(0.0, 1.5, 2),
-                Omega=_grid(0.05, 1.2, 16)),
+            # Omega in 0.05-1.2 (16 points, step 1.15/15) at A = 10 and 35,
+            # run as one sweep per A and half of the Omega grid: sweeps of
+            # 1-2 s, so that the calibration rounds between them follow the
+            # host's speed
+            **{f"dynamic_shear_b0_A{A:.0f}_{half}": _config(
+                "dynamic_shear", A=[A], E=_grid(0.0, 1.5, 2),
+                Omega=_grid(0.05 + first * 1.15 / 15,
+                            0.05 + (first + 7) * 1.15 / 15, 8))
+               for A in (10.0, 35.0)
+               for half, first in (("lo", 0), ("hi", 8))},
         }),
     "landau_10T": Workload(
         why="many cheap rows on a 3.9e3-level ladder: Landau SCBA, direct "
@@ -81,6 +95,8 @@ WORKLOADS = {
                "sweep.build_spectrum", "sweep.shear_bfield_numeric",
                "sweep.hall_static_numeric", "sweep.hall_dynamic",
                "kubo_static.solve_self_energy_landau"),
+        # SCBA steps over 3.9e3-level arrays and per-row Python overhead
+        kernels=("interpreter", "memory", "page_faults"),
         configs={
             "fig3": _config("static_hall", A=[50.0, 100.0, 500.0],
                             E=_grid(-0.3, 0.3, 121), B=10.0),
@@ -98,6 +114,9 @@ WORKLOADS = {
         sites=("cli.run_sweep", "cli.result_to_csv", "sweep._eval_point",
                "sweep.build_spectrum", "sweep.shear_bfield_numeric",
                "kubo_static.solve_self_energy_landau"),
+        # array arithmetic over 3.9e5 levels (user time) and the page faults
+        # of its temporaries (about 40% of the wall time is system time)
+        kernels=("memory", "page_faults"),
         configs={
             "fig2b_0p1T": _config("static_shear", A=[15.0],
                                   E=_grid(-0.15, 0.15, 5), B=0.1,
@@ -111,6 +130,8 @@ WORKLOADS = {
         sites=("cli.run_sweep", "cli.result_to_csv", "sweep._eval_point",
                "sweep.build_spectrum", "sweep.shear_dynamic_bfield",
                "kubo_dynamic.solve_self_energy_landau"),
+        # warm-started SCBA steps over 3.9e3-level arrays, node by node
+        kernels=("interpreter", "memory", "page_faults"),
         configs={
             "window_A20": _config("dynamic_shear", A=[20.0], E=0.1, B=10.0,
                                   Omega=_grid(0.05, 0.1, 2)),
