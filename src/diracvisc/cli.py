@@ -16,9 +16,11 @@ import numpy as np
 
 from . import __version__
 from .model import ModelParams, build_spectrum
-from .scba import ConvergenceError, solve_self_energy_b0, solve_self_energy_landau
+from .scba import (ConvergenceError, landau_green_sum, landau_green_sum_direct,
+                   solve_self_energy_b0, solve_self_energy_landau)
 from .kubo_static import (hall_static_numeric, shear_b0_analytic,
-                          shear_b0_numeric, shear_bfield_numeric)
+                          shear_b0_numeric, shear_bfield_numeric,
+                          shear_pair_sums, shear_pair_sums_direct)
 from .kubo_dynamic import static_limit_check
 from .sweep import (GridSpec, SweepSpec, figure_preset, result_to_csv,
                     result_to_json, result_to_svg, run_sweep)
@@ -151,6 +153,21 @@ def _validate_checks():
     yield ("B=0 shear at the Dirac point vs closed form",
            KNOWN if dev0 > 0.07 else PASS,
            f"dev {100*dev0:.1f}% (closed form misses the 4(A-1)/3A factor)")
+
+    # digamma resummation of the Landau ladders vs level-by-level sums
+    params = ModelParams(disorder_A=20.0)
+    spectrum = build_spectrum(params, 10.0)
+    worst = 0.0
+    for E in (0.0, 0.05, 0.12, 0.3):
+        z = E - solve_self_energy_landau(E, params, spectrum).sigma
+        pairs = [(landau_green_sum(z, spectrum),
+                  landau_green_sum_direct(z, spectrum))]
+        pairs += zip(shear_pair_sums(z, spectrum),
+                     shear_pair_sums_direct(z, spectrum))
+        worst = max([worst] + [abs(c / d - 1.0) for c, d in pairs])
+    yield ("Landau ladder closed forms vs direct sums (B=10 T, A=20)",
+           PASS if worst <= 1e-11 else FAIL,
+           f"SCBA step, RA, RR at 4 energies: max rel dev {worst:.1e}")
 
     # quantized anchors at B = 10 T, A = 500
     params = ModelParams(disorder_A=500.0)

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import LandauSpectrum, ModelParams
-from .kubo_static import (_b0_prefactor, _k_kernel, hall_static_numeric,
-                          shear_b0_numeric, shear_bfield_numeric)
+from .kubo_static import (_b0_prefactor, _k_kernel, _pair_energies,
+                          hall_static_numeric, shear_b0_numeric,
+                          shear_bfield_numeric)
 from .scba import solve_self_energy_b0, solve_self_energy_landau
 
 ELECTRON_HOLE = "electron_hole"
@@ -200,18 +201,6 @@ def shear_dynamic_b0_ee_limit(E: float, Omega: float,
 # ---------------------------------------------------------------------------
 # B != 0 transition sums
 # ---------------------------------------------------------------------------
-
-def _pair_energies(spectrum: LandauSpectrum):
-    """(E_a, E_b, n+1) arrays for the four (s, s') chains of |dn| = 2 pairs."""
-    hwc = spectrum.hbar_omega_c
-    n = np.arange(spectrum.n_cutoff - 1)
-    out = []
-    for s in (1.0, -1.0):
-        for sp in (1.0, -1.0):
-            out.append((s * hwc * np.sqrt(n), sp * hwc * np.sqrt(n + 2),
-                        n + 1.0))
-    return out
-
 
 def shear_dynamic_bfield(E: float, Omega: float, params: ModelParams,
                          spectrum: LandauSpectrum,

@@ -16,12 +16,16 @@ import numpy as np
 from scipy.integrate import quad
 
 from .model import LandauSpectrum, ModelParams, effective_cyclotron
-from .scba import (SelfEnergySolution, dos, relaxation_time,
+from .scba import (SelfEnergySolution, dos, pole_sum, relaxation_time,
                    solve_self_energy_b0, solve_self_energy_landau)
 
 SEPARATED = "separated"
 OVERLAPPED = "overlapped"
 B_ZERO = "b_zero"
+
+
+class TruncatedLadderError(ArithmeticError):
+    """A Landau sum lost a non-negligible tail to the spectrum's hard limit."""
 
 
 @dataclass(frozen=True)
@@ -140,11 +144,60 @@ def shear_b0_analytic(E: float, params: ModelParams) -> float:
 # Landau-level sums, B != 0
 # ---------------------------------------------------------------------------
 
-def _g_array(E: float, sigma: complex, spectrum: LandauSpectrum) -> np.ndarray:
+def _g_array(z: complex, spectrum: LandauSpectrum) -> np.ndarray:
     """g_n = z / (z^2 - n (hbar w_c)^2), n = 0..N_c; n = 0 counted once."""
-    z = E - sigma
     n = np.arange(spectrum.n_cutoff + 1)
     return z / (z * z - n * spectrum.hbar_omega_c ** 2)
+
+
+def shear_pair_sums_direct(z: complex,
+                           spectrum: LandauSpectrum) -> tuple[complex, complex]:
+    """(S_RA, S_RR) = sum_{n=0}^{N_c-2} (n+1) g_n(z) g_{n+2}(z_s) with
+    z_s = conj(z) (RA) or z (RR), summed level by level."""
+    g = _g_array(z, spectrum)
+    w = np.arange(spectrum.n_cutoff - 1) + 1.0
+    return (np.sum(w * g[:-2] * np.conjugate(g[2:])),
+            np.sum(w * g[:-2] * g[2:]))
+
+
+def _pair_sum(zr: complex, zs: complex, W: float, hi: int) -> complex:
+    """sum_{n=0}^{hi} (n+1) g_n(zr) g_{n+2}(zs) by partial fractions in n."""
+    a, b = zr * zr / W, zs * zs / W
+    fractions = ((a + 1.0) * pole_sum(a, 0, hi)
+                 - (b - 1.0) * pole_sum(b - 2.0, 0, hi))
+    return fractions * zr * zs / (W * W * (b - 2.0 - a))
+
+
+def shear_pair_sums(z: complex,
+                    spectrum: LandauSpectrum) -> tuple[complex, complex]:
+    """The sums of shear_pair_sums_direct in O(1) by partial fractions.
+
+    Like landau_green_sum, the ladder is summed directly once
+    |z^2 / (hbar w_c)^2| > N_c, where the digamma terms cancel.
+    """
+    W = spectrum.hbar_omega_c ** 2
+    if abs(z * z / W) > spectrum.n_cutoff:
+        return shear_pair_sums_direct(z, spectrum)
+    hi = spectrum.n_cutoff - 2
+    return _pair_sum(z, z.conjugate(), W, hi), _pair_sum(z, z, W, hi)
+
+
+def _check_tail(z: complex, spectrum: LandauSpectrum, tail_tol: float) -> None:
+    """Raise if the last 10% of the ladder carries more than tail_tol of the
+    positive-definite sum (n+1) Im g_n Im g_{n+2}.
+
+    Summed level by level: at gap roots (Im z ~ 1e-15) the same sum written
+    as (Re S_RA - Re S_RR)/2 is rounding noise.
+    """
+    g = _g_array(z, spectrum)
+    terms = (np.arange(spectrum.n_cutoff - 1) + 1.0) * g[:-2].imag * g[2:].imag
+    total = np.sum(terms)
+    if total > 0:
+        tail = np.sum(terms[-max(1, len(terms) // 10):])
+        if abs(tail) > tail_tol * abs(total):
+            raise TruncatedLadderError(
+                "Landau sum truncated before the tail converged; rebuild the "
+                f"spectrum with a larger hard_limit (n_cutoff={spectrum.n_cutoff})")
 
 
 def _landau_sigma(E: float, params: ModelParams, spectrum: LandauSpectrum,
@@ -177,25 +230,19 @@ def shear_bfield_numeric(E: float, params: ModelParams,
 
     RA = (hbar^3 w_c^2 / 4 pi^2 l_B^2) sum_n (n+1)(g^R_n g^A_{n+2} + g^R_{n+2} g^A_n)
     RR = (hbar^3 w_c^2 / 2 pi^2 l_B^2) sum_n (n+1) g^R_n g^R_{n+2}
+
+    evaluated by shear_pair_sums; on truncated spectra the tail is checked
+    first (TruncatedLadderError).
     """
     s = _landau_sigma(E, params, spectrum, sigma)
-    g = _g_array(E, s, spectrum)
-    ga = np.conjugate(g)
-    n = np.arange(spectrum.n_cutoff - 1)
-    w = n + 1.0
-    W = spectrum.hbar_omega_c ** 2
-    scale = (params.degeneracy / 4.0) * W / (math.pi ** 2 * spectrum.l_B ** 2)
-    ra = 0.25 * scale * np.sum(w * (g[:-2] * ga[2:] + g[2:] * ga[:-2])).real
-    rr = 0.5 * scale * np.sum(w * (g[:-2] * g[2:])).real
-    # tail check on the positive-definite Im-Im form
-    terms = w * g[:-2].imag * g[2:].imag
-    total = np.sum(terms)
-    if spectrum.truncated and total > 0:
-        tail = np.sum(terms[-max(1, len(terms) // 10):])
-        if abs(tail) > tail_tol * abs(total):
-            raise ValueError(
-                "Landau sum truncated before the tail converged; rebuild the "
-                f"spectrum with a larger hard_limit (n_cutoff={spectrum.n_cutoff})")
+    z = E - s
+    if spectrum.truncated:
+        _check_tail(z, spectrum, tail_tol)
+    s_ra, s_rr = shear_pair_sums(z, spectrum)
+    scale = (params.degeneracy / 4.0) * spectrum.hbar_omega_c ** 2 / (
+        math.pi ** 2 * spectrum.l_B ** 2)
+    ra = 0.5 * scale * s_ra.real
+    rr = 0.5 * scale * s_rr.real
     tag, _, low = detect_regime(E, params, spectrum, s)
     return ViscosityValue(value=ra - rr, channels={"RA": ra, "RR": rr},
                           regime_tag=tag, low_confidence=low)
@@ -293,16 +340,16 @@ def shear_bfield_analytic(E: float, params: ModelParams,
 _GAP_FLOOR = 1e-15  # minimal |Im Sigma| used inside gaps to keep G retarded
 
 
-def _hall_level_arrays(spectrum: LandauSpectrum):
+def _pair_energies(spectrum: LandauSpectrum):
+    """(E_a, E_b, n+1) arrays for the four (s, s') chains of |dn| = 2 pairs."""
     hwc = spectrum.hbar_omega_c
     n = np.arange(spectrum.n_cutoff - 1)
-    combos = []
+    out = []
     for s in (1.0, -1.0):
         for sp in (1.0, -1.0):
-            Ea = s * hwc * np.sqrt(n)
-            Eb = sp * hwc * np.sqrt(n + 2)
-            combos.append((Ea, Eb, n + 1.0))
-    return combos
+            out.append((s * hwc * np.sqrt(n), sp * hwc * np.sqrt(n + 2),
+                        n + 1.0))
+    return out
 
 
 def hall_static_numeric(E: float, params: ModelParams,
@@ -326,7 +373,7 @@ def hall_static_numeric(E: float, params: ModelParams,
     sum_i = 0.0
     sum_surface = 0.0 + 0.0j
     sum_log = 0.0
-    for Ea, Eb, w in _hall_level_arrays(spectrum):
+    for Ea, Eb, w in _pair_energies(spectrum):
         Ga = 1.0 / (z - Ea)
         Gb = 1.0 / (z - Eb)
         sum_i += 2.0 * np.sum(w * (Ga.imag * Gb.real - Ga.real * Gb.imag))
@@ -391,7 +438,7 @@ def hall_fermi_sea_quadrature(E: float, params: ModelParams,
 
     z = om - sig
     integrand = np.zeros(om.size, dtype=complex)
-    for Ea, Eb, w in _hall_level_arrays(spectrum):
+    for Ea, Eb, w in _pair_energies(spectrum):
         Ga = 1.0 / (z[:, None] - Ea[None, :])
         Gb = 1.0 / (z[:, None] - Eb[None, :])
         delta = (Eb - Ea)[None, :]

@@ -34,16 +34,16 @@ class ModelParams:
     temperature: float = 0.0                # k_B T in eV; 0 = strict zero-T
 
     def __post_init__(self):
-        if self.hbar_vf <= 0:
-            raise ValueError(f"hbar_vf must be positive, got {self.hbar_vf}")
-        if self.cutoff_Ec <= 0:
-            raise ValueError(f"cutoff_Ec must be positive, got {self.cutoff_Ec}")
-        if self.disorder_A <= 0:
-            raise ValueError(f"disorder_A must be positive, got {self.disorder_A}")
+        for name in ("hbar_vf", "cutoff_Ec", "disorder_A"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, "
+                                 f"got {value}")
         if self.degeneracy < 1:
             raise ValueError(f"degeneracy must be >= 1, got {self.degeneracy}")
-        if self.temperature < 0:
-            raise ValueError(f"temperature must be >= 0, got {self.temperature}")
+        if not (math.isfinite(self.temperature) and self.temperature >= 0):
+            raise ValueError("temperature must be finite and >= 0, "
+                             f"got {self.temperature}")
 
     @property
     def k_cutoff(self) -> float:

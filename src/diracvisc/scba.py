@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import lambertw
+from scipy.special import digamma, lambertw
 
 from .model import LandauSpectrum, ModelParams
 
@@ -133,6 +133,35 @@ def solve_self_energy_b0(E: float, params: ModelParams, *,
     return _iterate(seed, step, tol, mixing, max_iter, E)
 
 
+def pole_sum(c: complex, lo: int, hi: int) -> complex:
+    """sum_{n=lo}^{hi} 1/(c - n) = psi(lo - c) - psi(hi + 1 - c) (DLMF 5.5.2)."""
+    return digamma(lo - c) - digamma(hi + 1 - c)
+
+
+def landau_green_sum_direct(z: complex, spectrum: LandauSpectrum) -> complex:
+    """sum_{n=0}^{N_c} w_n z / (z^2 - n (hbar w_c)^2), weights (1, 2, 2, ...),
+    summed level by level."""
+    en2 = np.arange(spectrum.n_cutoff + 1) * spectrum.hbar_omega_c ** 2
+    weights = np.full(en2.shape, 2.0)
+    weights[0] = 1.0
+    return np.sum(weights * z / (z * z - en2))
+
+
+def landau_green_sum(z: complex, spectrum: LandauSpectrum) -> complex:
+    """The ladder sum of landau_green_sum_direct in O(1).
+
+    With W = (hbar w_c)^2 and a = z^2/W it equals (z/W)[2 S(a) - 1/a],
+    S = pole_sum over n = 0..N_c. The digamma pair holds ~1e-12 relative
+    while the ladder reaches past the energy, |a| <= N_c; beyond that
+    psi(N_c + 1 - a) and psi(-a) cancel, so the ladder is summed directly.
+    """
+    W = spectrum.hbar_omega_c ** 2
+    a = z * z / W
+    if abs(a) > spectrum.n_cutoff:
+        return landau_green_sum_direct(z, spectrum)
+    return (z / W) * (2.0 * pole_sum(a, 0, spectrum.n_cutoff) - 1.0 / a)
+
+
 def solve_self_energy_landau(E: float, params: ModelParams,
                              spectrum: LandauSpectrum, *, tol: float = 1e-10,
                              mixing: float = 0.3, max_iter: int = 10_000,
@@ -140,21 +169,18 @@ def solve_self_energy_landau(E: float, params: ModelParams,
     """Fixed point of Sigma = ((hbar w_c)^2 / 2A) sum_{n,s} G_{ns}(E).
 
     The sum runs over physical levels (n = 0 once) via
-    g_n = z / (z^2 - n (hbar w_c)^2) with weights (1, 2, 2, ...).
+    g_n = z / (z^2 - n (hbar w_c)^2) with weights (1, 2, 2, ...), and is
+    evaluated by landau_green_sum.
     """
     A = params.disorder_A
-    W = spectrum.hbar_omega_c ** 2
-    en2 = np.arange(spectrum.n_cutoff + 1) * W
-    weights = np.full(en2.shape, 2.0)
-    weights[0] = 1.0
+    scale = spectrum.hbar_omega_c ** 2 / (2.0 * A)
     if seed is None:
         seed = -1j * max(params.cutoff_Ec * math.exp(-A / 2.0),
                          spectrum.hbar_omega_c / math.sqrt(2.0 * A),
                          math.pi * abs(E) / A)
 
     def step(sigma: complex) -> complex:
-        z = E - sigma
-        return (W / (2.0 * A)) * np.sum(weights * z / (z * z - en2))
+        return scale * landau_green_sum(E - sigma, spectrum)
 
     return _iterate(seed, step, tol, mixing, max_iter, E)
 

@@ -16,8 +16,8 @@ import numpy as np
 
 from . import __version__
 from .model import ModelParams, build_spectrum
-from .kubo_static import (hall_static_numeric, shear_b0_numeric,
-                          shear_bfield_numeric)
+from .kubo_static import (TruncatedLadderError, hall_static_numeric,
+                          shear_b0_numeric, shear_bfield_numeric)
 from .kubo_dynamic import hall_dynamic, shear_dynamic_b0, shear_dynamic_bfield
 from .scba import dos, solve_self_energy_b0, solve_self_energy_landau, ConvergenceError
 from .vertex import vertex_correction_b0, vertex_correction_landau
@@ -207,7 +207,7 @@ def _eval_point(spec: SweepSpec, E: float, B: float | None,
                 channels["ratio_landau"] = rep_l.ratio
             return SweepRow(E, B, Omega, A, value=rep_m.ratio,
                             channels=channels)
-    except ConvergenceError:
+    except (ConvergenceError, TruncatedLadderError):
         return SweepRow(E, B, Omega, A, value=math.nan, converged=False)
     raise AssertionError(f"unhandled quantity {q!r}")
 

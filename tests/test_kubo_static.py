@@ -10,7 +10,10 @@ from diracvisc import (LandauSpectrum, ModelParams, OVERLAPPED, SEPARATED,
                        shear_bfield_analytic, shear_bfield_dirac_limit,
                        shear_bfield_numeric, solve_self_energy_landau,
                        stress_element_xx_minus_yy, stress_element_xy)
-from diracvisc.kubo_static import hall_fermi_sea_quadrature, _k_kernel, _k_kernel_quad
+from diracvisc.kubo_static import (TruncatedLadderError, _k_kernel,
+                                   _k_kernel_quad, hall_fermi_sea_quadrature,
+                                   shear_pair_sums, shear_pair_sums_direct)
+from test_scba import ladder_cases, solved_z
 
 
 def small_spectrum(b_field=10.0, n_cutoff=40, hbar_vf=0.6582):
@@ -209,7 +212,7 @@ class TestLandauBruteForce:
     def test_hall_fermi_sea_antiderivative_exact(self):
         # the closed form equals the path integral for an analytic
         # self-energy path (independent of any solver)
-        from diracvisc.kubo_static import _hall_level_arrays
+        from diracvisc.kubo_static import _pair_energies
         spectrum = small_spectrum(n_cutoff=20)
         E = 0.1385
 
@@ -220,7 +223,7 @@ class TestLandauBruteForce:
         z_e = E - complex(sig_model(E))
         closed_s = 0j
         closed_l = 0.0
-        pairs = _hall_level_arrays(spectrum)
+        pairs = _pair_energies(spectrum)
         for Ea, Eb, w in pairs:
             Ga = 1.0 / (z_e - Ea)
             Gb = 1.0 / (z_e - Eb)
@@ -243,6 +246,68 @@ class TestLandauBruteForce:
                                   * Ga ** 2 * Gb ** 2, axis=1)
         path = np.sum(0.5 * (acc[1:] + acc[:-1]) * np.diff(z))
         assert (1j * path).real == pytest.approx(closed, rel=1e-4)
+
+
+# ---------------------------------------------------------------------------
+# digamma resummation of the shear sums, and the truncated-tail check
+# ---------------------------------------------------------------------------
+
+def direct_pair_sums(z, spectrum):
+    """Reference: sum_n (n+1) g_n(z) g_{n+2}(z*) and (n+1) g_n(z) g_{n+2}(z)."""
+    n = np.arange(spectrum.n_cutoff + 1)
+    g = z / (z * z - n * spectrum.hbar_omega_c ** 2)
+    w = n[:-2] + 1.0
+    return (np.sum(w * g[:-2] * np.conjugate(g[2:])),
+            np.sum(w * g[:-2] * g[2:]))
+
+
+class TestShearPairSums:
+    @pytest.mark.parametrize("B,A,E,gap", ladder_cases())
+    def test_closed_form_matches_direct_sum(self, B, A, E, gap):
+        z, spectrum = solved_z(B, A, E)
+        ra, rr = shear_pair_sums(z, spectrum)
+        ref_ra, ref_rr = direct_pair_sums(z, spectrum)
+        assert ra == pytest.approx(ref_ra, rel=1e-11)
+        assert rr == pytest.approx(ref_rr, rel=1e-11)
+        # RA - RR cancels to ~0 at gap roots; below the channels' own
+        # rounding it is compared against their size
+        assert ra.real - rr.real == pytest.approx(
+            ref_ra.real - ref_rr.real, rel=1e-11, abs=1e-11 * abs(ref_ra))
+
+    def test_short_ladder_falls_back_to_direct_sum(self):
+        # |z^2 / W| = 900 N_c: the partial-fraction digammas would keep
+        # only ~5 digits of RR here
+        spectrum = small_spectrum(n_cutoff=4)
+        z = complex(60.0 * spectrum.hbar_omega_c, 0.01)
+        assert abs(z * z) / spectrum.hbar_omega_c ** 2 > 800 * spectrum.n_cutoff
+        got = shear_pair_sums(z, spectrum)
+        assert got == shear_pair_sums_direct(z, spectrum)
+        for c, ref in zip(got, direct_pair_sums(z, spectrum)):
+            assert c == pytest.approx(ref, rel=1e-11)
+
+
+class TestTruncatedTail:
+    # 10 T ladders cut at 1000 of ~3.9e3 levels
+    @pytest.mark.parametrize("A,E", [(20.0, 0.1), (20.0, 0.0),
+                                     (500.0, 0.05)])  # the last: a gap root
+    def test_raises_compute_error(self, A, E):
+        params = ModelParams(disorder_A=A)
+        spectrum = build_spectrum(params, 10.0, hard_limit=1000)
+        assert spectrum.truncated
+        with pytest.raises(TruncatedLadderError, match="hard_limit") as exc:
+            shear_bfield_numeric(E, params, spectrum)
+        assert isinstance(exc.value, ArithmeticError)
+
+    def test_resonant_level_passes(self, params500):
+        # at a separated level the resonant pairs dominate the sum; the
+        # SCBA on the cut ladder moves the value by ~2%
+        full = build_spectrum(params500, 10.0)
+        cut = build_spectrum(params500, 10.0, hard_limit=1000)
+        assert cut.truncated
+        E = cut.hbar_omega_c
+        v = shear_bfield_numeric(E, params500, cut).value
+        assert v == pytest.approx(
+            shear_bfield_numeric(E, params500, full).value, rel=0.05)
 
 
 # ---------------------------------------------------------------------------

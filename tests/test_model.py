@@ -196,6 +196,14 @@ class TestModelParams:
         {"disorder_A": 20.0, "cutoff_Ec": -7.2},
         {"disorder_A": 20.0, "degeneracy": 0},
         {"disorder_A": 20.0, "temperature": -0.1},
+        {"disorder_A": math.nan},
+        {"disorder_A": math.inf},
+        {"disorder_A": 20.0, "hbar_vf": math.nan},
+        {"disorder_A": 20.0, "hbar_vf": math.inf},
+        {"disorder_A": 20.0, "cutoff_Ec": math.nan},
+        {"disorder_A": 20.0, "cutoff_Ec": -math.inf},
+        {"disorder_A": 20.0, "temperature": math.nan},
+        {"disorder_A": 20.0, "temperature": math.inf},
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):

@@ -10,6 +10,7 @@ from diracvisc import (ConvergenceError, ModelParams,
                        self_energy_dirac_point_bfield, self_energy_overlapped,
                        self_energy_separated, solve_self_energy_b0,
                        solve_self_energy_landau)
+from diracvisc.scba import landau_green_sum, landau_green_sum_direct
 
 
 def fixed_point_residual_b0(E, sigma, params):
@@ -139,6 +140,55 @@ class TestLandauSolver:
         gap_center = 0.5 * (hwc + hwc * math.sqrt(2.0))
         sol = solve_self_energy_landau(gap_center, params500, spectrum10_500)
         assert abs(sol.sigma.imag) < 1e-8
+
+
+def direct_green_sum(z, spectrum):
+    """Reference: sum_n w_n z / (z^2 - n W), weights (1, 2, 2, ...)."""
+    n = np.arange(spectrum.n_cutoff + 1)
+    terms = z / (z * z - n * spectrum.hbar_omega_c ** 2)
+    return 2.0 * np.sum(terms) - terms[0]
+
+
+def ladder_cases():
+    """(B, A, E, gap): energies on both sides of the Dirac point, E = 0 (purely
+    imaginary z) and, at A = 500, the real-axis gap roots."""
+    cases = []
+    for B in (0.1, 10.0):
+        hwc = build_spectrum(ModelParams(disorder_A=20.0), B).hbar_omega_c
+        for A in (15.0, 20.0, 500.0):
+            cases += [(B, A, E, False) for E in (0.0, 0.05, -0.12, 0.3)]
+            if A == 500.0:
+                cases += [(B, A, E, True) for E in
+                          (0.5 * hwc, 0.5 * (1.0 + math.sqrt(2.0)) * hwc)]
+    return cases
+
+
+def solved_z(B, A, E):
+    params = ModelParams(disorder_A=A)
+    spectrum = build_spectrum(params, B, e_window=E, hard_limit=500_000)
+    assert not spectrum.truncated
+    return E - solve_self_energy_landau(E, params, spectrum).sigma, spectrum
+
+
+class TestLandauGreenSum:
+    @pytest.mark.parametrize("B,A,E,gap", ladder_cases())
+    def test_closed_form_matches_direct_sum(self, B, A, E, gap):
+        z, spectrum = solved_z(B, A, E)
+        assert abs(z * z) / spectrum.hbar_omega_c ** 2 <= spectrum.n_cutoff
+        if gap:
+            assert abs(z.imag) < 1e-8
+        assert landau_green_sum(z, spectrum) == pytest.approx(
+            direct_green_sum(z, spectrum), rel=1e-11)
+
+    def test_short_ladder_falls_back_to_direct_sum(self):
+        # |z^2 / W| = 900 N_c: past the ladder's end, summed level by level
+        spectrum = build_spectrum(ModelParams(disorder_A=20.0), 10.0,
+                                  hard_limit=4)
+        z = complex(60.0 * spectrum.hbar_omega_c, 0.01)
+        assert abs(z * z) / spectrum.hbar_omega_c ** 2 > 800 * spectrum.n_cutoff
+        got = landau_green_sum(z, spectrum)
+        assert got == landau_green_sum_direct(z, spectrum)
+        assert got == pytest.approx(direct_green_sum(z, spectrum), rel=1e-11)
 
 
 class TestSeparatedForm:

@@ -1,11 +1,14 @@
 import json
+import math
 
 import pytest
 
 from diracvisc import (GridSpec, SweepSpec, figure_preset, parse_csv_config,
                        result_to_csv, result_to_json, result_to_svg,
                        run_sweep)
+from diracvisc import cli
 from diracvisc.cli import main
+from diracvisc.kubo_static import TruncatedLadderError
 
 
 def tiny_spec(**overrides):
@@ -145,6 +148,18 @@ class TestQuantities:
         assert len(rows) == 2
         assert rows[0].value != rows[1].value
 
+    def test_truncated_tail_flags_row(self):
+        # 1000 of ~3.9e3 levels at the n = 1 level: the overlapped A = 20
+        # row loses its tail, the separated A = 500 row keeps it
+        spec = SweepSpec(quantity="static_shear",
+                         e_grid=GridSpec(0.1147334, 0.1147334, 1),
+                         b_grid=GridSpec(10.0, 10.0, 1),
+                         a_values=(20.0, 500.0),
+                         fixed={"hard_limit": 1000})
+        bad, good = run_sweep(spec).rows
+        assert math.isnan(bad.value) and not bad.converged
+        assert good.converged and good.value > 0
+
     def test_vertex_rows(self):
         spec = SweepSpec(quantity="vertex_check",
                          e_grid=GridSpec(1.0, 1.0, 1),
@@ -226,6 +241,20 @@ class TestCli:
                    "--a", "10"])
         assert rc == 2
         assert "usage error" in capsys.readouterr().err
+
+    def test_compute_error_exit_code(self, monkeypatch, capsys):
+        def truncated(spec):
+            raise TruncatedLadderError("tail lost")
+        monkeypatch.setattr(cli, "run_sweep", truncated)
+        rc = main(["sweep", "--quantity", "static_shear", "--e", "0.1",
+                   "--b", "10", "--a", "20"])
+        assert rc == 1
+        assert "compute error" in capsys.readouterr().err
+
+    def test_validate_ladder_closed_forms(self):
+        status = next(status for name, status, _ in cli._validate_checks()
+                      if name.startswith("Landau ladder"))
+        assert status == cli.PASS
 
     def test_io_error_exit_code(self, capsys):
         rc = main(["sweep", "--quantity", "dos", "--e", "1.5", "--a", "20",
