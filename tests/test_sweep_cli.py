@@ -169,6 +169,42 @@ class TestQuantities:
         assert row.channels["ratio_landau"] == 0.0
 
 
+# one cheap point per quantity; B = 10 T where the quantity allows a field
+_ONE_POINT = {
+    "self_energy": ["--e", "1.0", "--a", "20"],
+    "dos": ["--e", "1.0", "--a", "20"],
+    "static_shear": ["--e", "0.5", "--a", "20"],
+    "static_hall": ["--e", "0.06", "--b", "10", "--a", "500"],
+    "dynamic_shear": ["--e", "1.0", "--omega", "0.3", "--a", "20"],
+    "dynamic_hall": ["--e", "0.05", "--b", "10", "--omega", "0.15",
+                     "--a", "500"],
+    "vertex_check": ["--e", "1.0", "--b", "10", "--a", "20"],
+}
+
+_GRID_COLUMNS = "E (eV),B (T),Omega (eV),A,"
+_COLUMN_LINES = {
+    "self_energy": "im_sigma (eV),re_sigma,residual,iterations",
+    "dos": "dos (1/eV nm^2)",
+    "static_shear": "eta_s (hbar/nm^2),RA,RR",
+    "static_hall": "eta_H (hbar/nm^2),RA,RR,II",
+    "dynamic_shear": "eta_s (hbar/nm^2)",
+    "dynamic_hall": "eta_H (hbar/nm^2)",
+    "vertex_check": "vertex_ratio,ratio_momentum,ratio_landau",
+}
+
+
+class TestCsvColumns:
+    @pytest.mark.parametrize("quantity", sorted(_COLUMN_LINES))
+    def test_column_line(self, quantity, capsys):
+        rc = main(["sweep", "--quantity", quantity] + _ONE_POINT[quantity])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[2] == (_GRID_COLUMNS + _COLUMN_LINES[quantity]
+                            + ",regime,converged")
+        assert len(lines) == 4
+        assert lines[3].endswith(",true")
+
+
 class TestFigurePresets:
     def test_known_names_resolve(self):
         for name in ("fig1", "fig2a", "fig2b", "fig3", "fig4", "fig5"):
@@ -235,6 +271,16 @@ class TestCli:
         assert rc == 0
         out = capsys.readouterr().out
         assert ",10.0," in out
+
+    def test_config_with_threads_key_still_runs(self, tmp_path, capsys):
+        # configs written for older versions carry a "threads" key
+        cfg = {"quantity": "dos", "E": {"start": 1.5, "stop": 1.5, "count": 1},
+               "A": [20.0], "threads": 1}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        rc = main(["sweep", "--config", str(path)])
+        assert rc == 0
+        assert "dos (1/eV nm^2)" in capsys.readouterr().out
 
     def test_usage_error_exit_code(self, capsys):
         rc = main(["sweep", "--quantity", "static_hall", "--e", "0:1:2",
