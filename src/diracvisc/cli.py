@@ -10,7 +10,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -22,8 +22,8 @@ from .kubo_static import (hall_static_numeric, shear_b0_analytic,
                           shear_b0_numeric, shear_bfield_numeric,
                           shear_pair_sums, shear_pair_sums_direct)
 from .kubo_dynamic import static_limit_check
-from .sweep import (GridSpec, SweepSpec, figure_preset, result_to_csv,
-                    result_to_json, result_to_svg, run_sweep)
+from .sweep import (QUANTITIES, GridSpec, SweepSpec, figure_preset,
+                    result_to_csv, result_to_json, result_to_svg, run_sweep)
 from .vertex import vertex_correction_b0, vertex_correction_landau
 
 PASS, FAIL, KNOWN = "PASS", "FAIL", "KNOWN-DEVIATION"
@@ -63,8 +63,6 @@ def _spec_from_args(args) -> SweepSpec:
         cfg.setdefault("output", {})["path"] = args.output
     if args.format:
         cfg.setdefault("output", {})["format"] = args.format
-    if args.threads is not None:
-        cfg["threads"] = args.threads
     return SweepSpec.from_config(cfg)
 
 
@@ -92,12 +90,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_figure(args) -> int:
-    spec = figure_preset(args.name)
-    if args.output:
-        spec = SweepSpec.from_config({**spec.to_config(),
-                                      "output": {"path": args.output,
-                                                 "format": args.format or "csv"},
-                                      "threads": args.threads or 0})
+    spec = replace(figure_preset(args.name), output_path=args.output,
+                   output_format=args.format or "csv")
     result = run_sweep(spec)
     _write_result(result, spec, args.svg)
     return 0
@@ -250,9 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sweep", help="run a parameter sweep")
     sp.add_argument("--config", help="JSON config file (flags override)")
-    sp.add_argument("--quantity", choices=("self_energy", "dos", "static_shear",
-                                           "static_hall", "dynamic_shear",
-                                           "dynamic_hall", "vertex_check"))
+    sp.add_argument("--quantity", choices=tuple(QUANTITIES))
     sp.add_argument("--e", help="energy grid 'start:stop:count[:scale]' or value")
     sp.add_argument("--b", help="field grid (T)")
     sp.add_argument("--omega", help="frequency grid (eV)")
@@ -260,8 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--fixed", help="JSON object of fixed parameters")
     sp.add_argument("--output", help="output file (stdout if omitted)")
     sp.add_argument("--format", choices=("csv", "json"))
-    sp.add_argument("--threads", type=int,
-                    help="worker threads; 0 = auto (DIRAC_VISC_THREADS)")
     sp.add_argument("--svg", action="store_true",
                     help="also emit a line-plot SVG next to the output file")
     sp.set_defaults(func=_cmd_sweep)
@@ -270,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     fp.add_argument("name", help="fig1, fig2a, fig2b, fig3, fig4 or fig5")
     fp.add_argument("--output")
     fp.add_argument("--format", choices=("csv", "json"))
-    fp.add_argument("--threads", type=int)
     fp.add_argument("--svg", action="store_true")
     fp.set_defaults(func=_cmd_figure)
 

@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import expit
 
 from .model import LandauSpectrum, ModelParams
 from .kubo_static import (_b0_prefactor, _k_kernel, _pair_energies,
@@ -21,6 +22,10 @@ from .scba import solve_self_energy_b0, solve_self_energy_landau
 ELECTRON_HOLE = "electron_hole"
 ELECTRON_ELECTRON = "electron_electron"
 HOLE_HOLE = "hole_hole"
+
+# Gauss-Legendre nodes per panel of the frequency windows
+_B0_NODES = 24
+_BFIELD_NODES = 16
 
 
 @dataclass(frozen=True)
@@ -101,15 +106,14 @@ class _SigmaCacheB0:
 
 
 def _shear_b0_window(omega_lo: float, omega_hi: float, big_omega: float,
-                     params: ModelParams, sig: _SigmaCacheB0,
-                     n_nodes: int) -> float:
+                     params: ModelParams, sig: _SigmaCacheB0) -> float:
     """Integral of Re[K_RA - K_RR] over one omega segment (un-normalized)."""
     if omega_hi <= omega_lo:
         return 0.0
     third = (omega_hi - omega_lo) / 3.0
     bks = [-0.5 * big_omega,                     # interband 2w + Omega = 0
            omega_lo + third, omega_hi - third]
-    om, w = _gauss_panels(omega_lo, omega_hi, bks, n_nodes)
+    om, w = _gauss_panels(omega_lo, omega_hi, bks, _B0_NODES)
     tot = 0.0
     for oi, wi in zip(om, w):
         s2 = sig(oi)
@@ -121,7 +125,6 @@ def _shear_b0_window(omega_lo: float, omega_hi: float, big_omega: float,
 
 
 def shear_dynamic_b0(E: float, Omega: float, params: ModelParams, *,
-                     n_nodes: int = 24,
                      return_split: bool = False):
     """Dynamic shear viscosity at B = 0.
 
@@ -135,12 +138,11 @@ def shear_dynamic_b0(E: float, Omega: float, params: ModelParams, *,
     sig = _SigmaCacheB0(params)
     pref = _b0_prefactor(params) / om
     if params.temperature > 0:
-        return _shear_b0_finite_t(E, om, params, sig, pref, n_nodes,
-                                  return_split)
+        return _shear_b0_finite_t(E, om, params, sig, pref, return_split)
     cuts = sorted({lo, hi, *[x for x in (0.0, -om) if lo < x < hi]})
     eh = intra = 0.0
     for a, b in zip(cuts[:-1], cuts[1:]):
-        v = pref * _shear_b0_window(a, b, om, params, sig, n_nodes)
+        v = pref * _shear_b0_window(a, b, om, params, sig)
         if -om < 0.5 * (a + b) < 0.0:
             eh += v
         else:
@@ -153,14 +155,14 @@ def shear_dynamic_b0(E: float, Omega: float, params: ModelParams, *,
 def _fermi(x: np.ndarray | float, mu: float, temperature: float):
     if temperature <= 0:
         return np.where(np.asarray(x) <= mu, 1.0, 0.0)
-    return 1.0 / (np.exp((np.asarray(x) - mu) / temperature) + 1.0)
+    return expit((mu - np.asarray(x)) / temperature)
 
 
-def _shear_b0_finite_t(E, om, params, sig, pref, n_nodes, return_split):
+def _shear_b0_finite_t(E, om, params, sig, pref, return_split):
     T = params.temperature
     lo, hi = E - om - 8.0 * T, E + 8.0 * T
     bks = [0.0, -om, E - om, E, 0.5 * (lo + hi)]
-    nodes, weights = _gauss_panels(lo, hi, bks, n_nodes)
+    nodes, weights = _gauss_panels(lo, hi, bks, _B0_NODES)
     occ = _fermi(nodes, E, T) - _fermi(nodes + om, E, T)
     tot = eh = 0.0
     for oi, wi, fi in zip(nodes, weights, occ):
@@ -204,16 +206,13 @@ def shear_dynamic_b0_ee_limit(E: float, Omega: float,
 
 def shear_dynamic_bfield(E: float, Omega: float, params: ModelParams,
                          spectrum: LandauSpectrum,
-                         broadening: float | None = None, *,
-                         n_nodes: int = 16,
-                         level_window: float | None = None) -> float:
+                         broadening: float | None = None) -> float:
     """Dynamic shear viscosity in a field (|dn| = 2 transition sums).
 
     broadening=None solves the SCBA self-energy at every omega node; a float
     uses constant-width Lorentzian levels (clean-limit studies). Even in
-    Omega. level_window limits the retained levels to |E_level| below the
-    window reach plus the pad (None picks a pad whose truncated Lorentzian
-    tails sit below 1e-4 relative).
+    Omega. Only levels with |E_level| below the window reach plus a pad are
+    kept; the pad puts the dropped Lorentzian tails below 1e-4 relative.
     """
     if Omega == 0:
         raise ValueError("Omega must be nonzero")
@@ -223,9 +222,8 @@ def shear_dynamic_bfield(E: float, Omega: float, params: ModelParams,
     lo, hi = E - om - pad, E + pad
     gam = broadening if broadening is not None else (
         spectrum.hbar_omega_c / math.sqrt(2.0 * params.disorder_A))
-    if level_window is None:
-        level_window = (max(abs(lo), abs(hi)) + om
-                        + max(100.0 * gam, 8.0 * spectrum.hbar_omega_c))
+    level_window = (max(abs(lo), abs(hi)) + om
+                    + max(100.0 * gam, 8.0 * spectrum.hbar_omega_c))
     pairs = []
     for Ea, Eb, w in _pair_energies(spectrum):
         keep = (np.abs(Ea) <= level_window) | (np.abs(Eb) <= level_window)
@@ -245,7 +243,7 @@ def shear_dynamic_bfield(E: float, Omega: float, params: ModelParams,
     for b in bks:
         if not merged or b - merged[-1] > 0.25 * gam:
             merged.append(b)
-    nodes, wq = _gauss_panels(lo, hi, merged, n_nodes)
+    nodes, wq = _gauss_panels(lo, hi, merged, _BFIELD_NODES)
 
     if broadening is None:
         sig = np.empty(nodes.size, dtype=complex)

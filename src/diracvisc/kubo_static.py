@@ -97,6 +97,13 @@ def _k_kernel_quad(z1: complex, z2: complex, params: ModelParams,
     return 0.5 * z1 * z2 * (re + 1j * im)
 
 
+def _require_zero_temperature(params: ModelParams) -> None:
+    """The static Kubo formulas here are zero-temperature ones."""
+    if params.temperature > 0:
+        raise ValueError("static viscosities are zero-temperature formulas; "
+                         f"got temperature {params.temperature} eV")
+
+
 def _b0_prefactor(params: ModelParams) -> float:
     return (params.degeneracy / 4.0) / (2.0 * math.pi ** 2 * params.hbar_vf ** 2)
 
@@ -120,6 +127,7 @@ def shear_b0_numeric(E: float, params: ModelParams, *,
     """
     if method not in ("quad", "exact"):
         raise ValueError(f"unknown method {method!r}")
+    _require_zero_temperature(params)
     s = _b0_sigma(E, params, sigma)
     zR = E - s
     zA = E - s.conjugate()
@@ -182,8 +190,11 @@ def shear_pair_sums(z: complex,
     return _pair_sum(z, z.conjugate(), W, hi), _pair_sum(z, z, W, hi)
 
 
-def _check_tail(z: complex, spectrum: LandauSpectrum, tail_tol: float) -> None:
-    """Raise if the last 10% of the ladder carries more than tail_tol of the
+_TAIL_TOL = 1e-3  # largest share of the shear sum allowed in a truncated tail
+
+
+def _check_tail(z: complex, spectrum: LandauSpectrum) -> None:
+    """Raise if the last 10% of the ladder carries more than _TAIL_TOL of the
     positive-definite sum (n+1) Im g_n Im g_{n+2}.
 
     Summed level by level: at gap roots (Im z ~ 1e-15) the same sum written
@@ -194,7 +205,7 @@ def _check_tail(z: complex, spectrum: LandauSpectrum, tail_tol: float) -> None:
     total = np.sum(terms)
     if total > 0:
         tail = np.sum(terms[-max(1, len(terms) // 10):])
-        if abs(tail) > tail_tol * abs(total):
+        if abs(tail) > _TAIL_TOL * abs(total):
             raise TruncatedLadderError(
                 "Landau sum truncated before the tail converged; rebuild the "
                 f"spectrum with a larger hard_limit (n_cutoff={spectrum.n_cutoff})")
@@ -224,8 +235,8 @@ def detect_regime(E: float, params: ModelParams, spectrum: LandauSpectrum,
 
 def shear_bfield_numeric(E: float, params: ModelParams,
                          spectrum: LandauSpectrum, *,
-                         sigma: SelfEnergySolution | complex | None = None,
-                         tail_tol: float = 1e-3) -> ViscosityValue:
+                         sigma: SelfEnergySolution | complex | None = None
+                         ) -> ViscosityValue:
     """Static shear viscosity from the Landau-level Kubo sums.
 
     RA = (hbar^3 w_c^2 / 4 pi^2 l_B^2) sum_n (n+1)(g^R_n g^A_{n+2} + g^R_{n+2} g^A_n)
@@ -234,10 +245,11 @@ def shear_bfield_numeric(E: float, params: ModelParams,
     evaluated by shear_pair_sums; on truncated spectra the tail is checked
     first (TruncatedLadderError).
     """
+    _require_zero_temperature(params)
     s = _landau_sigma(E, params, spectrum, sigma)
     z = E - s
     if spectrum.truncated:
-        _check_tail(z, spectrum, tail_tol)
+        _check_tail(z, spectrum)
     s_ra, s_rr = shear_pair_sums(z, spectrum)
     scale = (params.degeneracy / 4.0) * spectrum.hbar_omega_c ** 2 / (
         math.pi ** 2 * spectrum.l_B ** 2)
@@ -362,6 +374,7 @@ def hall_static_numeric(E: float, params: ModelParams,
     antiderivatives of (1 - dSigma/dw) G^n, leaving closed expressions in
     z(E) = E - Sigma(E); the deep sea cancels pairwise.
     """
+    _require_zero_temperature(params)
     s = _landau_sigma(E, params, spectrum, sigma)
     if s.imag > -_GAP_FLOOR:
         s = complex(s.real, -_GAP_FLOOR)

@@ -71,19 +71,6 @@ class LandauSpectrum:
     n_cutoff: int
     truncated: bool = False  # True if the hard limit cut the band short
 
-    @property
-    def levels(self) -> list[tuple[int, int, float]]:
-        """All retained (n, s, energy) sorted by energy; n = 0 appears once."""
-        out = [(n, -1, -self.hbar_omega_c * math.sqrt(n))
-               for n in range(self.n_cutoff, 0, -1)]
-        out.append((0, 1, 0.0))
-        out += [(n, 1, self.hbar_omega_c * math.sqrt(n))
-                for n in range(1, self.n_cutoff + 1)]
-        return out
-
-    def energy(self, n: int, s: int) -> float:
-        return landau_energy(n, s, self)
-
 
 def build_spectrum(params: ModelParams, b_field: float, *,
                    e_window: float = 0.0, omega: float = 0.0,

@@ -1,31 +1,123 @@
 """Parameter sweeps with deterministic, reproducible tabular output.
 
-A sweep is described by a flat SweepSpec (JSON-serializable); results are
-gathered in lexicographic grid order (E, B, Omega, A) regardless of the
-worker-thread count, so CSV output is byte-identical across runs.
+A sweep is described by a flat SweepSpec (JSON-serializable); rows are
+computed serially in lexicographic grid order (E, B, Omega, A), so CSV
+output is byte-identical across runs. Each quantity is one QUANTITIES
+entry: its evaluator, its CSV columns and the grids it needs.
 """
 from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .model import ModelParams, build_spectrum
+from .model import DEFAULT_HARD_LIMIT, ModelParams, build_spectrum
 from .kubo_static import (TruncatedLadderError, hall_static_numeric,
                           shear_b0_numeric, shear_bfield_numeric)
 from .kubo_dynamic import hall_dynamic, shear_dynamic_b0, shear_dynamic_bfield
 from .scba import dos, solve_self_energy_b0, solve_self_energy_landau, ConvergenceError
 from .vertex import vertex_correction_b0, vertex_correction_landau
 
-QUANTITIES = ("self_energy", "dos", "static_shear", "static_hall",
-              "dynamic_shear", "dynamic_hall", "vertex_check")
 
-_DYNAMIC = ("dynamic_shear", "dynamic_hall")
+# ---------------------------------------------------------------------------
+# quantities: each evaluator maps one grid point to SweepRow fields. They
+# call the physics through this module's globals, looked up at call time.
+# ---------------------------------------------------------------------------
+
+def _spectrum(params: ModelParams, B: float, E: float, fixed: dict,
+              omega: float = 0.0):
+    return build_spectrum(
+        params, B, e_window=E, omega=omega,
+        hard_limit=int(fixed.get("hard_limit", DEFAULT_HARD_LIMIT)))
+
+
+def _solve_sigma(E, B, params, fixed):
+    if B:
+        return solve_self_energy_landau(E, params,
+                                        _spectrum(params, B, E, fixed))
+    return solve_self_energy_b0(E, params)
+
+
+def _static_fields(v) -> dict:
+    return {"value": v.value, "channels": v.channels,
+            "regime_tag": v.regime_tag}
+
+
+def _self_energy(E, B, Omega, params, fixed) -> dict:
+    sol = _solve_sigma(E, B, params, fixed)
+    return {"value": sol.sigma.imag,
+            "channels": {"re_sigma": sol.sigma.real,
+                         "residual": sol.residual,
+                         "iterations": sol.iterations},
+            "converged": sol.converged}
+
+
+def _dos(E, B, Omega, params, fixed) -> dict:
+    sol = _solve_sigma(E, B, params, fixed)
+    return {"value": dos(E, sol.sigma, params, B), "converged": sol.converged}
+
+
+def _static_shear(E, B, Omega, params, fixed) -> dict:
+    if B:
+        return _static_fields(shear_bfield_numeric(
+            E, params, _spectrum(params, B, E, fixed)))
+    return _static_fields(shear_b0_numeric(E, params, method="exact"))
+
+
+def _static_hall(E, B, Omega, params, fixed) -> dict:
+    return _static_fields(hall_static_numeric(
+        E, params, _spectrum(params, B, E, fixed)))
+
+
+def _dynamic_shear(E, B, Omega, params, fixed) -> dict:
+    if B:
+        spectrum = _spectrum(params, B, E, fixed, Omega)
+        return {"value": shear_dynamic_bfield(E, Omega, params, spectrum,
+                                              fixed.get("broadening"))}
+    return {"value": shear_dynamic_b0(E, Omega, params)}
+
+
+def _dynamic_hall(E, B, Omega, params, fixed) -> dict:
+    spectrum = _spectrum(params, B, E, fixed, Omega)
+    gamma = fixed.get("broadening", spectrum.hbar_omega_c / 50.0)
+    return {"value": hall_dynamic(E, Omega, params, spectrum, gamma)}
+
+
+def _vertex_check(E, B, Omega, params, fixed) -> dict:
+    ratio = vertex_correction_b0(E, params).ratio
+    channels = {"ratio_momentum": ratio}
+    if B:
+        channels["ratio_landau"] = vertex_correction_landau(
+            E, params, _spectrum(params, B, E, fixed)).ratio
+    return {"value": ratio, "channels": channels}
+
+
+class Quantity(NamedTuple):
+    evaluate: Callable[..., dict]  # (E, B, Omega, params, fixed) -> fields
+    value_label: str               # CSV header of the value column
+    channels: tuple[str, ...] = ()  # CSV channel columns, in order
+    dynamic: bool = False          # needs an Omega grid; others refuse one
+    needs_field: bool = False      # needs a B grid
+
+
+QUANTITIES = {
+    "self_energy": Quantity(_self_energy, "im_sigma (eV)",
+                            ("re_sigma", "residual", "iterations")),
+    "dos": Quantity(_dos, "dos (1/eV nm^2)"),
+    "static_shear": Quantity(_static_shear, "eta_s (hbar/nm^2)", ("RA", "RR")),
+    "static_hall": Quantity(_static_hall, "eta_H (hbar/nm^2)",
+                            ("RA", "RR", "II"), needs_field=True),
+    "dynamic_shear": Quantity(_dynamic_shear, "eta_s (hbar/nm^2)",
+                              dynamic=True),
+    "dynamic_hall": Quantity(_dynamic_hall, "eta_H (hbar/nm^2)",
+                             dynamic=True, needs_field=True),
+    "vertex_check": Quantity(_vertex_check, "vertex_ratio",
+                             ("ratio_momentum", "ratio_landau")),
+}
 
 
 @dataclass(frozen=True)
@@ -34,6 +126,11 @@ class GridSpec:
     stop: float
     count: int
     scale: str = "linear"
+
+    def __post_init__(self):
+        for end in (self.start, self.stop):
+            if not math.isfinite(end):
+                raise ValueError(f"grid endpoint {end!r} is not finite")
 
     def values(self) -> list[float]:
         if self.count < 1:
@@ -67,31 +164,29 @@ class SweepSpec:
     fixed: dict = field(default_factory=dict)
     output_path: str | None = None
     output_format: str = "csv"
-    threads: int = 0
 
     def __post_init__(self):
-        if self.quantity not in QUANTITIES:
+        q = QUANTITIES.get(self.quantity)
+        if q is None:
             raise ValueError(f"unknown quantity {self.quantity!r}; "
                              f"valid: {', '.join(QUANTITIES)}")
         if not self.a_values:
             raise ValueError("at least one disorder value A is required")
-        if self.omega_grid is not None and self.quantity not in _DYNAMIC:
+        if self.omega_grid is not None and not q.dynamic:
             raise ValueError(
                 f"an Omega grid is only meaningful for dynamic quantities, "
                 f"not {self.quantity!r}")
-        if self.quantity in _DYNAMIC and self.omega_grid is None:
+        if q.dynamic and self.omega_grid is None:
             raise ValueError(f"{self.quantity!r} requires an Omega grid")
-        if self.quantity in ("static_hall", "dynamic_hall") and self.b_grid is None:
+        if q.needs_field and self.b_grid is None:
             raise ValueError(f"{self.quantity!r} requires a magnetic field")
         if self.output_format not in ("csv", "json"):
             raise ValueError(f"unknown output format {self.output_format!r}")
 
-    def to_config(self, *, normalized: bool = False) -> dict:
-        """Flat JSON form. normalized=True drops execution-only knobs
-        (thread count) so emitted files are byte-identical across workers."""
+    def to_config(self) -> dict:
+        """Flat JSON form, as read back by from_config."""
         cfg = {"quantity": self.quantity, "A": list(self.a_values),
                "fixed": dict(self.fixed),
-               "threads": 0 if normalized else self.threads,
                "output": {"path": self.output_path,
                           "format": self.output_format}}
         for name, grid in (("E", self.e_grid), ("B", self.b_grid),
@@ -110,8 +205,7 @@ class SweepSpec:
             a_values=tuple(cfg.get("A", ())),
             fixed=dict(cfg.get("fixed") or {}),
             output_path=out.get("path"),
-            output_format=out.get("format", "csv"),
-            threads=int(cfg.get("threads", 0)))
+            output_format=out.get("format", "csv"))
 
 
 @dataclass(frozen=True)
@@ -144,125 +238,29 @@ def _make_params(A: float, fixed: dict) -> ModelParams:
 def _eval_point(spec: SweepSpec, E: float, B: float | None,
                 Omega: float | None, A: float) -> SweepRow:
     params = _make_params(A, spec.fixed)
-    fixed = spec.fixed
-    hard = int(fixed.get("hard_limit", 20_000))
-    q = spec.quantity
+    evaluate = QUANTITIES[spec.quantity].evaluate
     try:
-        if q == "self_energy":
-            if B:
-                spectrum = build_spectrum(params, B, e_window=E, hard_limit=hard)
-                sol = solve_self_energy_landau(E, params, spectrum)
-            else:
-                sol = solve_self_energy_b0(E, params)
-            return SweepRow(E, B, Omega, A, value=sol.sigma.imag,
-                            channels={"re_sigma": sol.sigma.real,
-                                      "residual": sol.residual,
-                                      "iterations": sol.iterations},
-                            converged=sol.converged)
-        if q == "dos":
-            if B:
-                spectrum = build_spectrum(params, B, e_window=E, hard_limit=hard)
-                sol = solve_self_energy_landau(E, params, spectrum)
-            else:
-                sol = solve_self_energy_b0(E, params)
-            return SweepRow(E, B, Omega, A,
-                            value=dos(E, sol.sigma, params, B),
-                            converged=sol.converged)
-        if q == "static_shear":
-            if B:
-                spectrum = build_spectrum(params, B, e_window=E, hard_limit=hard)
-                v = shear_bfield_numeric(E, params, spectrum)
-            else:
-                v = shear_b0_numeric(E, params, method="exact")
-            return SweepRow(E, B, Omega, A, value=v.value, channels=v.channels,
-                            regime_tag=v.regime_tag)
-        if q == "static_hall":
-            spectrum = build_spectrum(params, B, e_window=E, hard_limit=hard)
-            v = hall_static_numeric(E, params, spectrum)
-            return SweepRow(E, B, Omega, A, value=v.value, channels=v.channels,
-                            regime_tag=v.regime_tag)
-        if q == "dynamic_shear":
-            if B:
-                spectrum = build_spectrum(params, B, e_window=E, omega=Omega,
-                                          hard_limit=hard)
-                broadening = fixed.get("broadening")
-                val = shear_dynamic_bfield(E, Omega, params, spectrum,
-                                           broadening)
-            else:
-                val = shear_dynamic_b0(E, Omega, params)
-            return SweepRow(E, B, Omega, A, value=val)
-        if q == "dynamic_hall":
-            spectrum = build_spectrum(params, B, e_window=E, omega=Omega,
-                                      hard_limit=hard)
-            gamma = fixed.get("broadening",
-                              spectrum.hbar_omega_c / 50.0)
-            val = hall_dynamic(E, Omega, params, spectrum, gamma)
-            return SweepRow(E, B, Omega, A, value=val)
-        if q == "vertex_check":
-            rep_m = vertex_correction_b0(E, params)
-            channels = {"ratio_momentum": rep_m.ratio}
-            if B:
-                spectrum = build_spectrum(params, B, e_window=E, hard_limit=hard)
-                rep_l = vertex_correction_landau(E, params, spectrum)
-                channels["ratio_landau"] = rep_l.ratio
-            return SweepRow(E, B, Omega, A, value=rep_m.ratio,
-                            channels=channels)
+        return SweepRow(E, B, Omega, A,
+                        **evaluate(E, B, Omega, params, spec.fixed))
     except (ConvergenceError, TruncatedLadderError):
         return SweepRow(E, B, Omega, A, value=math.nan, converged=False)
-    raise AssertionError(f"unhandled quantity {q!r}")
-
-
-def _thread_count(requested: int) -> int:
-    if requested > 0:
-        return requested
-    env = os.environ.get("DIRAC_VISC_THREADS", "")
-    if env.strip():
-        n = int(env)
-        if n > 0:
-            return n
-    return os.cpu_count() or 1
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
-    """Evaluate the sweep grid; row order is the lexicographic grid order,
-    independent of the thread count; non-converged points are flagged."""
+    """Evaluate the sweep grid serially in lexicographic grid order;
+    non-converged points are flagged."""
     e_vals = (spec.e_grid or GridSpec(0.0, 0.0, 1)).values()
     b_vals = spec.b_grid.values() if spec.b_grid else [None]
     o_vals = spec.omega_grid.values() if spec.omega_grid else [None]
-    points = [(E, B, O, A) for E in e_vals for B in b_vals for O in o_vals
-              for A in spec.a_values]
-    workers = _thread_count(spec.threads)
-    if workers > 1 and len(points) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda p: _eval_point(spec, *p), points))
-    else:
-        rows = [_eval_point(spec, *p) for p in points]
-    header = {"config": spec.to_config(normalized=True),
-              "code_version": __version__}
+    rows = [_eval_point(spec, E, B, O, A) for E in e_vals for B in b_vals
+            for O in o_vals for A in spec.a_values]
+    header = {"config": spec.to_config(), "code_version": __version__}
     return SweepResult(header=header, rows=rows)
 
 
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
-
-_CHANNEL_COLUMNS = {
-    "self_energy": ("re_sigma", "residual", "iterations"),
-    "static_shear": ("RA", "RR"),
-    "static_hall": ("RA", "RR", "II"),
-    "vertex_check": ("ratio_momentum", "ratio_landau"),
-}
-
-_VALUE_NAMES = {
-    "self_energy": "im_sigma (eV)",
-    "dos": "dos (1/eV nm^2)",
-    "static_shear": "eta_s (hbar/nm^2)",
-    "static_hall": "eta_H (hbar/nm^2)",
-    "dynamic_shear": "eta_s (hbar/nm^2)",
-    "dynamic_hall": "eta_H (hbar/nm^2)",
-    "vertex_check": "vertex_ratio",
-}
-
 
 def _fmt(x) -> str:
     if x is None:
@@ -275,13 +273,13 @@ def _fmt(x) -> str:
 
 
 def result_to_csv(result: SweepResult) -> str:
-    q = result.header["config"]["quantity"]
-    extra = _CHANNEL_COLUMNS.get(q, ())
+    quantity = QUANTITIES[result.header["config"]["quantity"]]
+    extra = quantity.channels
     lines = [f"# diracvisc {result.header['code_version']}",
              "# config: " + json.dumps(result.header["config"],
                                        sort_keys=True,
                                        separators=(",", ":"))]
-    head = ["E (eV)", "B (T)", "Omega (eV)", "A", _VALUE_NAMES[q]]
+    head = ["E (eV)", "B (T)", "Omega (eV)", "A", quantity.value_label]
     head += list(extra) + ["regime", "converged"]
     lines.append(",".join(head))
     for r in result.rows:

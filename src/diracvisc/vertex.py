@@ -22,6 +22,8 @@ from .scba import solve_self_energy_b0, solve_self_energy_landau
 MOMENTUM = "momentum"
 LANDAU = "landau"
 
+_RADIAL_NODES = 48  # Gauss-Legendre nodes per radial panel
+
 
 @dataclass(frozen=True)
 class VertexReport:
@@ -52,8 +54,7 @@ def _txy_chiral(k: float, theta: np.ndarray, hbar_vf: float) -> np.ndarray:
 
 
 def vertex_correction_b0(E: float, params: ModelParams,
-                         angular_nodes: int = 64, *,
-                         radial_nodes: int = 48) -> VertexReport:
+                         angular_nodes: int = 64) -> VertexReport:
     """First-order dressed stress vertex at B = 0, evaluated at theta_k = 0
     and k on shell (k = max(|E|, 0.1 Ec)/hbar v_f)."""
     if angular_nodes < 8:
@@ -71,7 +72,7 @@ def vertex_correction_b0(E: float, params: ModelParams,
     pole = abs((E - sigma).real) / vf
     edges = sorted({0.0, k_c, *[p for p in (0.5 * pole, pole, 2.0 * pole)
                                 if 0.0 < p < k_c]})
-    xs, ws = np.polynomial.legendre.leggauss(radial_nodes)
+    xs, ws = np.polynomial.legendre.leggauss(_RADIAL_NODES)
     corr = np.zeros((2, 2), dtype=complex)
     ni_v0_sq = 4.0 * math.pi * vf ** 2 / params.disorder_A
     zR = E - sigma

@@ -299,6 +299,31 @@ class TestHallDynamic:
             hall_dynamic(0.05, 0.1, params500, spectrum10_500, 0.0)
 
 
+class TestFiniteTemperature:
+    TEMPERATURES = (2e-3, 1e-3, 5e-4)  # k_B T in eV
+
+    def test_b0_close_to_zero_temperature(self):
+        ref = shear_dynamic_b0(1.0, 0.3, ModelParams(disorder_A=20.0))
+        for T in self.TEMPERATURES:
+            v = shear_dynamic_b0(1.0, 0.3, ModelParams(disorder_A=20.0,
+                                                       temperature=T))
+            assert v == pytest.approx(ref, rel=1e-4)
+
+    @pytest.mark.parametrize("evaluate", [shear_dynamic_bfield, hall_dynamic],
+                             ids=["shear", "hall"])
+    def test_bfield_gap_shrinks_as_temperature_drops(self, evaluate,
+                                                     spectrum10_500):
+        E, Omega, gamma = 0.13, 0.2, 0.0023
+        ref = evaluate(E, Omega, ModelParams(disorder_A=500.0),
+                       spectrum10_500, gamma)
+        gaps = [abs(evaluate(E, Omega, ModelParams(disorder_A=500.0,
+                                                   temperature=T),
+                             spectrum10_500, gamma) / ref - 1.0)
+                for T in self.TEMPERATURES]
+        assert gaps[0] > gaps[1] > gaps[2]
+        assert gaps[0] < 0.02
+
+
 class TestStaticLimitReport:
     def test_b_zero_report(self, params20):
         rep = static_limit_check(1.5, params20)

@@ -310,6 +310,18 @@ class TestTruncatedTail:
             shear_bfield_numeric(E, params500, full).value, rel=0.05)
 
 
+class TestZeroTemperatureOnly:
+    @pytest.mark.parametrize("evaluate", [
+        lambda p: shear_b0_numeric(0.5, p, method="exact"),
+        lambda p: shear_b0_numeric(0.5, p),
+        lambda p: shear_bfield_numeric(0.1, p, build_spectrum(p, 10.0)),
+        lambda p: hall_static_numeric(0.06, p, build_spectrum(p, 10.0)),
+    ], ids=["shear_b0_exact", "shear_b0_quad", "shear_bfield", "hall"])
+    def test_finite_temperature_rejected(self, evaluate):
+        with pytest.raises(ValueError, match="zero-temperature"):
+            evaluate(ModelParams(disorder_A=20.0, temperature=0.01))
+
+
 # ---------------------------------------------------------------------------
 # quantization anchors, A = 500, B = 10 T
 # ---------------------------------------------------------------------------

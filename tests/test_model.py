@@ -61,15 +61,6 @@ class TestSpectrum:
         assert s.truncated
         assert s.n_cutoff == 20_000
 
-    def test_levels_sorted_and_symmetric(self, params20):
-        s = build_spectrum(params20, 10.0, hard_limit=12)
-        levels = s.levels
-        energies = [e for _, _, e in levels]
-        assert energies == sorted(energies)
-        assert levels.count((0, 1, 0.0)) == 1
-        for n, sgn, e in levels:
-            assert e == pytest.approx(-landau_energy(n, -sgn, s), abs=1e-15)
-
     def test_landau_energy_examples(self, spectrum10_20):
         assert landau_energy(0, 1, spectrum10_20) == 0.0
         assert landau_energy(1, 1, spectrum10_20) == pytest.approx(0.1147, rel=1e-3)
@@ -77,6 +68,12 @@ class TestSpectrum:
         # resonance 0 -> (2,+) matches the 0.162 eV anchor
         gap = landau_energy(2, 1, spectrum10_20) - landau_energy(0, 1, spectrum10_20)
         assert gap == pytest.approx(0.162, abs=5e-4)
+        # parity E_{n,-s} = -E_{n,s}; n = 0 is shared by both branches
+        for n in range(13):
+            for s in (1, -1):
+                assert landau_energy(n, -s, spectrum10_20) == pytest.approx(
+                    -landau_energy(n, s, spectrum10_20), abs=1e-15)
+        assert landau_energy(0, -1, spectrum10_20) == 0.0
 
     def test_landau_energy_domain(self, spectrum10_20):
         with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ from diracvisc import (GridSpec, SweepSpec, figure_preset, parse_csv_config,
 from diracvisc import cli
 from diracvisc.cli import main
 from diracvisc.kubo_static import TruncatedLadderError
+from diracvisc.sweep import QUANTITIES
 
 
 def tiny_spec(**overrides):
@@ -46,21 +47,21 @@ class TestSweepSpecValidation:
         with pytest.raises(ValueError, match="count"):
             GridSpec(0.0, 1.0, 0).values()
 
+    @pytest.mark.parametrize("end", [math.nan, math.inf, -math.inf])
+    def test_grid_endpoints_finite(self, end):
+        with pytest.raises(ValueError, match="not finite"):
+            GridSpec(end, 1.0, 2)
+        with pytest.raises(ValueError, match="not finite"):
+            GridSpec(0.0, end, 2)
+
     def test_log_grid(self):
         vals = GridSpec(0.01, 1.0, 3, scale="log").values()
         assert vals[1] == pytest.approx(0.1, rel=1e-12)
 
 
 class TestSweepDeterminism:
-    def test_byte_identical_across_thread_counts(self):
-        texts = []
-        for threads in (1, 2, 8):
-            spec = tiny_spec(threads=threads)
-            texts.append(result_to_csv(run_sweep(spec)))
-        assert texts[0] == texts[1] == texts[2]
-
     def test_byte_identical_across_repeat_runs(self):
-        spec = tiny_spec(threads=4)
+        spec = tiny_spec()
         a = result_to_csv(run_sweep(spec))
         b = result_to_csv(run_sweep(spec))
         assert a == b
@@ -69,12 +70,6 @@ class TestSweepDeterminism:
         res = run_sweep(tiny_spec())
         keys = [(r.E, r.A) for r in res.rows]
         assert keys == sorted(keys)
-
-    def test_env_thread_fallback(self, monkeypatch):
-        monkeypatch.setenv("DIRAC_VISC_THREADS", "3")
-        from diracvisc.sweep import _thread_count
-        assert _thread_count(0) == 3
-        assert _thread_count(5) == 5
 
 
 class TestSerialization:
@@ -205,6 +200,12 @@ class TestCsvColumns:
         assert lines[3].endswith(",true")
 
 
+    def test_quantity_choices_are_the_table(self):
+        sweep = cli.build_parser()._subparsers._group_actions[0].choices["sweep"]
+        action = next(a for a in sweep._actions if a.dest == "quantity")
+        assert tuple(action.choices) == tuple(QUANTITIES)
+
+
 class TestFigurePresets:
     def test_known_names_resolve(self):
         for name in ("fig1", "fig2a", "fig2b", "fig3", "fig4", "fig5"):
@@ -250,8 +251,7 @@ class TestCli:
     def test_sweep_to_file_with_svg(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         rc = main(["sweep", "--quantity", "static_shear", "--e=-0.5:0.5:3",
-                   "--a", "10,20", "--output", str(out), "--svg",
-                   "--threads", "2"])
+                   "--a", "10,20", "--output", str(out), "--svg"])
         assert rc == 0
         text = out.read_text()
         assert text.startswith("# diracvisc")
@@ -287,6 +287,30 @@ class TestCli:
                    "--a", "10"])
         assert rc == 2
         assert "usage error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--e", "--b", "--omega"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_grid_is_usage_error(self, flag, value, capsys):
+        args = {"--e": "0.05", "--b": "10", "--omega": "0.15"}
+        args[flag] = value
+        rc = main(["sweep", "--quantity", "dynamic_hall", "--a", "500"]
+                  + [f"{k}={v}" for k, v in args.items()])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "usage error" in err and value in err
+
+    def test_static_sweep_rejects_temperature(self, capsys):
+        rc = main(["sweep", "--quantity", "static_shear", "--e", "0.5",
+                   "--a", "20", "--fixed", '{"temperature": 0.01}'])
+        assert rc == 2
+        assert "usage error" in capsys.readouterr().err
+
+    def test_figure_format_without_output(self, capsys):
+        rc = main(["figure", "fig1", "--format", "json"])
+        assert rc == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert len(payload["rows"]) == 324
+        assert payload["header"]["config"]["output"]["format"] == "json"
 
     def test_compute_error_exit_code(self, monkeypatch, capsys):
         def truncated(spec):
