@@ -89,39 +89,16 @@ def _gauss_panels(lo: float, hi: float, breakpoints, n_per: int):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-class _SigmaCacheB0:
-    """Per-sweep cache of the Re-projected B = 0 self-energy."""
-
-    def __init__(self, params: ModelParams):
-        self.params = params
-        self._cache: dict[float, complex] = {}
-
-    def __call__(self, omega: float) -> complex:
-        s = self._cache.get(omega)
-        if s is None:
-            s = solve_self_energy_b0(omega, self.params,
-                                     drop_real_part=True).sigma
-            self._cache[omega] = s
-        return s
-
-
-def _shear_b0_window(omega_lo: float, omega_hi: float, big_omega: float,
-                     params: ModelParams, sig: _SigmaCacheB0) -> float:
-    """Integral of Re[K_RA - K_RR] over one omega segment (un-normalized)."""
-    if omega_hi <= omega_lo:
-        return 0.0
-    third = (omega_hi - omega_lo) / 3.0
-    bks = [-0.5 * big_omega,                     # interband 2w + Omega = 0
-           omega_lo + third, omega_hi - third]
-    om, w = _gauss_panels(omega_lo, omega_hi, bks, _B0_NODES)
-    tot = 0.0
-    for oi, wi in zip(om, w):
-        s2 = sig(oi)
-        s1 = sig(oi + big_omega)
-        z1 = oi + big_omega - s1
-        tot += wi * (_k_kernel(z1, oi - s2.conjugate(), params).real
-                     - _k_kernel(z1, oi - s2, params).real)
-    return tot
+def _b0_integrand(omega: np.ndarray, big_omega: float,
+                  params: ModelParams) -> np.ndarray:
+    """Re[K_RA - K_RR] at the window nodes omega, with the Re-dropped
+    self-energy solved at every omega and omega + Omega in one call."""
+    sig = solve_self_energy_b0(np.concatenate((omega, omega + big_omega)),
+                               params, drop_real_part=True).sigma
+    s2, s1 = sig[:omega.size], sig[omega.size:]
+    z1 = omega + big_omega - s1
+    return (_k_kernel(z1, omega - s2.conjugate(), params).real
+            - _k_kernel(z1, omega - s2, params).real)
 
 
 def shear_dynamic_b0(E: float, Omega: float, params: ModelParams, *,
@@ -134,50 +111,36 @@ def shear_dynamic_b0(E: float, Omega: float, params: ModelParams, *,
     if Omega == 0:
         raise ValueError("Omega must be nonzero; use the static route at 0")
     om = abs(Omega)
-    lo, hi = E - om, E
-    sig = _SigmaCacheB0(params)
+    T = params.temperature
+    if T > 0:
+        lo, hi = E - om - 8.0 * T, E + 8.0 * T
+        nodes, weights = _gauss_panels(lo, hi, [0.0, -om, E - om, E,
+                                                0.5 * (lo + hi)], _B0_NODES)
+        weights = weights * (_fermi(nodes, E, T) - _fermi(nodes + om, E, T))
+        keep = weights != 0.0
+        nodes, weights = nodes[keep], weights[keep]
+    else:
+        lo, hi = E - om, E
+        cuts = sorted({lo, hi, *[x for x in (0.0, -om) if lo < x < hi]})
+        panels = [_gauss_panels(a, b, [-0.5 * om,  # interband 2w + Omega = 0
+                                       a + (b - a) / 3.0, b - (b - a) / 3.0],
+                                _B0_NODES)
+                  for a, b in zip(cuts[:-1], cuts[1:])]
+        nodes = np.concatenate([x for x, _ in panels])
+        weights = np.concatenate([w for _, w in panels])
     pref = _b0_prefactor(params) / om
-    if params.temperature > 0:
-        return _shear_b0_finite_t(E, om, params, sig, pref, return_split)
-    cuts = sorted({lo, hi, *[x for x in (0.0, -om) if lo < x < hi]})
-    eh = intra = 0.0
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        v = pref * _shear_b0_window(a, b, om, params, sig)
-        if -om < 0.5 * (a + b) < 0.0:
-            eh += v
-        else:
-            intra += v
+    v = pref * weights * _b0_integrand(nodes, om, params)
+    tot = float(np.sum(v))
+    eh = float(np.sum(v[(nodes < 0.0) & (0.0 < nodes + om)]))
     if return_split:
-        return eh + intra, eh, intra
-    return eh + intra
+        return tot, eh, tot - eh
+    return tot
 
 
 def _fermi(x: np.ndarray | float, mu: float, temperature: float):
     if temperature <= 0:
         return np.where(np.asarray(x) <= mu, 1.0, 0.0)
     return expit((mu - np.asarray(x)) / temperature)
-
-
-def _shear_b0_finite_t(E, om, params, sig, pref, return_split):
-    T = params.temperature
-    lo, hi = E - om - 8.0 * T, E + 8.0 * T
-    bks = [0.0, -om, E - om, E, 0.5 * (lo + hi)]
-    nodes, weights = _gauss_panels(lo, hi, bks, _B0_NODES)
-    occ = _fermi(nodes, E, T) - _fermi(nodes + om, E, T)
-    tot = eh = 0.0
-    for oi, wi, fi in zip(nodes, weights, occ):
-        if fi == 0.0:
-            continue
-        s2 = sig(oi)
-        z1 = oi + om - sig(oi + om)
-        v = wi * fi * (_k_kernel(z1, oi - s2.conjugate(), params).real
-                       - _k_kernel(z1, oi - s2, params).real)
-        tot += v
-        if oi < 0.0 < oi + om:
-            eh += v
-    if return_split:
-        return pref * tot, pref * eh, pref * (tot - eh)
-    return pref * tot
 
 
 def shear_dynamic_b0_eh_limit(Omega: float, params: ModelParams) -> float:

@@ -44,22 +44,30 @@ class ViscosityValue:
 # radial momentum integral, B = 0
 # ---------------------------------------------------------------------------
 
-def _t_integral(a: complex, b: complex, T: float) -> complex:
-    """Exact int_0^T t dt / ((a - t)(b - t)).
+def _t_integral(a, b, T: float):
+    """Exact int_0^T t dt / ((a - t)(b - t)), element-wise over arrays.
 
     Principal logs are valid here: Im(a - t) is constant along the real-t
     path, and for real a, b both endpoint logs sit on the same side of the
-    cut. Near-degenerate a ~ b falls back to the confluent form.
+    cut. Near-degenerate a ~ b (a == b in the RR channel) takes the
+    confluent form; each branch is evaluated only on its own elements.
+    Scalar input gives a scalar.
     """
-    if abs(a - b) > 1e-8 * (abs(a) + abs(b)):
-        return (a * (np.log(a) - np.log(a - T))
-                - b * (np.log(b) - np.log(b - T))) / (b - a)
-    m = 0.5 * (a + b)
-    return m / (m - T) - 1.0 + np.log(m - T) - np.log(m)
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=complex),
+                               np.asarray(b, dtype=complex))
+    out = np.empty(a.shape, dtype=complex)
+    far = np.abs(a - b) > 1e-8 * (np.abs(a) + np.abs(b))
+    af, bf = a[far], b[far]
+    out[far] = (af * (np.log(af) - np.log(af - T))
+                - bf * (np.log(bf) - np.log(bf - T))) / (bf - af)
+    m = 0.5 * (a[~far] + b[~far])
+    out[~far] = m / (m - T) - 1.0 + np.log(m - T) - np.log(m)
+    return out[()]
 
 
-def _k_kernel(z1: complex, z2: complex, params: ModelParams) -> complex:
-    """z1 z2 * int_0^{Ec} du u^3 / ((z1^2-u^2)(z2^2-u^2)), u = hbar v_f k."""
+def _k_kernel(z1, z2, params: ModelParams):
+    """z1 z2 * int_0^{Ec} du u^3 / ((z1^2-u^2)(z2^2-u^2)), u = hbar v_f k,
+    element-wise over arrays."""
     T = params.cutoff_Ec ** 2
     return 0.5 * z1 * z2 * _t_integral(z1 * z1, z2 * z2, T)
 

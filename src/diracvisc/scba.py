@@ -31,14 +31,14 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class SelfEnergySolution:
-    energy: float          # eV
+    energy: float          # eV (an array for array input to the B = 0 solver)
     sigma: complex         # retarded Sigma(E), eV
     residual: float        # |Sigma_out - Sigma_in| / max(|Sigma_out|, floor)
-    iterations: int
+    iterations: int        # for array input, the most any element took
     converged: bool
 
 
-def _log_branch(z: complex, cutoff: float) -> complex:
+def _log_branch(z, cutoff: float):
     """Log(-Ec^2 / z^2) on the branch continuous over the retarded domain.
 
     With z = E - Sigma in the closed upper half-plane this equals
@@ -47,9 +47,10 @@ def _log_branch(z: complex, cutoff: float) -> complex:
     return 2.0 * math.log(cutoff) + 1j * math.pi - 2.0 * np.log(z)
 
 
-def _iterate(seed: complex, step, tol: float, mixing: float, max_iter: int,
+def _iterate(seed: complex, step, tol: float, max_iter: int,
              energy: float) -> SelfEnergySolution:
     sigma = seed
+    mixing = 0.3
     residual = math.inf
     best = math.inf
     stall = 0
@@ -110,27 +111,55 @@ def _secant_refine(sigma: complex, step, tol: float, max_steps: int = 80):
     return None
 
 
-def solve_self_energy_b0(E: float, params: ModelParams, *,
+def solve_self_energy_b0(E, params: ModelParams, *,
                          drop_real_part: bool = False, tol: float = 1e-10,
-                         mixing: float = 0.3,
-                         max_iter: int = 10_000) -> SelfEnergySolution:
-    """Fixed point of Sigma = -((E - Sigma)/A) Log(-Ec^2/(E - Sigma)^2).
+                         max_iter: int = 100) -> SelfEnergySolution:
+    """Root of Sigma = F(Sigma) = -(z/A) Log(-Ec^2/z^2), z = E - Sigma, for
+    one energy or a 1-D array of energies.
 
-    drop_real_part=True iterates with Re Sigma forced to zero; this is the
-    branch all B = 0 closed forms (and the B = 0 Kubo kernels) are built on.
+    Newton's method on h = Sigma - F(Sigma), with the closed-form slope
+    h' = 1 - (Log(-Ec^2/z^2) - 2)/A. drop_real_part=True forces Re Sigma to
+    zero, the branch all B = 0 closed forms (and the B = 0 Kubo kernels) are
+    built on, and solves the real equation for gamma = -Im Sigma with the
+    real slope 1 - (ln(Ec^2/|z|^2) - 2)/A. Each energy stops at the first
+    iterate whose residual |F - Sigma|/|F| is <= tol and returns F(Sigma);
+    array input returns arrays and the largest step count.
     """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     A = params.disorder_A
     Ec = params.cutoff_Ec
-    seed = -1j * max(Ec * math.exp(-A / 2.0), math.pi * abs(E) / A, 1e-300)
-
-    def step(sigma: complex) -> complex:
-        z = E - sigma
-        out = -(z / A) * _log_branch(z, Ec)
+    e = np.asarray(E, dtype=float).reshape(-1)
+    sigma = np.empty(e.shape, dtype=complex)
+    residual = np.empty(e.shape)
+    idx = np.arange(e.size)     # the energies still iterating
+    s = -1j * np.maximum(max(Ec * math.exp(-A / 2.0), 1e-300),
+                         math.pi * np.abs(e) / A)
+    for it in range(1, max_iter + 1):
+        z = e[idx] - s
+        log = _log_branch(z, Ec)
+        out = -(z / A) * log
         if drop_real_part:
             out = 1j * out.imag
-        return out
-
-    return _iterate(seed, step, tol, mixing, max_iter, E)
+        out = np.where(out.imag > 0, out.conjugate(), out)  # retarded branch
+        res = np.abs(out - s) / np.maximum(np.abs(out), _RESIDUAL_FLOOR)
+        done = res <= tol
+        sigma[idx[done]] = out[done]
+        residual[idx[done]] = res[done]
+        if done.all():
+            if np.ndim(E) == 0:
+                return SelfEnergySolution(E, sigma[0], residual[0], it, True)
+            return SelfEnergySolution(e, sigma, residual, it, True)
+        if it == max_iter:
+            break
+        left = ~done
+        idx, s, out, log = idx[left], s[left], out[left], log[left]
+        slope = 1.0 - ((log.real if drop_real_part else log) - 2.0) / A
+        s = s - (s - out) / slope
+        s = np.where(s.imag > 0, s.conjugate(), s)
+    worst = np.argmax(res)
+    raise ConvergenceError("SCBA Newton solve did not converge", res[worst],
+                           max_iter, out[worst])
 
 
 def pole_sum(c: complex, lo: int, hi: int) -> complex:
@@ -164,7 +193,7 @@ def landau_green_sum(z: complex, spectrum: LandauSpectrum) -> complex:
 
 def solve_self_energy_landau(E: float, params: ModelParams,
                              spectrum: LandauSpectrum, *, tol: float = 1e-10,
-                             mixing: float = 0.3, max_iter: int = 10_000,
+                             max_iter: int = 10_000,
                              seed: complex | None = None) -> SelfEnergySolution:
     """Fixed point of Sigma = ((hbar w_c)^2 / 2A) sum_{n,s} G_{ns}(E).
 
@@ -182,7 +211,7 @@ def solve_self_energy_landau(E: float, params: ModelParams,
     def step(sigma: complex) -> complex:
         return scale * landau_green_sum(E - sigma, spectrum)
 
-    return _iterate(seed, step, tol, mixing, max_iter, E)
+    return _iterate(seed, step, tol, max_iter, E)
 
 
 def self_energy_b0_asymptotic(E: float, params: ModelParams) -> complex:

@@ -28,11 +28,22 @@ from .vertex import vertex_correction_b0, vertex_correction_landau
 # call the physics through this module's globals, looked up at call time.
 # ---------------------------------------------------------------------------
 
+def _int_setting(fixed: dict, name: str, default: int) -> int:
+    """fixed[name] as an int; a fractional or non-numeric value is refused
+    rather than truncated."""
+    value = fixed.get(name, default)
+    if isinstance(value, bool) or not (
+            isinstance(value, int)
+            or (isinstance(value, float) and value.is_integer())):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _spectrum(params: ModelParams, B: float, E: float, fixed: dict,
               omega: float = 0.0):
     return build_spectrum(
         params, B, e_window=E, omega=omega,
-        hard_limit=int(fixed.get("hard_limit", DEFAULT_HARD_LIMIT)))
+        hard_limit=_int_setting(fixed, "hard_limit", DEFAULT_HARD_LIMIT))
 
 
 def _solve_sigma(E, B, params, fixed):
@@ -178,10 +189,15 @@ class SweepSpec:
                 f"not {self.quantity!r}")
         if q.dynamic and self.omega_grid is None:
             raise ValueError(f"{self.quantity!r} requires an Omega grid")
+        if q.dynamic and 0.0 in self.omega_grid.values():
+            raise ValueError(f"{self.quantity!r} needs Omega != 0; the Omega "
+                             "grid contains 0 (use the static quantity there)")
         if q.needs_field and self.b_grid is None:
             raise ValueError(f"{self.quantity!r} requires a magnetic field")
         if self.output_format not in ("csv", "json"):
             raise ValueError(f"unknown output format {self.output_format!r}")
+        _int_setting(self.fixed, "degeneracy", 4)
+        _int_setting(self.fixed, "hard_limit", DEFAULT_HARD_LIMIT)
 
     def to_config(self) -> dict:
         """Flat JSON form, as read back by from_config."""
@@ -231,7 +247,7 @@ def _make_params(A: float, fixed: dict) -> ModelParams:
         disorder_A=A,
         hbar_vf=fixed.get("hbar_vf", ModelParams.__dataclass_fields__["hbar_vf"].default),
         cutoff_Ec=fixed.get("cutoff_Ec", ModelParams.__dataclass_fields__["cutoff_Ec"].default),
-        degeneracy=int(fixed.get("degeneracy", 4)),
+        degeneracy=_int_setting(fixed, "degeneracy", 4),
         temperature=fixed.get("temperature", 0.0))
 
 

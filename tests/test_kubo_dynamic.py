@@ -143,6 +143,21 @@ class TestShearDynamicB0:
         with pytest.raises(ValueError):
             shear_dynamic_b0(1.0, 0.0, params20)
 
+    @pytest.mark.parametrize("E,om,A,T,frozen", [
+        (0.0, 1.0, 20.0, 0.0, (0.039932914979615125, 0.039932914979615125)),
+        (0.3, 0.5, 10.0, 0.0, (0.032749023792314154, 0.008551154636813869)),
+        (1.5, 0.2, 20.0, 0.0, (1.1995335612892362, 0.0)),
+        (1.0, 0.3, 20.0, 1e-3, (0.3580345766399207, 0.0)),
+        (-0.1, 0.5, 20.0, 1e-3, (0.010627188752283587, 0.009975322965905377))])
+    def test_window_against_per_node_values(self, E, om, A, T, frozen):
+        # (total, interband) from the per-node scalar loop over the same
+        # Gauss nodes, with the damped fixed-point solver (tolerance 1e-10)
+        tot, eh, _ = shear_dynamic_b0(
+            E, om, ModelParams(disorder_A=A, temperature=T),
+            return_split=True)
+        assert tot == pytest.approx(frozen[0], rel=1e-8)
+        assert eh == pytest.approx(frozen[1], rel=1e-8)
+
 
 class TestShearDynamicBfield:
     GAMMA_DIV = 50.0

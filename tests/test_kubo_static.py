@@ -56,6 +56,17 @@ class TestShearB0:
         k_aa = _k_kernel_quad(zA, zA, params20)
         assert k_aa.real == pytest.approx(k_rr.real, rel=1e-8)
 
+    def test_array_kernel_equals_scalar_calls(self, params20):
+        # the second and last pairs are the RR channel's a == b case
+        z1 = np.array([1.2 + 0.25j, 0.4 + 1e-3j, -0.3 + 0.05j, 2.0 + 1e-6j])
+        z2 = np.array([1.2 - 0.25j, 0.4 + 1e-3j, -0.3 - 0.05j, 2.0 + 1e-6j])
+        k = _k_kernel(z1, z2, params20)
+        assert k.shape == z1.shape
+        for i in range(z1.size):
+            one = _k_kernel(complex(z1[i]), complex(z2[i]), params20)
+            assert np.ndim(one) == 0
+            assert abs(k[i] - one) <= 1e-14 * abs(one)
+
     def test_value_against_frozen_and_closed_form(self, params20):
         v = shear_b0_numeric(1.5, params20)
         assert v.value == pytest.approx(1.381854, rel=1e-4)

@@ -68,6 +68,81 @@ class TestB0Solver:
             assert solve_self_energy_b0(E, params20).sigma.imag <= 0
 
 
+def gamma_root_b0(E, params):
+    """gamma = -Im Sigma of the Re-dropped equation, by bracketing in
+    ln gamma: gamma = Im[(z/A) Log(-Ec^2/z^2)], z = E + i gamma."""
+    A, Ec = params.disorder_A, params.cutoff_Ec
+
+    def g(u):
+        z = complex(E, math.exp(u))
+        log = 2.0 * math.log(Ec) + 1j * math.pi - 2.0 * np.log(z)
+        return 1.0 - ((z / A) * log).imag / z.imag
+
+    return math.exp(brentq(g, math.log(1e-300), math.log(10.0 * Ec),
+                           xtol=1e-15, rtol=1e-15))
+
+
+class TestB0ArraySolve:
+    ENERGIES = np.linspace(-2.0, 2.0, 41)
+
+    @pytest.mark.parametrize("drop", [False, True])
+    def test_array_equals_scalar(self, params20, drop):
+        energies = np.concatenate((self.ENERGIES, [0.0, 1e-9, -3.5]))
+        sol = solve_self_energy_b0(energies, params20, drop_real_part=drop)
+        assert sol.converged and sol.sigma.shape == energies.shape
+        for i, E in enumerate(energies):
+            one = solve_self_energy_b0(float(E), params20,
+                                       drop_real_part=drop)
+            assert sol.sigma[i] == pytest.approx(one.sigma, rel=1e-14,
+                                                 abs=1e-300)
+            assert sol.residual[i] == pytest.approx(one.residual, rel=1e-6,
+                                                    abs=1e-16)
+            assert one.iterations <= sol.iterations
+
+    def test_scalar_input_gives_scalars(self, params20):
+        sol = solve_self_energy_b0(0.7, params20)
+        assert np.ndim(sol.sigma) == 0 and np.ndim(sol.residual) == 0
+        assert sol.energy == 0.7 and isinstance(sol.iterations, int)
+
+    @pytest.mark.parametrize("A", [3.0, 10.0, 20.0, 35.0, 500.0])
+    def test_dropped_real_part_matches_bracketed_root(self, A):
+        params = ModelParams(disorder_A=A)
+        assert 0.0 in self.ENERGIES
+        sol = solve_self_energy_b0(self.ENERGIES, params, drop_real_part=True)
+        assert np.all(sol.sigma.real == 0.0)
+        for E, s in zip(self.ENERGIES, sol.sigma):
+            assert -s.imag == pytest.approx(gamma_root_b0(E, params),
+                                            rel=1e-9)
+
+    @pytest.mark.parametrize("A", [3.0, 10.0, 20.0, 35.0, 500.0])
+    def test_full_complex_root_reinserts(self, A):
+        params = ModelParams(disorder_A=A)
+        sol = solve_self_energy_b0(self.ENERGIES, params)
+        assert np.all(sol.sigma.imag < 0) and np.all(sol.residual <= 1e-10)
+        for E, s in zip(self.ENERGIES, sol.sigma):
+            assert fixed_point_residual_b0(E, s, params) <= 1e-9
+
+    @pytest.mark.parametrize("drop", [False, True])
+    def test_few_newton_steps(self, drop):
+        # quadratic convergence from the weak-disorder seed
+        for A in (10.0, 20.0, 35.0, 500.0):
+            sol = solve_self_energy_b0(np.linspace(-3.0, 3.0, 61),
+                                       ModelParams(disorder_A=A),
+                                       drop_real_part=drop)
+            assert sol.iterations <= 8
+
+    def test_nonconvergence_raises_for_arrays(self, params20):
+        with pytest.raises(ConvergenceError) as exc:
+            solve_self_energy_b0(np.array([0.5, 1.0, 1.5]), params20,
+                                 max_iter=2)
+        assert exc.value.residual > 0
+        assert exc.value.iterations == 2
+
+    def test_max_iter_must_be_positive(self, params20):
+        with pytest.raises(ValueError, match="max_iter"):
+            solve_self_energy_b0(1.0, params20, max_iter=0)
+
+
 class TestAsymptoticB0:
     def test_values(self, params20):
         v0 = self_energy_b0_asymptotic(0.0, params20)

@@ -6,7 +6,7 @@ import pytest
 from diracvisc import (GridSpec, SweepSpec, figure_preset, parse_csv_config,
                        result_to_csv, result_to_json, result_to_svg,
                        run_sweep)
-from diracvisc import cli
+from diracvisc import cli, sweep
 from diracvisc.cli import main
 from diracvisc.kubo_static import TruncatedLadderError
 from diracvisc.sweep import QUANTITIES
@@ -34,6 +34,27 @@ class TestSweepSpecValidation:
         with pytest.raises(ValueError, match="magnetic"):
             SweepSpec(quantity="static_hall", e_grid=GridSpec(0, 1, 2),
                       a_values=(10.0,))
+
+    @pytest.mark.parametrize("quantity", ["dynamic_shear", "dynamic_hall"])
+    def test_dynamic_rejects_zero_omega(self, quantity):
+        with pytest.raises(ValueError, match="Omega"):
+            SweepSpec(quantity=quantity, e_grid=GridSpec(0.5, 0.5, 1),
+                      b_grid=GridSpec(10.0, 10.0, 1),
+                      omega_grid=GridSpec(-0.1, 0.1, 3), a_values=(20.0,))
+
+    @pytest.mark.parametrize("key,value", [("degeneracy", 4.7),
+                                           ("degeneracy", "4"),
+                                           ("hard_limit", 2500.9),
+                                           ("hard_limit", True)])
+    def test_integer_settings_must_be_integers(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            tiny_spec(fixed={key: value})
+
+    def test_integral_float_settings_accepted(self):
+        spec = tiny_spec(fixed={"degeneracy": 2.0, "hard_limit": 3000.0})
+        ref = run_sweep(tiny_spec(fixed={"degeneracy": 2})).rows
+        assert [r.value for r in run_sweep(spec).rows] == [r.value
+                                                           for r in ref]
 
     def test_unknown_quantity(self):
         with pytest.raises(ValueError, match="quantity"):
@@ -298,6 +319,25 @@ class TestCli:
         assert rc == 2
         err = capsys.readouterr().err
         assert "usage error" in err and value in err
+
+    def test_zero_omega_evaluates_no_row(self, monkeypatch, capsys):
+        calls = []
+        real = sweep._eval_point
+        monkeypatch.setattr(sweep, "_eval_point",
+                            lambda *a: calls.append(a) or real(*a))
+        code = main(["sweep", "--quantity", "dynamic_shear", "--e", "0.5",
+                     "--omega=-0.1:0.1:3", "--a", "20"])
+        assert code == 2 and calls == []
+        captured = capsys.readouterr()
+        assert "usage error" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("fixed", ['{"degeneracy": 4.7}',
+                                       '{"hard_limit": 2500.9}'])
+    def test_fractional_integer_setting_is_usage_error(self, fixed, capsys):
+        code = main(["sweep", "--quantity", "static_shear", "--e", "0.05",
+                     "--b", "10", "--a", "20", "--fixed", fixed])
+        assert code == 2
+        assert "must be an integer" in capsys.readouterr().err
 
     def test_static_sweep_rejects_temperature(self, capsys):
         rc = main(["sweep", "--quantity", "static_shear", "--e", "0.5",
