@@ -163,6 +163,22 @@ def _validate_checks():
            PASS if worst <= 1e-11 else FAIL,
            f"SCBA step, RA, RR at 4 energies: max rel dev {worst:.1e}")
 
+    # batched Landau SCBA roots re-inserted into the level-by-level ladder
+    energies = np.linspace(-0.3, 0.3, 41)
+    worst, im_max = 0.0, -math.inf
+    for A in (20.0, 500.0):
+        params = ModelParams(disorder_A=A)
+        spectrum = build_spectrum(params, 10.0)
+        scale = spectrum.hbar_omega_c ** 2 / (2.0 * A)
+        sigma = solve_self_energy_landau(energies, params, spectrum).sigma
+        for E, s in zip(energies, sigma):
+            out = scale * landau_green_sum_direct(E - s, spectrum)
+            worst = max(worst, abs(s - out) / abs(s))
+        im_max = max(im_max, sigma.imag.max())
+    yield ("Landau SCBA roots re-inserted (B=10 T, A=20 and 500, 41 E)",
+           PASS if worst <= 1e-9 and im_max <= 0.0 else FAIL,
+           f"max residual {worst:.1e}, max Im Sigma {im_max:.1e} eV")
+
     # quantized anchors at B = 10 T, A = 500
     params = ModelParams(disorder_A=500.0)
     spectrum = build_spectrum(params, 10.0)

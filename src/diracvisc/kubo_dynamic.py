@@ -209,19 +209,9 @@ def shear_dynamic_bfield(E: float, Omega: float, params: ModelParams,
     nodes, wq = _gauss_panels(lo, hi, merged, _BFIELD_NODES)
 
     if broadening is None:
-        sig = np.empty(nodes.size, dtype=complex)
-        sig_up = np.empty(nodes.size, dtype=complex)
-        seed = None
-        order = np.argsort(nodes)
-        for i in order:
-            sol = solve_self_energy_landau(nodes[i], params, spectrum, seed=seed)
-            sig[i] = sol.sigma
-            seed = sol.sigma
-        for i in order:
-            sig_up[i] = solve_self_energy_landau(nodes[i] + om, params,
-                                                 spectrum, seed=sig[i]).sigma
-        z_lo = nodes - sig
-        z_up = nodes + om - sig_up
+        z_lo = nodes - solve_self_energy_landau(nodes, params, spectrum).sigma
+        z_up = nodes + om - solve_self_energy_landau(nodes + om, params,
+                                                     spectrum).sigma
     else:
         z_lo = nodes + 1j * broadening
         z_up = nodes + om + 1j * broadening

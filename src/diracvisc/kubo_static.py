@@ -417,12 +417,11 @@ def hall_fermi_sea_quadrature(E: float, params: ModelParams,
                               coarse_nodes: int = 1200,
                               pad_widths: float = 10.0,
                               bottom_pad: float | None = None,
-                              solver_tol: float = 1e-9,
-                              solver_max_iter: int = 100_000) -> float:
+                              solver_tol: float = 1e-9) -> float:
     """Fermi-sea (II) channel by direct quadrature (validation route).
 
-    Solves Sigma(w) along one warm-started pass over a composite grid
-    (refined around every Landau level) and integrates
+    Solves Sigma(w) in one array call on a composite grid (refined
+    around every Landau level) and integrates
     i (hbar w_c)^2/(8 pi^2 l_B^2) sum (n+1) Delta (1 - Sigma') G_a^2 G_b^2
     as a trapezoid sum along the path z(w) = w - Sigma(w), using
     (1 - dSigma/dw) dw = dz; this stays accurate across the sqrt-edges of
@@ -448,16 +447,8 @@ def hall_fermi_sea_quadrature(E: float, params: ModelParams,
     keep = np.concatenate(([True], np.diff(om) > min_step))
     om = om[keep]
 
-    sig = np.empty(om.size, dtype=complex)
-    seed = None
-    for i in range(om.size):
-        sol = solve_self_energy_landau(om[i], params, spectrum, seed=seed,
-                                       tol=solver_tol,
-                                       max_iter=solver_max_iter)
-        sig[i] = sol.sigma
-        seed = sol.sigma
-
-    z = om - sig
+    z = om - solve_self_energy_landau(om, params, spectrum,
+                                      tol=solver_tol).sigma
     integrand = np.zeros(om.size, dtype=complex)
     for Ea, Eb, w in _pair_energies(spectrum):
         Ga = 1.0 / (z[:, None] - Ea[None, :])

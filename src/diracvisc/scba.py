@@ -15,10 +15,14 @@ from scipy.special import digamma, lambertw
 from .model import LandauSpectrum, ModelParams
 
 _RESIDUAL_FLOOR = 1e-280
+# relative step of the finite-difference Landau slope
+_FD_STEP = 1e-7
+# a root with |Im Sigma| <= _REAL_AXIS |Sigma| lies on the real axis
+_REAL_AXIS = 1e-9
 
 
 class ConvergenceError(RuntimeError):
-    """Fixed-point iteration did not reach tolerance."""
+    """The SCBA Newton solve did not reach tolerance."""
 
     def __init__(self, message: str, residual: float, iterations: int,
                  sigma: complex):
@@ -31,7 +35,7 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class SelfEnergySolution:
-    energy: float          # eV (an array for array input to the B = 0 solver)
+    energy: float          # eV (an array for array input)
     sigma: complex         # retarded Sigma(E), eV
     residual: float        # |Sigma_out - Sigma_in| / max(|Sigma_out|, floor)
     iterations: int        # for array input, the most any element took
@@ -47,68 +51,54 @@ def _log_branch(z, cutoff: float):
     return 2.0 * math.log(cutoff) + 1j * math.pi - 2.0 * np.log(z)
 
 
-def _iterate(seed: complex, step, tol: float, max_iter: int,
-             energy: float) -> SelfEnergySolution:
-    sigma = seed
-    mixing = 0.3
-    residual = math.inf
-    best = math.inf
-    stall = 0
+def _iterate(e: np.ndarray, seed: np.ndarray, fmap, tol: float,
+             max_iter: int):
+    """Newton's method on h(Sigma) = Sigma - F(Sigma), one root per energy.
+
+    fmap(e, s) returns F(s) and the slope h'(s) at the iterates s of the
+    energies e. Each energy stops at the first iterate whose residual
+    |F - Sigma|/|F| is <= tol and keeps F(Sigma) as its root. F and the
+    Newton iterates are reflected to the retarded branch (Im <= 0). Returns
+    (sigma, residual, steps) arrays; raises ConvergenceError when an energy
+    is still open after max_iter steps.
+    """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    sigma = np.empty(e.shape, dtype=complex)
+    residual = np.empty(e.shape)
+    steps = np.empty(e.shape, dtype=int)
+    idx = np.arange(e.size)     # the energies still iterating
+    s = seed
     for it in range(1, max_iter + 1):
-        out = step(sigma)
-        if out.imag > 0:               # reflect back to the retarded branch
-            out = out.conjugate()
-        # residual of the defining equation, not of the damped update
-        residual = abs(out - sigma) / max(abs(out), _RESIDUAL_FLOOR)
-        if residual <= tol:
-            return SelfEnergySolution(energy, out, residual, it, True)
-        if residual < 0.5 * best:
-            best, stall = residual, 0
-        else:
-            stall += 1
-            if stall >= 200 and mixing > 0.01:  # break limit cycles
-                mixing *= 0.5
-                stall = 0
-        sigma = (1.0 - mixing) * sigma + mixing * out
-    # secant rescue for roots damping cannot reach (real-axis gap roots,
-    # semicircle tangencies); skipped for deliberately tiny budgets
-    if max_iter >= 50:
-        refined = _secant_refine(sigma, step, tol)
-        if refined is not None:
-            sigma, residual, extra = refined
-            return SelfEnergySolution(energy, sigma, residual,
-                                      max_iter + extra, True)
-    raise ConvergenceError("SCBA iteration did not converge", residual,
-                           max_iter, sigma)
-
-
-def _secant_refine(sigma: complex, step, tol: float, max_steps: int = 80):
-    """Secant iteration on h(S) = S - F(S); rescues real-axis (gap) roots
-    where plain damping stalls."""
-    def h(s):
-        out = step(s)
-        if out.imag > 0:
-            out = out.conjugate()
-        return s - out
-
-    s0, s1 = sigma, sigma * (1.0 + 1e-6) + 1e-12 * (1 - 1j)
-    h0, h1 = h(s0), h(s1)
-    for it in range(max_steps):
-        dh = h1 - h0
-        if dh == 0:
+        out, slope = fmap(e[idx], s)
+        out = np.where(out.imag > 0, out.conjugate(), out)
+        res = np.abs(out - s) / np.maximum(np.abs(out), _RESIDUAL_FLOOR)
+        done = res <= tol
+        sigma[idx[done]] = out[done]
+        residual[idx[done]] = res[done]
+        steps[idx[done]] = it
+        if done.all():
+            return sigma, residual, steps
+        if it == max_iter:
             break
-        s2 = s1 - h1 * (s1 - s0) / dh
-        if s2.imag > 0:
-            s2 = s2.conjugate()
-        h2 = h(s2)
-        res = abs(h2) / max(abs(s2 - h2), _RESIDUAL_FLOOR)
-        if res <= tol:
-            out = step(s2)
-            if out.imag > 0:
-                out = out.conjugate()
-            return out, res, it + 1
-        s0, h0, s1, h1 = s1, h1, s2, h2
-    return None
+        left = ~done
+        idx, s, out, slope = idx[left], s[left], out[left], slope[left]
+        s = s - (s - out) / slope
+        s = np.where(s.imag > 0, s.conjugate(), s)
+    worst = np.argmax(res)
+    raise ConvergenceError("SCBA Newton solve did not converge", res[worst],
+                           max_iter, out[worst])
+
+
+def _solution(E, e: np.ndarray, sigma: np.ndarray, residual: np.ndarray,
+              steps: np.ndarray) -> SelfEnergySolution:
+    """Scalars for scalar E, arrays otherwise; the most steps any energy
+    took."""
+    if np.ndim(E) == 0:
+        return SelfEnergySolution(E, sigma[0], residual[0], int(steps[0]),
+                                  True)
+    return SelfEnergySolution(e, sigma, residual, int(steps.max(initial=0)),
+                              True)
 
 
 def solve_self_energy_b0(E, params: ModelParams, *,
@@ -117,49 +107,27 @@ def solve_self_energy_b0(E, params: ModelParams, *,
     """Root of Sigma = F(Sigma) = -(z/A) Log(-Ec^2/z^2), z = E - Sigma, for
     one energy or a 1-D array of energies.
 
-    Newton's method on h = Sigma - F(Sigma), with the closed-form slope
+    Newton's method (_iterate) with the closed-form slope
     h' = 1 - (Log(-Ec^2/z^2) - 2)/A. drop_real_part=True forces Re Sigma to
     zero, the branch all B = 0 closed forms (and the B = 0 Kubo kernels) are
     built on, and solves the real equation for gamma = -Im Sigma with the
-    real slope 1 - (ln(Ec^2/|z|^2) - 2)/A. Each energy stops at the first
-    iterate whose residual |F - Sigma|/|F| is <= tol and returns F(Sigma);
-    array input returns arrays and the largest step count.
+    real slope 1 - (ln(Ec^2/|z|^2) - 2)/A.
     """
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     A = params.disorder_A
     Ec = params.cutoff_Ec
     e = np.asarray(E, dtype=float).reshape(-1)
-    sigma = np.empty(e.shape, dtype=complex)
-    residual = np.empty(e.shape)
-    idx = np.arange(e.size)     # the energies still iterating
-    s = -1j * np.maximum(max(Ec * math.exp(-A / 2.0), 1e-300),
-                         math.pi * np.abs(e) / A)
-    for it in range(1, max_iter + 1):
-        z = e[idx] - s
+
+    def fmap(e, s):
+        z = e - s
         log = _log_branch(z, Ec)
         out = -(z / A) * log
         if drop_real_part:
-            out = 1j * out.imag
-        out = np.where(out.imag > 0, out.conjugate(), out)  # retarded branch
-        res = np.abs(out - s) / np.maximum(np.abs(out), _RESIDUAL_FLOOR)
-        done = res <= tol
-        sigma[idx[done]] = out[done]
-        residual[idx[done]] = res[done]
-        if done.all():
-            if np.ndim(E) == 0:
-                return SelfEnergySolution(E, sigma[0], residual[0], it, True)
-            return SelfEnergySolution(e, sigma, residual, it, True)
-        if it == max_iter:
-            break
-        left = ~done
-        idx, s, out, log = idx[left], s[left], out[left], log[left]
-        slope = 1.0 - ((log.real if drop_real_part else log) - 2.0) / A
-        s = s - (s - out) / slope
-        s = np.where(s.imag > 0, s.conjugate(), s)
-    worst = np.argmax(res)
-    raise ConvergenceError("SCBA Newton solve did not converge", res[worst],
-                           max_iter, out[worst])
+            out, log = 1j * out.imag, log.real
+        return out, 1.0 - (log - 2.0) / A
+
+    seed = -1j * np.maximum(max(Ec * math.exp(-A / 2.0), 1e-300),
+                            math.pi * np.abs(e) / A)
+    return _solution(E, e, *_iterate(e, seed, fmap, tol, max_iter))
 
 
 def pole_sum(c: complex, lo: int, hi: int) -> complex:
@@ -176,8 +144,9 @@ def landau_green_sum_direct(z: complex, spectrum: LandauSpectrum) -> complex:
     return np.sum(weights * z / (z * z - en2))
 
 
-def landau_green_sum(z: complex, spectrum: LandauSpectrum) -> complex:
-    """The ladder sum of landau_green_sum_direct in O(1).
+def landau_green_sum(z, spectrum: LandauSpectrum):
+    """The ladder sum of landau_green_sum_direct in O(1), for a complex
+    scalar or array z.
 
     With W = (hbar w_c)^2 and a = z^2/W it equals (z/W)[2 S(a) - 1/a],
     S = pole_sum over n = 0..N_c. The digamma pair holds ~1e-12 relative
@@ -185,33 +154,62 @@ def landau_green_sum(z: complex, spectrum: LandauSpectrum) -> complex:
     psi(N_c + 1 - a) and psi(-a) cancel, so the ladder is summed directly.
     """
     W = spectrum.hbar_omega_c ** 2
+    z = np.asarray(z, dtype=complex)
     a = z * z / W
-    if abs(a) > spectrum.n_cutoff:
-        return landau_green_sum_direct(z, spectrum)
-    return (z / W) * (2.0 * pole_sum(a, 0, spectrum.n_cutoff) - 1.0 / a)
+    near = np.abs(a) <= spectrum.n_cutoff
+    if near.all():
+        return (z / W) * (2.0 * pole_sum(a, 0, spectrum.n_cutoff) - 1.0 / a)
+    out = np.empty_like(z)
+    an = a[near]
+    out[near] = (z[near] / W) * (2.0 * pole_sum(an, 0, spectrum.n_cutoff)
+                                 - 1.0 / an)
+    out[~near] = [landau_green_sum_direct(x, spectrum) for x in z[~near]]
+    return out[()]
 
 
-def solve_self_energy_landau(E: float, params: ModelParams,
-                             spectrum: LandauSpectrum, *, tol: float = 1e-10,
-                             max_iter: int = 10_000,
-                             seed: complex | None = None) -> SelfEnergySolution:
-    """Fixed point of Sigma = ((hbar w_c)^2 / 2A) sum_{n,s} G_{ns}(E).
+def solve_self_energy_landau(E, params: ModelParams, spectrum: LandauSpectrum,
+                             *, tol: float = 1e-10,
+                             max_iter: int = 100) -> SelfEnergySolution:
+    """Root of Sigma = F(Sigma) = ((hbar w_c)^2 / 2A) sum_{n,s} G_{ns}(E) for
+    one energy or a 1-D array of energies.
 
     The sum runs over physical levels (n = 0 once) via
     g_n = z / (z^2 - n (hbar w_c)^2) with weights (1, 2, 2, ...), and is
-    evaluated by landau_green_sum.
+    evaluated by landau_green_sum. Newton's method (_iterate) takes its slope
+    from one more ladder sum, dF/dSigma ~ (F(Sigma + h) - F(Sigma))/h with
+    h = 1e-7 |Sigma|, and starts from the larger of the B = 0 Dirac-point
+    width, the level width hbar w_c/sqrt(2A) and pi|E|/A on the imaginary
+    axis. The equation can have more than one root: an energy whose root
+    lands on the real axis (|Im Sigma| <= 1e-9 |Sigma|) is solved again
+    from Re Sigma - i hbar w_c/sqrt(2A). The new root replaces it if it lies
+    off the real axis; otherwise the real root is a spectral gap and stands.
     """
     A = params.disorder_A
     scale = spectrum.hbar_omega_c ** 2 / (2.0 * A)
-    if seed is None:
-        seed = -1j * max(params.cutoff_Ec * math.exp(-A / 2.0),
-                         spectrum.hbar_omega_c / math.sqrt(2.0 * A),
-                         math.pi * abs(E) / A)
+    width = spectrum.hbar_omega_c / math.sqrt(2.0 * A)
+    e = np.asarray(E, dtype=float).reshape(-1)
 
-    def step(sigma: complex) -> complex:
-        return scale * landau_green_sum(E - sigma, spectrum)
+    def fmap(e, s):
+        z = e - s
+        out = scale * landau_green_sum(z, spectrum)
+        h = _FD_STEP * np.maximum(np.abs(s), _RESIDUAL_FLOOR)
+        return out, 1.0 - (scale * landau_green_sum(z - h, spectrum) - out) / h
 
-    return _iterate(seed, step, tol, max_iter, E)
+    seed = -1j * np.maximum(max(params.cutoff_Ec * math.exp(-A / 2.0), width),
+                            math.pi * np.abs(e) / A)
+    sigma, residual, steps = _iterate(e, seed, fmap, tol, max_iter)
+    real = np.flatnonzero(_on_real_axis(sigma))
+    if real.size:
+        s2, r2, n2 = _iterate(e[real], sigma[real].real - 1j * width, fmap,
+                              tol, max_iter)
+        off = ~_on_real_axis(s2)
+        sigma[real[off]], residual[real[off]] = s2[off], r2[off]
+        steps[real] += n2
+    return _solution(E, e, sigma, residual, steps)
+
+
+def _on_real_axis(sigma: np.ndarray) -> np.ndarray:
+    return np.abs(sigma.imag) <= _REAL_AXIS * np.abs(sigma)
 
 
 def self_energy_b0_asymptotic(E: float, params: ModelParams) -> complex:

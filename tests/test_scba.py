@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +12,14 @@ from diracvisc import (ConvergenceError, ModelParams,
                        self_energy_dirac_point_bfield, self_energy_overlapped,
                        self_energy_separated, solve_self_energy_b0,
                        solve_self_energy_landau)
+from diracvisc import kubo_dynamic, scba
 from diracvisc.scba import landau_green_sum, landau_green_sum_direct
+
+# Sigma frozen from the damped fixed-point solver the batched Newton solve
+# replaced: the three landau_window benchmark rows (B = 10 T, E = 0.1), a
+# 121-point E grid at A = 50 and the A = 500 gap centres
+DAMPED = json.loads((Path(__file__).parent / "data"
+                     / "damped_landau_sigma.json").read_text())
 
 
 def fixed_point_residual_b0(E, sigma, params):
@@ -266,6 +275,178 @@ class TestLandauGreenSum:
         assert got == pytest.approx(direct_green_sum(z, spectrum), rel=1e-11)
 
 
+def damped_landau_sigma(E, params, spectrum, *, tol=1e-10,
+                        max_iter=10_000):
+    """Reference: Sigma = F(Sigma) by damped fixed-point iteration from the
+    imaginary-axis seed, with a secant rescue for the roots damping cannot
+    reach. One energy at a time; this is the solver's former algorithm."""
+    A = params.disorder_A
+    scale = spectrum.hbar_omega_c ** 2 / (2.0 * A)
+
+    def step(sigma):
+        out = complex(scale * landau_green_sum(E - sigma, spectrum))
+        return out.conjugate() if out.imag > 0 else out
+
+    sigma = -1j * max(params.cutoff_Ec * math.exp(-A / 2.0),
+                      spectrum.hbar_omega_c / math.sqrt(2.0 * A),
+                      math.pi * abs(E) / A)
+    mixing, best, stall = 0.3, math.inf, 0
+    for _ in range(max_iter):
+        out = step(sigma)
+        residual = abs(out - sigma) / abs(out)
+        if residual <= tol:
+            return out
+        if residual < 0.5 * best:
+            best, stall = residual, 0
+        else:
+            stall += 1
+            if stall >= 200 and mixing > 0.01:  # break limit cycles
+                mixing, stall = 0.5 * mixing, 0
+        sigma = (1.0 - mixing) * sigma + mixing * out
+    s0, s1 = sigma, sigma * (1.0 + 1e-6) + 1e-12 * (1 - 1j)
+    h0, h1 = s0 - step(s0), s1 - step(s1)
+    for _ in range(80):
+        s2 = s1 - h1 * (s1 - s0) / (h1 - h0)
+        if s2.imag > 0:
+            s2 = s2.conjugate()
+        h2 = s2 - step(s2)
+        if abs(h2) <= tol * abs(s2 - h2):
+            return step(s2)
+        s0, h0, s1, h1 = s1, h1, s2, h2
+    raise AssertionError(f"damped reference did not converge at E = {E}")
+
+
+def ladder_residual(E, sigma, params, spectrum):
+    """|Sigma - F(Sigma)| / |Sigma| with the ladder summed level by level."""
+    scale = spectrum.hbar_omega_c ** 2 / (2.0 * params.disorder_A)
+    return abs(sigma - scale * direct_green_sum(E - sigma, spectrum)) / abs(sigma)
+
+
+def frozen(case):
+    return (np.array(case["energy"]),
+            np.array([complex(re, im) for re, im in case["sigma"]]))
+
+
+class TestLandauArraySolve:
+    ENERGIES = np.linspace(-0.3, 0.3, 41)
+
+    def test_array_equals_scalar(self, params50, spectrum10_50):
+        energies = np.concatenate((self.ENERGIES, [0.0, 0.21, -0.21]))
+        sol = solve_self_energy_landau(energies, params50, spectrum10_50)
+        assert sol.converged and sol.sigma.shape == energies.shape
+        for i, E in enumerate(energies):
+            one = solve_self_energy_landau(float(E), params50, spectrum10_50)
+            assert np.ndim(one.sigma) == 0 and isinstance(one.iterations, int)
+            assert sol.sigma[i] == pytest.approx(one.sigma, rel=1e-12,
+                                                 abs=1e-300)
+            assert one.iterations <= sol.iterations
+
+    @pytest.mark.parametrize("row", range(3))
+    def test_window_rows_match_damped_solver(self, row, monkeypatch):
+        # one solve call on the window nodes and one on nodes + Omega
+        case = DAMPED["window"][row]
+        params = ModelParams(disorder_A=case["A"])
+        spectrum = build_spectrum(params, 10.0, e_window=case["E"],
+                                  omega=case["Omega"], hard_limit=20_000)
+        calls = []
+        solve = kubo_dynamic.solve_self_energy_landau
+
+        def record(*args, **kwargs):
+            calls.append(solve(*args, **kwargs))
+            return calls[-1]
+
+        monkeypatch.setattr(kubo_dynamic, "solve_self_energy_landau", record)
+        eta = kubo_dynamic.shear_dynamic_bfield(case["E"], case["Omega"],
+                                                params, spectrum)
+        assert len(calls) == 2
+        energy, sigma = frozen(case)
+        np.testing.assert_array_equal(
+            np.concatenate([c.energy for c in calls]), energy)
+        np.testing.assert_allclose(np.concatenate([c.sigma for c in calls]),
+                                   sigma, rtol=1e-8, atol=0.0)
+        assert eta == pytest.approx(case["eta"], rel=1e-8)
+
+    def test_grid_matches_damped_solver(self, params50, spectrum10_50):
+        energy, sigma = frozen(DAMPED["grid"])
+        got = solve_self_energy_landau(energy, params50, spectrum10_50).sigma
+        np.testing.assert_allclose(got, sigma, rtol=1e-8, atol=0.0)
+
+    def test_gap_roots_stay_real(self, params500, spectrum10_500):
+        energy, sigma = frozen(DAMPED["gaps"])
+        sol = solve_self_energy_landau(energy, params500, spectrum10_500)
+        np.testing.assert_allclose(sol.sigma, sigma, rtol=1e-8, atol=0.0)
+        assert np.all(np.abs(sol.sigma.imag) <= 1e-9 * np.abs(sol.sigma))
+        for E, s in zip(energy, sol.sigma):
+            assert ladder_residual(E, s, params500, spectrum10_500) <= 1e-9
+
+    def test_branch_rule_leaves_a_spurious_real_root(self, params50,
+                                                     spectrum10_50,
+                                                     monkeypatch):
+        # At E = +-0.21 (A = 50) Newton from the imaginary-axis seed lands
+        # on a real root of the ladder equation; the solve from
+        # Re Sigma - i hbar w_c/sqrt(2A) finds the broadened root the
+        # damped solver picks, and that one is returned.
+        energies = np.array([-0.21, 0.21])
+        passes = []
+        iterate = scba._iterate
+
+        def record(e, seed, *args):
+            out = iterate(e, seed, *args)
+            passes.append((e.copy(), out[0].copy()))
+            return out
+
+        monkeypatch.setattr(scba, "_iterate", record)
+        sol = solve_self_energy_landau(energies, params50, spectrum10_50)
+        assert len(passes) == 2
+        np.testing.assert_array_equal(passes[1][0], energies)
+        cold = passes[0][1]
+        assert np.all(np.abs(cold.imag) <= 1e-9 * np.abs(cold))
+        assert np.all(sol.sigma.imag < -1e-3)
+        for E, real_root, s in zip(energies, cold, sol.sigma):
+            assert ladder_residual(E, real_root, params50,
+                                   spectrum10_50) <= 1e-9
+            assert ladder_residual(E, s, params50, spectrum10_50) <= 1e-9
+            assert abs(s - real_root) > 0.4 * abs(s)
+            assert s == pytest.approx(
+                damped_landau_sigma(E, params50, spectrum10_50), rel=1e-8)
+
+    @pytest.mark.parametrize("A", [20.0, 50.0, 500.0])
+    def test_parity_and_reinsertion(self, A):
+        params = ModelParams(disorder_A=A)
+        spectrum = build_spectrum(params, 10.0)
+        plus = solve_self_energy_landau(self.ENERGIES, params, spectrum)
+        minus = solve_self_energy_landau(-self.ENERGIES, params,
+                                         spectrum).sigma
+        s = plus.sigma
+        np.testing.assert_allclose(minus.imag, s.imag, rtol=1e-8,
+                                   atol=1e-12 * np.abs(s).max())
+        np.testing.assert_allclose(minus.real, -s.real, rtol=1e-8,
+                                   atol=1e-12 * np.abs(s).max())
+        assert np.all(s.imag <= 0) and np.all(plus.residual <= 1e-10)
+        for E, sig in zip(self.ENERGIES, s):
+            assert ladder_residual(E, sig, params, spectrum) <= 1e-9
+
+    @pytest.mark.parametrize("A", [20.0, 500.0])
+    def test_matches_damped_reference(self, A):
+        params = ModelParams(disorder_A=A)
+        spectrum = build_spectrum(params, 10.0)
+        energies = np.linspace(-0.3, 0.3, 21)
+        sol = solve_self_energy_landau(energies, params, spectrum)
+        ref = [damped_landau_sigma(E, params, spectrum) for E in energies]
+        np.testing.assert_allclose(sol.sigma, ref, rtol=1e-8, atol=0.0)
+
+    def test_nonconvergence_raises_for_arrays(self, params50, spectrum10_50):
+        with pytest.raises(ConvergenceError) as exc:
+            solve_self_energy_landau(np.array([0.05, 0.1, 0.2]), params50,
+                                     spectrum10_50, max_iter=2)
+        assert exc.value.residual > 0
+        assert exc.value.iterations == 2
+
+    def test_max_iter_must_be_positive(self, params50, spectrum10_50):
+        with pytest.raises(ValueError, match="max_iter"):
+            solve_self_energy_landau(0.1, params50, spectrum10_50, max_iter=0)
+
+
 class TestSeparatedForm:
     def test_center_value(self, params50, spectrum10_50):
         v = self_energy_separated(spectrum10_50.hbar_omega_c, (1, 1),
@@ -369,16 +550,9 @@ class TestDos:
         for center in (0.0, hwc):  # n = 0 and n = 1
             half = 2.0 * hwc * math.sqrt(1.0 / (2.0 * 500.0))
             es = np.linspace(center - 1.3 * half, center + 1.3 * half, 401)
-            rho = []
-            seed = None
-            for e in es:
-                # gap fringes converge only algebraically; 1e-8 is plenty
-                # for a 2% integral check
-                sol = solve_self_energy_landau(e, params500, spectrum10_500,
-                                               seed=seed, tol=1e-8,
-                                               max_iter=100_000)
-                seed = sol.sigma
-                rho.append(dos(e, sol.sigma, params500, 10.0))
+            sigma = solve_self_energy_landau(es, params500,
+                                             spectrum10_500).sigma
+            rho = [dos(e, s, params500, 10.0) for e, s in zip(es, sigma)]
             weight = np.trapezoid(rho, es)
             expected = 4.0 / (2.0 * math.pi * spectrum10_500.l_B ** 2)
             assert weight == pytest.approx(expected, rel=0.02)

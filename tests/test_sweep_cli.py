@@ -361,6 +361,12 @@ class TestCli:
         assert rc == 1
         assert "compute error" in capsys.readouterr().err
 
+    def test_validate_landau_scba_reinsertion(self):
+        name, status, detail = next(
+            row for row in cli._validate_checks()
+            if row[0].startswith("Landau SCBA roots re-inserted"))
+        assert status == cli.PASS, detail
+
     def test_validate_ladder_closed_forms(self):
         status = next(status for name, status, _ in cli._validate_checks()
                       if name.startswith("Landau ladder"))
