@@ -55,12 +55,14 @@ def _iterate(e: np.ndarray, seed: np.ndarray, fmap, tol: float,
              max_iter: int):
     """Newton's method on h(Sigma) = Sigma - F(Sigma), one root per energy.
 
-    fmap(e, s) returns F(s) and the slope h'(s) at the iterates s of the
-    energies e. Each energy stops at the first iterate whose residual
-    |F - Sigma|/|F| is <= tol and keeps F(Sigma) as its root. F and the
-    Newton iterates are reflected to the retarded branch (Im <= 0). Returns
-    (sigma, residual, steps) arrays; raises ConvergenceError when an energy
-    is still open after max_iter steps.
+    fmap(e, s) returns F(s) at the iterates s of the energies e, and a
+    function that gives the slope h'(s) on a boolean mask of them, so only
+    the energies that take a Newton step pay for it. Each energy stops at
+    the first iterate whose residual |F - Sigma|/|F| is <= tol and keeps
+    F(Sigma) as its root. F and the Newton iterates are reflected to the
+    retarded branch (Im <= 0). Returns (sigma, residual, steps) arrays;
+    raises ConvergenceError when an energy is still open after max_iter
+    steps.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
@@ -70,7 +72,7 @@ def _iterate(e: np.ndarray, seed: np.ndarray, fmap, tol: float,
     idx = np.arange(e.size)     # the energies still iterating
     s = seed
     for it in range(1, max_iter + 1):
-        out, slope = fmap(e[idx], s)
+        out, slope_at = fmap(e[idx], s)
         out = np.where(out.imag > 0, out.conjugate(), out)
         res = np.abs(out - s) / np.maximum(np.abs(out), _RESIDUAL_FLOOR)
         done = res <= tol
@@ -82,7 +84,8 @@ def _iterate(e: np.ndarray, seed: np.ndarray, fmap, tol: float,
         if it == max_iter:
             break
         left = ~done
-        idx, s, out, slope = idx[left], s[left], out[left], slope[left]
+        slope = slope_at(left)
+        idx, s, out = idx[left], s[left], out[left]
         s = s - (s - out) / slope
         s = np.where(s.imag > 0, s.conjugate(), s)
     worst = np.argmax(res)
@@ -123,7 +126,7 @@ def solve_self_energy_b0(E, params: ModelParams, *,
         out = -(z / A) * log
         if drop_real_part:
             out, log = 1j * out.imag, log.real
-        return out, 1.0 - (log - 2.0) / A
+        return out, lambda keep: 1.0 - (log[keep] - 2.0) / A
 
     seed = -1j * np.maximum(max(Ec * math.exp(-A / 2.0), 1e-300),
                             math.pi * np.abs(e) / A)
@@ -192,8 +195,13 @@ def solve_self_energy_landau(E, params: ModelParams, spectrum: LandauSpectrum,
     def fmap(e, s):
         z = e - s
         out = scale * landau_green_sum(z, spectrum)
-        h = _FD_STEP * np.maximum(np.abs(s), _RESIDUAL_FLOOR)
-        return out, 1.0 - (scale * landau_green_sum(z - h, spectrum) - out) / h
+
+        def slope_at(keep):
+            h = _FD_STEP * np.maximum(np.abs(s[keep]), _RESIDUAL_FLOOR)
+            out_h = scale * landau_green_sum(z[keep] - h, spectrum)
+            return 1.0 - (out_h - out[keep]) / h
+
+        return out, slope_at
 
     seed = -1j * np.maximum(max(params.cutoff_Ec * math.exp(-A / 2.0), width),
                             math.pi * np.abs(e) / A)
