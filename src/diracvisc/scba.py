@@ -160,14 +160,12 @@ def landau_green_sum(z, spectrum: LandauSpectrum):
     z = np.asarray(z, dtype=complex)
     a = z * z / W
     near = np.abs(a) <= spectrum.n_cutoff
-    if near.all():
-        return (z / W) * (2.0 * pole_sum(a, 0, spectrum.n_cutoff) - 1.0 / a)
-    out = np.empty_like(z)
-    an = a[near]
-    out[near] = (z[near] / W) * (2.0 * pole_sum(an, 0, spectrum.n_cutoff)
-                                 - 1.0 / an)
-    out[~near] = [landau_green_sum_direct(x, spectrum) for x in z[~near]]
-    return out[()]
+    if not near.all():
+        out = np.empty_like(z)
+        out[near] = landau_green_sum(z[near], spectrum)
+        out[~near] = [landau_green_sum_direct(x, spectrum) for x in z[~near]]
+        return out[()]
+    return (z / W) * (2.0 * pole_sum(a, 0, spectrum.n_cutoff) - 1.0 / a)
 
 
 def solve_self_energy_landau(E, params: ModelParams, spectrum: LandauSpectrum,
