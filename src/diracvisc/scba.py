@@ -38,7 +38,9 @@ class SelfEnergySolution:
     energy: float          # eV (an array for array input)
     sigma: complex         # retarded Sigma(E), eV
     residual: float        # |Sigma_out - Sigma_in| / max(|Sigma_out|, floor)
-    iterations: int        # for array input, the most any element took
+    iterations: int        # Newton steps; for array input, the most any
+                           # element took, plus the most any branch
+                           # re-solve took
     converged: bool
 
 
@@ -60,15 +62,14 @@ def _iterate(e: np.ndarray, seed: np.ndarray, fmap, tol: float,
     the energies that take a Newton step pay for it. Each energy stops at
     the first iterate whose residual |F - Sigma|/|F| is <= tol and keeps
     F(Sigma) as its root. F and the Newton iterates are reflected to the
-    retarded branch (Im <= 0). Returns (sigma, residual, steps) arrays;
-    raises ConvergenceError when an energy is still open after max_iter
-    steps.
+    retarded branch (Im <= 0). Returns the sigma and residual arrays and
+    the most steps any energy took; raises ConvergenceError when an energy
+    is still open after max_iter steps.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     sigma = np.empty(e.shape, dtype=complex)
     residual = np.empty(e.shape)
-    steps = np.empty(e.shape, dtype=int)
     idx = np.arange(e.size)     # the energies still iterating
     s = seed
     for it in range(1, max_iter + 1):
@@ -78,9 +79,8 @@ def _iterate(e: np.ndarray, seed: np.ndarray, fmap, tol: float,
         done = res <= tol
         sigma[idx[done]] = out[done]
         residual[idx[done]] = res[done]
-        steps[idx[done]] = it
         if done.all():
-            return sigma, residual, steps
+            return sigma, residual, it
         if it == max_iter:
             break
         left = ~done
@@ -94,14 +94,11 @@ def _iterate(e: np.ndarray, seed: np.ndarray, fmap, tol: float,
 
 
 def _solution(E, e: np.ndarray, sigma: np.ndarray, residual: np.ndarray,
-              steps: np.ndarray) -> SelfEnergySolution:
-    """Scalars for scalar E, arrays otherwise; the most steps any energy
-    took."""
+              iterations: int) -> SelfEnergySolution:
+    """Scalars for scalar E, arrays otherwise."""
     if np.ndim(E) == 0:
-        return SelfEnergySolution(E, sigma[0], residual[0], int(steps[0]),
-                                  True)
-    return SelfEnergySolution(e, sigma, residual, int(steps.max(initial=0)),
-                              True)
+        return SelfEnergySolution(E, sigma[0], residual[0], iterations, True)
+    return SelfEnergySolution(e, sigma, residual, iterations, True)
 
 
 def solve_self_energy_b0(E, params: ModelParams, *,
@@ -203,15 +200,15 @@ def solve_self_energy_landau(E, params: ModelParams, spectrum: LandauSpectrum,
 
     seed = -1j * np.maximum(max(params.cutoff_Ec * math.exp(-A / 2.0), width),
                             math.pi * np.abs(e) / A)
-    sigma, residual, steps = _iterate(e, seed, fmap, tol, max_iter)
+    sigma, residual, iterations = _iterate(e, seed, fmap, tol, max_iter)
     real = np.flatnonzero(_on_real_axis(sigma))
     if real.size:
-        s2, r2, n2 = _iterate(e[real], sigma[real].real - 1j * width, fmap,
-                              tol, max_iter)
+        s2, r2, again = _iterate(e[real], sigma[real].real - 1j * width, fmap,
+                                 tol, max_iter)
         off = ~_on_real_axis(s2)
         sigma[real[off]], residual[real[off]] = s2[off], r2[off]
-        steps[real] += n2
-    return _solution(E, e, sigma, residual, steps)
+        iterations += again
+    return _solution(E, e, sigma, residual, iterations)
 
 
 def _on_real_axis(sigma: np.ndarray) -> np.ndarray:
