@@ -17,8 +17,8 @@ from .scba import (ConvergenceError, SelfEnergySolution, dos,
                    self_energy_dirac_point_bfield, self_energy_overlapped,
                    self_energy_separated, solve_self_energy_b0,
                    solve_self_energy_landau)
-from .kubo_static import (B_ZERO, OVERLAPPED, SEPARATED, TruncatedLadderError,
-                          ViscosityValue, detect_regime, hall_static_analytic,
+from .kubo_static import (B_ZERO, OVERLAPPED, SEPARATED, ViscosityValue,
+                          detect_regime, hall_static_analytic,
                           hall_static_numeric, shear_b0_analytic,
                           shear_b0_numeric, shear_bfield_analytic,
                           shear_bfield_dirac_limit, shear_bfield_numeric,
@@ -43,7 +43,7 @@ __all__ = [
     "solve_self_energy_landau", "self_energy_b0_asymptotic",
     "self_energy_separated", "self_energy_overlapped",
     "self_energy_dirac_point_bfield", "dos", "relaxation_time",
-    "TruncatedLadderError", "ViscosityValue", "B_ZERO", "SEPARATED",
+    "ViscosityValue", "B_ZERO", "SEPARATED",
     "OVERLAPPED", "detect_regime",
     "shear_b0_numeric", "shear_b0_analytic", "shear_bfield_numeric",
     "shear_bfield_analytic", "shear_bfield_sdh", "shear_bfield_dirac_limit",

@@ -100,8 +100,7 @@ def _cmd_figure(args) -> int:
 def _cmd_solve_sigma(args) -> int:
     params = ModelParams(disorder_A=args.A)
     if args.B:
-        spectrum = build_spectrum(params, args.B, e_window=args.E,
-                                  hard_limit=args.hard_limit)
+        spectrum = build_spectrum(params, args.B, e_window=args.E)
         sol = solve_self_energy_landau(args.E, params, spectrum)
         extra = {"b_field_T": args.B, "n_cutoff": spectrum.n_cutoff,
                  "l_B_nm": spectrum.l_B,
@@ -283,7 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     ss.add_argument("--E", type=float, required=True, help="energy (eV)")
     ss.add_argument("--A", type=float, required=True, help="disorder parameter")
     ss.add_argument("--B", type=float, default=0.0, help="field (T); 0 = none")
-    ss.add_argument("--hard-limit", type=int, default=20_000)
     ss.set_defaults(func=_cmd_solve_sigma)
 
     vc = sub.add_parser("vertex-check", help="vertex-correction nullity check")

@@ -23,9 +23,10 @@ ELECTRON_HOLE = "electron_hole"
 ELECTRON_ELECTRON = "electron_electron"
 HOLE_HOLE = "hole_hole"
 
-# Gauss-Legendre nodes per panel of the frequency windows
-_B0_NODES = 24
-_BFIELD_NODES = 16
+# Gauss-Legendre rules (nodes, weights on [-1, 1]) per panel of the
+# frequency windows
+_B0_RULE = np.polynomial.legendre.leggauss(24)
+_BFIELD_RULE = np.polynomial.legendre.leggauss(16)
 
 
 @dataclass(frozen=True)
@@ -57,7 +58,7 @@ def transition_table(e_fermi: float, spectrum: LandauSpectrum,
         raise ValueError(f"omega_max must be positive, got {omega_max}")
     hwc = spectrum.hbar_omega_c
     out: list[Transition] = []
-    for n in range(spectrum.n_cutoff - 1):
+    for n in spectrum.level_indices()[:-2].tolist():
         lo_states = [(n, 1)] if n == 0 else [(n, 1), (n, -1)]
         hi_states = [(n + 2, 1), (n + 2, -1)]
         for a in lo_states:
@@ -78,8 +79,8 @@ def transition_table(e_fermi: float, spectrum: LandauSpectrum,
 # B = 0 window integrals
 # ---------------------------------------------------------------------------
 
-def _gauss_panels(lo: float, hi: float, breakpoints, n_per: int):
-    xs, ws = np.polynomial.legendre.leggauss(n_per)
+def _gauss_panels(lo: float, hi: float, breakpoints, rule):
+    xs, ws = rule
     bks = sorted({lo, hi, *[b for b in breakpoints if lo < b < hi]})
     nodes, weights = [], []
     for a, b in zip(bks[:-1], bks[1:]):
@@ -115,7 +116,7 @@ def shear_dynamic_b0(E: float, Omega: float, params: ModelParams, *,
     if T > 0:
         lo, hi = E - om - 8.0 * T, E + 8.0 * T
         nodes, weights = _gauss_panels(lo, hi, [0.0, -om, E - om, E,
-                                                0.5 * (lo + hi)], _B0_NODES)
+                                                0.5 * (lo + hi)], _B0_RULE)
         weights = weights * (_fermi(nodes, E, T) - _fermi(nodes + om, E, T))
         keep = weights != 0.0
         nodes, weights = nodes[keep], weights[keep]
@@ -124,7 +125,7 @@ def shear_dynamic_b0(E: float, Omega: float, params: ModelParams, *,
         cuts = sorted({lo, hi, *[x for x in (0.0, -om) if lo < x < hi]})
         panels = [_gauss_panels(a, b, [-0.5 * om,  # interband 2w + Omega = 0
                                        a + (b - a) / 3.0, b - (b - a) / 3.0],
-                                _B0_NODES)
+                                _B0_RULE)
                   for a, b in zip(cuts[:-1], cuts[1:])]
         nodes = np.concatenate([x for x, _ in panels])
         weights = np.concatenate([w for _, w in panels])
@@ -174,8 +175,12 @@ def shear_dynamic_bfield(E: float, Omega: float, params: ModelParams,
 
     broadening=None solves the SCBA self-energy at every omega node; a float
     uses constant-width Lorentzian levels (clean-limit studies). Even in
-    Omega. Only levels with |E_level| below the window reach plus a pad are
-    kept; the pad puts the dropped Lorentzian tails below 1e-4 relative.
+    Omega. Only the pairs (n, n + 2) with a level inside level_window (the
+    window reach plus a pad of max(100 gamma, 8 hbar w_c)) are summed.
+    With the SCBA self-energy the far terms fall off only like 1/n, so the
+    dropped tail is not small: at 10 T, A = 20, Omega = 3e-4 the result
+    lies 5.5% (E = 0.1 eV) and 14.5% (E = 0) below the static shear, where
+    the same sum over the whole ladder comes within 2.3e-6 and 3.7e-5.
     """
     if Omega == 0:
         raise ValueError("Omega must be nonzero")
@@ -187,11 +192,10 @@ def shear_dynamic_bfield(E: float, Omega: float, params: ModelParams,
         spectrum.hbar_omega_c / math.sqrt(2.0 * params.disorder_A))
     level_window = (max(abs(lo), abs(hi)) + om
                     + max(100.0 * gam, 8.0 * spectrum.hbar_omega_c))
-    pairs = []
-    for Ea, Eb, w in _pair_energies(spectrum):
-        keep = (np.abs(Ea) <= level_window) | (np.abs(Eb) <= level_window)
-        if np.any(keep):
-            pairs.append((Ea[keep], Eb[keep], w[keep]))
+    # the pairs (n, n + 2) with a level inside the window: n <= (window/hwc)^2
+    n_top = min(int((level_window / spectrum.hbar_omega_c) ** 2),
+                spectrum.n_cutoff - 2)
+    pairs = _pair_energies(spectrum, np.arange(n_top + 1))
 
     bks = []
     for Ea, Eb, _ in pairs:
@@ -206,7 +210,7 @@ def shear_dynamic_bfield(E: float, Omega: float, params: ModelParams,
     for b in bks:
         if not merged or b - merged[-1] > 0.25 * gam:
             merged.append(b)
-    nodes, wq = _gauss_panels(lo, hi, merged, _BFIELD_NODES)
+    nodes, wq = _gauss_panels(lo, hi, merged, _BFIELD_RULE)
 
     if broadening is None:
         z_lo = nodes - solve_self_energy_landau(nodes, params, spectrum).sigma

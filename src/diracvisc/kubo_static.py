@@ -13,7 +13,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .model import LandauSpectrum, ModelParams, effective_cyclotron
 from .scba import (SelfEnergySolution, dos, pole_sum, relaxation_time,
@@ -22,10 +21,6 @@ from .scba import (SelfEnergySolution, dos, pole_sum, relaxation_time,
 SEPARATED = "separated"
 OVERLAPPED = "overlapped"
 B_ZERO = "b_zero"
-
-
-class TruncatedLadderError(ArithmeticError):
-    """A Landau sum lost a non-negligible tail to the spectrum's hard limit."""
 
 
 @dataclass(frozen=True)
@@ -86,6 +81,8 @@ def _pole_points(z: complex, T: float) -> list[float]:
 def _k_kernel_quad(z1: complex, z2: complex, params: ModelParams,
                    epsrel: float = 1e-9) -> complex:
     """Adaptive Gauss-Kronrod evaluation of _k_kernel (validation route)."""
+    from scipy.integrate import quad  # slow to import; only this route uses it
+
     T = params.cutoff_Ec ** 2
     a, b = z1 * z1, z2 * z2
     pts = sorted(set(_pole_points(z1, T) + _pole_points(z2, T)))
@@ -116,10 +113,11 @@ def _b0_prefactor(params: ModelParams) -> float:
     return (params.degeneracy / 4.0) / (2.0 * math.pi ** 2 * params.hbar_vf ** 2)
 
 
-def _b0_sigma(E: float, params: ModelParams,
-              sigma: SelfEnergySolution | complex | None) -> complex:
+def _resolve_sigma(sigma: SelfEnergySolution | complex | None,
+                   solve) -> complex:
+    """The given self-energy as a complex number; solve() when none is given."""
     if sigma is None:
-        return solve_self_energy_b0(E, params, drop_real_part=True).sigma
+        sigma = solve()
     if isinstance(sigma, SelfEnergySolution):
         return sigma.sigma
     return sigma
@@ -136,7 +134,8 @@ def shear_b0_numeric(E: float, params: ModelParams, *,
     if method not in ("quad", "exact"):
         raise ValueError(f"unknown method {method!r}")
     _require_zero_temperature(params)
-    s = _b0_sigma(E, params, sigma)
+    s = _resolve_sigma(sigma, lambda: solve_self_energy_b0(
+        E, params, drop_real_part=True))
     zR = E - s
     zA = E - s.conjugate()
     kern = _k_kernel_quad if method == "quad" else _k_kernel
@@ -162,7 +161,7 @@ def shear_b0_analytic(E: float, params: ModelParams) -> float:
 
 def _g_array(z: complex, spectrum: LandauSpectrum) -> np.ndarray:
     """g_n = z / (z^2 - n (hbar w_c)^2), n = 0..N_c; n = 0 counted once."""
-    n = np.arange(spectrum.n_cutoff + 1)
+    n = spectrum.level_indices()
     return z / (z * z - n * spectrum.hbar_omega_c ** 2)
 
 
@@ -198,36 +197,6 @@ def shear_pair_sums(z: complex,
     return _pair_sum(z, z.conjugate(), W, hi), _pair_sum(z, z, W, hi)
 
 
-_TAIL_TOL = 1e-3  # largest share of the shear sum allowed in a truncated tail
-
-
-def _check_tail(z: complex, spectrum: LandauSpectrum) -> None:
-    """Raise if the last 10% of the ladder carries more than _TAIL_TOL of the
-    positive-definite sum (n+1) Im g_n Im g_{n+2}.
-
-    Summed level by level: at gap roots (Im z ~ 1e-15) the same sum written
-    as (Re S_RA - Re S_RR)/2 is rounding noise.
-    """
-    g = _g_array(z, spectrum)
-    terms = (np.arange(spectrum.n_cutoff - 1) + 1.0) * g[:-2].imag * g[2:].imag
-    total = np.sum(terms)
-    if total > 0:
-        tail = np.sum(terms[-max(1, len(terms) // 10):])
-        if abs(tail) > _TAIL_TOL * abs(total):
-            raise TruncatedLadderError(
-                "Landau sum truncated before the tail converged; rebuild the "
-                f"spectrum with a larger hard_limit (n_cutoff={spectrum.n_cutoff})")
-
-
-def _landau_sigma(E: float, params: ModelParams, spectrum: LandauSpectrum,
-                  sigma: SelfEnergySolution | complex | None) -> complex:
-    if sigma is None:
-        return solve_self_energy_landau(E, params, spectrum).sigma
-    if isinstance(sigma, SelfEnergySolution):
-        return sigma.sigma
-    return sigma
-
-
 def detect_regime(E: float, params: ModelParams, spectrum: LandauSpectrum,
                   sigma: complex) -> tuple[str, float, bool]:
     """(tag, w_eff*tau, low_confidence): separated iff w_eff*tau > 2."""
@@ -250,14 +219,12 @@ def shear_bfield_numeric(E: float, params: ModelParams,
     RA = (hbar^3 w_c^2 / 4 pi^2 l_B^2) sum_n (n+1)(g^R_n g^A_{n+2} + g^R_{n+2} g^A_n)
     RR = (hbar^3 w_c^2 / 2 pi^2 l_B^2) sum_n (n+1) g^R_n g^R_{n+2}
 
-    evaluated by shear_pair_sums; on truncated spectra the tail is checked
-    first (TruncatedLadderError).
+    evaluated by shear_pair_sums.
     """
     _require_zero_temperature(params)
-    s = _landau_sigma(E, params, spectrum, sigma)
+    s = _resolve_sigma(sigma, lambda: solve_self_energy_landau(
+        E, params, spectrum))
     z = E - s
-    if spectrum.truncated:
-        _check_tail(z, spectrum)
     s_ra, s_rr = shear_pair_sums(z, spectrum)
     scale = (params.degeneracy / 4.0) * spectrum.hbar_omega_c ** 2 / (
         math.pi ** 2 * spectrum.l_B ** 2)
@@ -341,7 +308,8 @@ def shear_bfield_analytic(E: float, params: ModelParams,
                           sigma: SelfEnergySolution | complex | None = None,
                           regime: str | None = None) -> ViscosityValue:
     """Closed-form static shear in a field, dispatched on w_eff * tau."""
-    s = _landau_sigma(E, params, spectrum, sigma)
+    s = _resolve_sigma(sigma, lambda: solve_self_energy_landau(
+        E, params, spectrum))
     if regime is None:
         tag, _, low = detect_regime(E, params, spectrum, s)
     else:
@@ -360,10 +328,12 @@ def shear_bfield_analytic(E: float, params: ModelParams,
 _GAP_FLOOR = 1e-15  # minimal |Im Sigma| used inside gaps to keep G retarded
 
 
-def _pair_energies(spectrum: LandauSpectrum):
-    """(E_a, E_b, n+1) arrays for the four (s, s') chains of |dn| = 2 pairs."""
+def _pair_energies(spectrum: LandauSpectrum, n: np.ndarray | None = None):
+    """(E_a, E_b, n+1) arrays for the four (s, s') chains of |dn| = 2 pairs
+    (n, n + 2), over the lower indices n (by default the whole ladder)."""
     hwc = spectrum.hbar_omega_c
-    n = np.arange(spectrum.n_cutoff - 1)
+    if n is None:
+        n = spectrum.level_indices()[:-2]
     out = []
     for s in (1.0, -1.0):
         for sp in (1.0, -1.0):
@@ -383,7 +353,8 @@ def hall_static_numeric(E: float, params: ModelParams,
     z(E) = E - Sigma(E); the deep sea cancels pairwise.
     """
     _require_zero_temperature(params)
-    s = _landau_sigma(E, params, spectrum, sigma)
+    s = _resolve_sigma(sigma, lambda: solve_self_energy_landau(
+        E, params, spectrum))
     if s.imag > -_GAP_FLOOR:
         s = complex(s.real, -_GAP_FLOOR)
     z = E - s
@@ -435,7 +406,7 @@ def hall_fermi_sea_quadrature(E: float, params: ModelParams,
         bottom_pad = 40.0 * gamma
     bottom = -hwc * math.sqrt(spectrum.n_cutoff) - bottom_pad
     grid = [np.linspace(bottom, E, coarse_nodes)]
-    for n in range(spectrum.n_cutoff + 1):
+    for n in spectrum.level_indices():
         for sgn in (1, -1):
             en = sgn * hwc * math.sqrt(n)
             lo = max(bottom, en - pad_widths * gamma)
@@ -466,7 +437,8 @@ def hall_static_analytic(E: float, params: ModelParams,
                          sigma: SelfEnergySolution | complex | None = None,
                          regime: str | None = None) -> ViscosityValue:
     """Closed-form static Hall viscosity (quantized plateaus in gaps)."""
-    s = _landau_sigma(E, params, spectrum, sigma)
+    s = _resolve_sigma(sigma, lambda: solve_self_energy_landau(
+        E, params, spectrum))
     if regime is None:
         tag, _, low = detect_regime(E, params, spectrum, s)
     else:

@@ -17,7 +17,9 @@ HBAR_OVER_E = 6.582119569e-16
 
 DEFAULT_HBAR_VF = 0.6582   # eV nm
 DEFAULT_CUTOFF = 7.2       # eV, band cutoff
-DEFAULT_HARD_LIMIT = 20_000  # Landau-index cap
+# Longest ladder a level-by-level sum materializes: just above the 393,809
+# levels of B = 0.1 T at the default cutoff.
+MAX_MATERIALIZED_LEVELS = 400_000
 
 
 @dataclass(frozen=True)
@@ -69,21 +71,31 @@ class LandauSpectrum:
     l_B: float              # nm
     hbar_omega_c: float     # eV
     n_cutoff: int
-    truncated: bool = False  # True if the hard limit cut the band short
+
+    def level_indices(self) -> np.ndarray:
+        """n = 0..N_c, for a sum that materializes the ladder level by level.
+
+        Raises ValueError past MAX_MATERIALIZED_LEVELS rather than cut the
+        ladder short.
+        """
+        if self.n_cutoff > MAX_MATERIALIZED_LEVELS:
+            raise ValueError(
+                f"B = {self.b_field:g} T needs N_c = {self.n_cutoff} Landau "
+                f"levels; level-by-level sums stop at "
+                f"{MAX_MATERIALIZED_LEVELS}")
+        return np.arange(self.n_cutoff + 1)
 
 
 def build_spectrum(params: ModelParams, b_field: float, *,
-                   e_window: float = 0.0, omega: float = 0.0,
-                   hard_limit: int = DEFAULT_HARD_LIMIT) -> LandauSpectrum:
+                   e_window: float = 0.0, omega: float = 0.0) -> LandauSpectrum:
     """Spectrum with N_c = smallest n such that hbar omega_c sqrt(n) reaches
-    max(E_c, 3(|E| + |Omega|)), capped at hard_limit."""
+    max(E_c, 3(|E| + |Omega|))."""
     lb = magnetic_length(b_field)
     hwc = math.sqrt(2.0) * params.hbar_vf / lb
     target = max(params.cutoff_Ec, 3.0 * (abs(e_window) + abs(omega)))
     n_c = int(math.ceil((target / hwc) ** 2))
-    truncated = n_c > hard_limit
     return LandauSpectrum(b_field=b_field, l_B=lb, hbar_omega_c=hwc,
-                          n_cutoff=min(n_c, hard_limit), truncated=truncated)
+                          n_cutoff=n_c)
 
 
 def landau_energy(n: int, s: int, spectrum: LandauSpectrum) -> float:

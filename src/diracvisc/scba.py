@@ -138,7 +138,7 @@ def pole_sum(c: complex, lo: int, hi: int) -> complex:
 def landau_green_sum_direct(z: complex, spectrum: LandauSpectrum) -> complex:
     """sum_{n=0}^{N_c} w_n z / (z^2 - n (hbar w_c)^2), weights (1, 2, 2, ...),
     summed level by level."""
-    en2 = np.arange(spectrum.n_cutoff + 1) * spectrum.hbar_omega_c ** 2
+    en2 = spectrum.level_indices() * spectrum.hbar_omega_c ** 2
     weights = np.full(en2.shape, 2.0)
     weights[0] = 1.0
     return np.sum(weights * z / (z * z - en2))

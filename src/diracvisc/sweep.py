@@ -15,9 +15,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .model import DEFAULT_HARD_LIMIT, ModelParams, build_spectrum
-from .kubo_static import (TruncatedLadderError, hall_static_numeric,
-                          shear_b0_numeric, shear_bfield_numeric)
+from .model import ModelParams, build_spectrum
+from .kubo_static import (hall_static_numeric, shear_b0_numeric,
+                          shear_bfield_numeric)
 from .kubo_dynamic import hall_dynamic, shear_dynamic_b0, shear_dynamic_bfield
 from .scba import dos, solve_self_energy_b0, solve_self_energy_landau, ConvergenceError
 from .vertex import vertex_correction_b0, vertex_correction_landau
@@ -39,17 +39,10 @@ def _int_setting(fixed: dict, name: str, default: int) -> int:
     return int(value)
 
 
-def _spectrum(params: ModelParams, B: float, E: float, fixed: dict,
-              omega: float = 0.0):
-    return build_spectrum(
-        params, B, e_window=E, omega=omega,
-        hard_limit=_int_setting(fixed, "hard_limit", DEFAULT_HARD_LIMIT))
-
-
-def _solve_sigma(E, B, params, fixed):
+def _solve_sigma(E, B, params):
     if B:
         return solve_self_energy_landau(E, params,
-                                        _spectrum(params, B, E, fixed))
+                                        build_spectrum(params, B, e_window=E))
     return solve_self_energy_b0(E, params)
 
 
@@ -59,7 +52,7 @@ def _static_fields(v) -> dict:
 
 
 def _self_energy(E, B, Omega, params, fixed) -> dict:
-    sol = _solve_sigma(E, B, params, fixed)
+    sol = _solve_sigma(E, B, params)
     return {"value": sol.sigma.imag,
             "channels": {"re_sigma": sol.sigma.real,
                          "residual": sol.residual,
@@ -68,32 +61,32 @@ def _self_energy(E, B, Omega, params, fixed) -> dict:
 
 
 def _dos(E, B, Omega, params, fixed) -> dict:
-    sol = _solve_sigma(E, B, params, fixed)
+    sol = _solve_sigma(E, B, params)
     return {"value": dos(E, sol.sigma, params, B), "converged": sol.converged}
 
 
 def _static_shear(E, B, Omega, params, fixed) -> dict:
     if B:
         return _static_fields(shear_bfield_numeric(
-            E, params, _spectrum(params, B, E, fixed)))
+            E, params, build_spectrum(params, B, e_window=E)))
     return _static_fields(shear_b0_numeric(E, params, method="exact"))
 
 
 def _static_hall(E, B, Omega, params, fixed) -> dict:
     return _static_fields(hall_static_numeric(
-        E, params, _spectrum(params, B, E, fixed)))
+        E, params, build_spectrum(params, B, e_window=E)))
 
 
 def _dynamic_shear(E, B, Omega, params, fixed) -> dict:
     if B:
-        spectrum = _spectrum(params, B, E, fixed, Omega)
+        spectrum = build_spectrum(params, B, e_window=E, omega=Omega)
         return {"value": shear_dynamic_bfield(E, Omega, params, spectrum,
                                               fixed.get("broadening"))}
     return {"value": shear_dynamic_b0(E, Omega, params)}
 
 
 def _dynamic_hall(E, B, Omega, params, fixed) -> dict:
-    spectrum = _spectrum(params, B, E, fixed, Omega)
+    spectrum = build_spectrum(params, B, e_window=E, omega=Omega)
     gamma = fixed.get("broadening", spectrum.hbar_omega_c / 50.0)
     return {"value": hall_dynamic(E, Omega, params, spectrum, gamma)}
 
@@ -103,7 +96,7 @@ def _vertex_check(E, B, Omega, params, fixed) -> dict:
     channels = {"ratio_momentum": ratio}
     if B:
         channels["ratio_landau"] = vertex_correction_landau(
-            E, params, _spectrum(params, B, E, fixed)).ratio
+            E, params, build_spectrum(params, B, e_window=E)).ratio
     return {"value": ratio, "channels": channels}
 
 
@@ -197,7 +190,6 @@ class SweepSpec:
         if self.output_format not in ("csv", "json"):
             raise ValueError(f"unknown output format {self.output_format!r}")
         _int_setting(self.fixed, "degeneracy", 4)
-        _int_setting(self.fixed, "hard_limit", DEFAULT_HARD_LIMIT)
 
     def to_config(self) -> dict:
         """Flat JSON form, as read back by from_config."""
@@ -258,7 +250,7 @@ def _eval_point(spec: SweepSpec, E: float, B: float | None,
     try:
         return SweepRow(E, B, Omega, A,
                         **evaluate(E, B, Omega, params, spec.fixed))
-    except (ConvergenceError, TruncatedLadderError):
+    except ConvergenceError:
         return SweepRow(E, B, Omega, A, value=math.nan, converged=False)
 
 
@@ -341,8 +333,7 @@ def figure_preset(name: str) -> SweepSpec:
             quantity="static_shear",
             e_grid=GridSpec(-0.15, 0.15, 61),
             b_grid=GridSpec(0.1, 1.5, 5),
-            a_values=(15.0,),
-            fixed={"hard_limit": 400_000}),
+            a_values=(15.0,)),
         "fig3": SweepSpec(
             quantity="static_hall",
             e_grid=GridSpec(-0.3, 0.3, 121),

@@ -175,7 +175,7 @@ def test_05_magnetic_enhancement():
     params = ModelParams(disorder_A=15.0)
     vals = []
     for B in (0.1, 0.5, 1.0, 1.5):
-        spectrum = build_spectrum(params, B, hard_limit=500_000)
+        spectrum = build_spectrum(params, B)
         vals.append(shear_bfield_numeric(0.0, params, spectrum).value)
     ok = all(x < y for x, y in zip(vals, vals[1:]))
     report(5, "eta_s(E=0; A=15) increasing over B = 0.1..1.5 T", ok,

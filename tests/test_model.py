@@ -9,6 +9,7 @@ from diracvisc import (XX_MINUS_YY, XY, ModelParams,
                        build_spectrum, effective_cyclotron, landau_energy,
                        magnetic_length, stress_element_xx_minus_yy,
                        stress_element_xy, stress_kspace)
+from diracvisc.model import MAX_MATERIALIZED_LEVELS
 
 # independent CODATA evaluation of sqrt(hbar / e B)
 HBAR_SI = 1.054571817e-34   # J s
@@ -45,8 +46,8 @@ class TestSpectrum:
         assert spectrum10_20.hbar_omega_c == pytest.approx(0.1147, rel=1e-3)
 
     def test_cyclotron_b_scaling(self, params20):
-        s1 = build_spectrum(params20, 1.0, hard_limit=500_000)
-        s4 = build_spectrum(params20, 4.0, hard_limit=500_000)
+        s1 = build_spectrum(params20, 1.0)
+        s4 = build_spectrum(params20, 4.0)
         assert s4.hbar_omega_c == pytest.approx(2.0 * s1.hbar_omega_c, rel=1e-12)
 
     def test_cutoff_policy(self, params20, spectrum10_20):
@@ -54,12 +55,15 @@ class TestSpectrum:
         n_c = spectrum10_20.n_cutoff
         assert hwc * math.sqrt(n_c) >= params20.cutoff_Ec
         assert hwc * math.sqrt(n_c - 1) < params20.cutoff_Ec
-        assert not spectrum10_20.truncated
 
-    def test_hard_limit_flags_truncation(self, params20):
-        s = build_spectrum(params20, 0.1, hard_limit=20_000)
-        assert s.truncated
-        assert s.n_cutoff == 20_000
+    def test_level_indices_cap(self, params20):
+        # 0.1 T, the longest ladder any preset sums level by level, fits
+        s = build_spectrum(params20, 0.1)
+        assert s.n_cutoff == 393_809 <= MAX_MATERIALIZED_LEVELS
+        assert np.array_equal(s.level_indices(), np.arange(393_810))
+        with pytest.raises(ValueError, match=r"B = 0\.01 T .* 3938085 .* "
+                           + str(MAX_MATERIALIZED_LEVELS)):
+            build_spectrum(params20, 0.01).level_indices()
 
     def test_landau_energy_examples(self, spectrum10_20):
         assert landau_energy(0, 1, spectrum10_20) == 0.0
@@ -144,8 +148,8 @@ class TestStressElements:
         assert max(mags) - min(mags) < 1e-15
 
     def test_cyclotron_scaling(self, params20):
-        s1 = build_spectrum(params20, 1.0, hard_limit=500_000)
-        s4 = build_spectrum(params20, 4.0, hard_limit=500_000)
+        s1 = build_spectrum(params20, 1.0)
+        s4 = build_spectrum(params20, 4.0)
         v1 = stress_element_xy((1, 1), (3, 1), s1)
         v4 = stress_element_xy((1, 1), (3, 1), s4)
         assert v4 == pytest.approx(2.0 * v1, rel=1e-12)

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -213,8 +214,7 @@ class TestLandauSolver:
     def test_small_field_approaches_b0(self):
         # like-for-like: full-complex solves both sides
         params = ModelParams(disorder_A=15.0)
-        spectrum = build_spectrum(params, 0.1, hard_limit=500_000)
-        assert not spectrum.truncated
+        spectrum = build_spectrum(params, 0.1)
         sl = solve_self_energy_landau(0.5, params, spectrum).sigma
         sb = solve_self_energy_b0(0.5, params).sigma
         assert sl.imag == pytest.approx(sb.imag, rel=0.10)
@@ -249,8 +249,7 @@ def ladder_cases():
 
 def solved_z(B, A, E):
     params = ModelParams(disorder_A=A)
-    spectrum = build_spectrum(params, B, e_window=E, hard_limit=500_000)
-    assert not spectrum.truncated
+    spectrum = build_spectrum(params, B, e_window=E)
     return E - solve_self_energy_landau(E, params, spectrum).sigma, spectrum
 
 
@@ -266,8 +265,8 @@ class TestLandauGreenSum:
 
     def test_short_ladder_falls_back_to_direct_sum(self):
         # |z^2 / W| = 900 N_c: past the ladder's end, summed level by level
-        spectrum = build_spectrum(ModelParams(disorder_A=20.0), 10.0,
-                                  hard_limit=4)
+        spectrum = replace(build_spectrum(ModelParams(disorder_A=20.0), 10.0),
+                           n_cutoff=4)
         z = complex(60.0 * spectrum.hbar_omega_c, 0.01)
         assert abs(z * z) / spectrum.hbar_omega_c ** 2 > 800 * spectrum.n_cutoff
         got = landau_green_sum(z, spectrum)
@@ -347,7 +346,7 @@ class TestLandauArraySolve:
         case = DAMPED["window"][row]
         params = ModelParams(disorder_A=case["A"])
         spectrum = build_spectrum(params, 10.0, e_window=case["E"],
-                                  omega=case["Omega"], hard_limit=20_000)
+                                  omega=case["Omega"])
         calls = []
         solve = kubo_dynamic.solve_self_energy_landau
 
@@ -470,7 +469,7 @@ class TestSeparatedForm:
 class TestOverlappedForm:
     def test_small_field_reduces_to_b0(self):
         params = ModelParams(disorder_A=15.0)
-        tiny = build_spectrum(params, 1e-4, hard_limit=10)  # only hwc matters
+        tiny = replace(build_spectrum(params, 1e-4), n_cutoff=10)  # only hwc matters
         v = self_energy_overlapped(0.8, params, tiny)
         b0 = self_energy_b0_asymptotic(0.8, params)
         assert v.imag == pytest.approx(b0.imag, rel=1e-4)
@@ -478,7 +477,7 @@ class TestOverlappedForm:
     def test_oscillation_negligible_at_one_tesla(self):
         # at (E=0.5, B=1, A=15) the damping factor kills the cosine
         params = ModelParams(disorder_A=15.0)
-        spectrum = build_spectrum(params, 1.0, hard_limit=500_000)
+        spectrum = build_spectrum(params, 1.0)
         assert spectrum.hbar_omega_c == pytest.approx(0.03628, rel=2e-3)
         delta = math.exp(-4.0 * math.pi ** 2 * 0.25
                          / (15.0 * spectrum.hbar_omega_c ** 2))

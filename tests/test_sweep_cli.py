@@ -1,15 +1,25 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from diracvisc import (GridSpec, SweepSpec, figure_preset, parse_csv_config,
+import diracvisc
+from diracvisc import (GridSpec, ModelParams, SweepSpec, build_spectrum,
+                       figure_preset, hall_static_numeric, parse_csv_config,
                        result_to_csv, result_to_json, result_to_svg,
-                       run_sweep)
+                       run_sweep, shear_bfield_numeric,
+                       solve_self_energy_landau)
 from diracvisc import cli, sweep
 from diracvisc.cli import main
-from diracvisc.kubo_static import TruncatedLadderError
+from diracvisc.kubo_static import shear_pair_sums, shear_pair_sums_direct
+from diracvisc.model import MAX_MATERIALIZED_LEVELS
+from diracvisc.scba import landau_green_sum_direct
 from diracvisc.sweep import QUANTITIES
+from test_kubo_static import small_spectrum
 
 
 def tiny_spec(**overrides):
@@ -43,15 +53,13 @@ class TestSweepSpecValidation:
                       omega_grid=GridSpec(-0.1, 0.1, 3), a_values=(20.0,))
 
     @pytest.mark.parametrize("key,value", [("degeneracy", 4.7),
-                                           ("degeneracy", "4"),
-                                           ("hard_limit", 2500.9),
-                                           ("hard_limit", True)])
+                                           ("degeneracy", "4")])
     def test_integer_settings_must_be_integers(self, key, value):
         with pytest.raises(ValueError, match=key):
             tiny_spec(fixed={key: value})
 
     def test_integral_float_settings_accepted(self):
-        spec = tiny_spec(fixed={"degeneracy": 2.0, "hard_limit": 3000.0})
+        spec = tiny_spec(fixed={"degeneracy": 2.0})
         ref = run_sweep(tiny_spec(fixed={"degeneracy": 2})).rows
         assert [r.value for r in run_sweep(spec).rows] == [r.value
                                                            for r in ref]
@@ -164,18 +172,6 @@ class TestQuantities:
         assert len(rows) == 2
         assert rows[0].value != rows[1].value
 
-    def test_truncated_tail_flags_row(self):
-        # 1000 of ~3.9e3 levels at the n = 1 level: the overlapped A = 20
-        # row loses its tail, the separated A = 500 row keeps it
-        spec = SweepSpec(quantity="static_shear",
-                         e_grid=GridSpec(0.1147334, 0.1147334, 1),
-                         b_grid=GridSpec(10.0, 10.0, 1),
-                         a_values=(20.0, 500.0),
-                         fixed={"hard_limit": 1000})
-        bad, good = run_sweep(spec).rows
-        assert math.isnan(bad.value) and not bad.converged
-        assert good.converged and good.value > 0
-
     def test_vertex_rows(self):
         spec = SweepSpec(quantity="vertex_check",
                          e_grid=GridSpec(1.0, 1.0, 1),
@@ -183,6 +179,81 @@ class TestQuantities:
         row = run_sweep(spec).rows[0]
         assert row.value <= 1e-8
         assert row.channels["ratio_landau"] == 0.0
+
+
+def full_ladder_fields(quantity, E, params, spectrum):
+    """(value, channels) of one row, evaluated on the given spectrum."""
+    if quantity == "self_energy":
+        sigma = solve_self_energy_landau(E, params, spectrum).sigma
+        return sigma.imag, {"re_sigma": sigma.real}
+    kubo = {"static_shear": shear_bfield_numeric,
+            "static_hall": hall_static_numeric}[quantity]
+    v = kubo(E, params, spectrum)
+    return v.value, v.channels
+
+
+# 0.5 T, where a 20,000-level default cap once cut the ladder (78,762
+# levels) short: Im Sigma read 0.9-16% low, the shear and Hall up to 16% off
+HALF_TESLA = dict(e_grid=GridSpec(0.05, 0.1, 2), b_grid=GridSpec(0.5, 0.5, 1),
+                  a_values=(20.0, 50.0))
+
+
+class TestPhysicalLadder:
+    @pytest.mark.parametrize("quantity",
+                             ["self_energy", "static_shear", "static_hall"])
+    def test_default_rows_sum_the_full_ladder(self, quantity):
+        rows = run_sweep(SweepSpec(quantity=quantity, **HALF_TESLA)).rows
+        assert [(r.E, r.A) for r in rows] == [
+            (0.05, 20.0), (0.05, 50.0), (0.1, 20.0), (0.1, 50.0)]
+        full = small_spectrum(b_field=0.5, n_cutoff=78_762)
+        for row in rows:
+            params = ModelParams(disorder_A=row.A)
+            value, channels = full_ladder_fields(quantity, row.E, params, full)
+            assert row.converged and row.value == value
+            assert {k: row.channels[k] for k in channels} == channels
+
+    @pytest.mark.parametrize("A", [20.0, 50.0])
+    @pytest.mark.parametrize("E", [0.05, 0.1])
+    def test_default_ladder_meets_direct_sums(self, E, A):
+        params = ModelParams(disorder_A=A)
+        spectrum = build_spectrum(params, 0.5, e_window=E)
+        assert spectrum.n_cutoff == 78_762
+        sigma = solve_self_energy_landau(E, params, spectrum).sigma
+        z = E - sigma
+        scale = spectrum.hbar_omega_c ** 2 / (2.0 * A)
+        out = scale * landau_green_sum_direct(z, spectrum)
+        assert abs(sigma - out) <= 1e-9 * abs(sigma)
+        ra, rr = shear_pair_sums(z, spectrum)
+        ref_ra, ref_rr = shear_pair_sums_direct(z, spectrum)
+        assert ra == pytest.approx(ref_ra, rel=1e-11)
+        assert rr == pytest.approx(ref_rr, rel=1e-11)
+        assert ra.real - rr.real == pytest.approx(ref_ra.real - ref_rr.real,
+                                                  rel=1e-11)
+
+    def test_legacy_hard_limit_key_is_ignored(self):
+        rows = run_sweep(SweepSpec(quantity="static_shear",
+                                   fixed={"hard_limit": 20_000},
+                                   **HALF_TESLA)).rows
+        ref = run_sweep(SweepSpec(quantity="static_shear", **HALF_TESLA)).rows
+        assert [r.value for r in rows] == [r.value for r in ref]
+
+    def test_level_by_level_sum_past_the_cap_is_usage_error(self, capsys):
+        # 0.01 T: 3.9e6 levels, which the static Hall sum would materialize
+        rc = main(["sweep", "--quantity", "static_hall", "--e", "0.1",
+                   "--b", "0.01", "--a", "20"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "usage error" in err and str(MAX_MATERIALIZED_LEVELS) in err
+
+    def test_dynamic_shear_window_needs_no_cap(self):
+        # 0.05 T: 7.9e5 levels, of which the window sum builds ~1.2e3
+        spec = SweepSpec(quantity="dynamic_shear",
+                         e_grid=GridSpec(0.1, 0.1, 1),
+                         b_grid=GridSpec(0.05, 0.05, 1),
+                         omega_grid=GridSpec(0.05, 0.05, 1),
+                         a_values=(20.0,))
+        row = run_sweep(spec).rows[0]
+        assert row.converged and math.isfinite(row.value) and row.value > 0
 
 
 # one cheap point per quantity; B = 10 T where the quantity allows a field
@@ -331,8 +402,7 @@ class TestCli:
         captured = capsys.readouterr()
         assert "usage error" in captured.err and captured.out == ""
 
-    @pytest.mark.parametrize("fixed", ['{"degeneracy": 4.7}',
-                                       '{"hard_limit": 2500.9}'])
+    @pytest.mark.parametrize("fixed", ['{"degeneracy": 4.7}'])
     def test_fractional_integer_setting_is_usage_error(self, fixed, capsys):
         code = main(["sweep", "--quantity", "static_shear", "--e", "0.05",
                      "--b", "10", "--a", "20", "--fixed", fixed])
@@ -353,13 +423,24 @@ class TestCli:
         assert payload["header"]["config"]["output"]["format"] == "json"
 
     def test_compute_error_exit_code(self, monkeypatch, capsys):
-        def truncated(spec):
-            raise TruncatedLadderError("tail lost")
-        monkeypatch.setattr(cli, "run_sweep", truncated)
+        def failing(spec):
+            raise ArithmeticError("numerical failure")
+        monkeypatch.setattr(cli, "run_sweep", failing)
         rc = main(["sweep", "--quantity", "static_shear", "--e", "0.1",
                    "--b", "10", "--a", "20"])
         assert rc == 1
         assert "compute error" in capsys.readouterr().err
+
+    def test_import_leaves_out_scipy_integrate(self):
+        # only the quadrature validation route needs scipy.integrate
+        src = str(Path(diracvisc.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        code = ("import sys, diracvisc.cli; "
+                "print('scipy.integrate' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
     def test_validate_landau_scba_reinsertion(self):
         name, status, detail = next(
