@@ -8,6 +8,7 @@ All viscosities are in hbar/nm^2 and include the spin-valley degeneracy.
 """
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -342,26 +343,10 @@ def _pair_energies(spectrum: LandauSpectrum, n: np.ndarray | None = None):
     return out
 
 
-def hall_static_numeric(E: float, params: ModelParams,
-                        spectrum: LandauSpectrum, *,
-                        sigma: SelfEnergySolution | complex | None = None) -> ViscosityValue:
-    """Static Hall viscosity: Fermi-surface (I) channels at E plus the
-    Fermi-sea (II) channel.
-
-    The zero-temperature Fermi-sea integral is evaluated exactly through the
-    antiderivatives of (1 - dSigma/dw) G^n, leaving closed expressions in
-    z(E) = E - Sigma(E); the deep sea cancels pairwise.
-    """
-    _require_zero_temperature(params)
-    s = _resolve_sigma(sigma, lambda: solve_self_energy_landau(
-        E, params, spectrum))
-    if s.imag > -_GAP_FLOOR:
-        s = complex(s.real, -_GAP_FLOOR)
-    z = E - s
-    W = spectrum.hbar_omega_c ** 2
-    lb2 = spectrum.l_B ** 2
-    scale = params.degeneracy / 4.0
-
+def _hall_sums_direct(z: complex,
+                      spectrum: LandauSpectrum) -> tuple[float, float, float]:
+    """(I, Im surface, log) sums of hall_static_numeric, summed level by
+    level over the four (s, s') chains."""
     sum_i = 0.0
     sum_surface = 0.0 + 0.0j
     sum_log = 0.0
@@ -373,9 +358,100 @@ def hall_static_numeric(E: float, params: ModelParams,
         sum_surface += np.sum(w * (Ga + Gb) / delta)
         sum_log += np.sum(w * (2.0 / delta ** 2)
                           * (np.log(z - Ea) - np.log(z - Eb)).imag)
+    return sum_i, sum_surface.imag, sum_log
 
+
+# B_2k / (2k)! and the derivative order j = 2k - 1 it multiplies, k = 2..4
+_EULER_MACLAURIN = ((-1.0 / 720.0, 3), (1.0 / 30240.0, 5),
+                    (-1.0 / 1209600.0, 7))
+
+
+def _weighted_log_sum(a: complex, hi: int) -> complex:
+    """sum_{m=1}^{hi} m Log(m - a) in O(|a|).
+
+    The first K - 1 terms, K = min(2|a| + 50, hi), are summed directly and
+    the smooth rest m = K..hi by Euler-Maclaurin (DLMF 2.10.1) on
+    f(x) = x Log(x - a). With u = x - a: antiderivative
+    u^2/2 Log u - u^2/4 + a (u Log u - u), f' = Log u + 1 + a/u and
+    f^(j) = -(j-2)! (1 - (j-1) a/u) / u^(j-1) for odd j >= 3. Im u = -Im a
+    is constant and Re u > |a| on the tail, so the principal logs stay on
+    one branch.
+    """
+    k = min(int(2.0 * abs(a)) + 50, hi)
+    m = np.arange(1.0, k)
+    head = np.sum(m * np.log(m - a))
+    x = np.array([k, hi], dtype=float)
+    u = x - a
+    log_u = np.log(u)
+    ends = (0.5 * u * u * log_u - 0.25 * u * u + a * (u * log_u - u)
+            + (log_u + 1.0 + a / u) / 12.0)
+    for coeff, j in _EULER_MACLAURIN:
+        ends -= (coeff * math.factorial(j - 2) * (1.0 - (j - 1) * a / u)
+                 / u ** (j - 1))
+    f = x * log_u
+    return head + ends[1] - ends[0] + 0.5 * (f[0] + f[1])
+
+
+def _hall_sums(z: complex,
+               spectrum: LandauSpectrum) -> tuple[float, float, float]:
+    """The sums of _hall_sums_direct in O(|a|), a = z^2 / (hbar w_c)^2.
+
+    With W = (hbar w_c)^2, N = N_c and S(c) = pole_sum(c, 0, N - 2):
+    - I: the band sums factor into g_n, giving 8 Im _pair_sum(z, conj z).
+    - surface: the chains sum to (1/W) sum_n (n+1)[2a/(a-2-n) + 2a/(a-n)
+      - 4]; the real -4 drops out of the imaginary part, leaving
+      (2a/W)[(a+1) S(a) + (a-1) S(a-2) - 2(N-1)].
+    - log: for either band index the chain weights sum to (n+1)/W, and for
+      Im z > 0, Im[Log(z - sqrt(m) hbar w_c) + Log(z + sqrt(m) hbar w_c)]
+      = pi + Im Log(m - a). Summation by parts gives the weights 1, 4m
+      (m = 1..N-2), -(N-2)^2 and -(N-1)^2 on m = 0..N; they sum to 0, so
+      the pi terms cancel and _weighted_log_sum carries the 4m part.
+    Like shear_pair_sums, the ladder is summed directly once |a| > N_c,
+    and also when it holds no (n, n + 2) pair (N_c < 2).
+    """
+    W = spectrum.hbar_omega_c ** 2
+    a = z * z / W
+    n = spectrum.n_cutoff
+    if abs(a) > n or n < 2:
+        return _hall_sums_direct(z, spectrum)
+    hi = n - 2
+    sum_i = 8.0 * _pair_sum(z, z.conjugate(), W, hi).imag
+    surface = (2.0 * a / W) * ((a + 1.0) * pole_sum(a, 0, hi)
+                               + (a - 1.0) * pole_sum(a - 2.0, 0, hi)
+                               - 2.0 * (hi + 1))
+    logs = (cmath.log(-a) + 4.0 * _weighted_log_sum(a, hi)
+            - (n - 2) ** 2 * cmath.log(n - 1 - a)
+            - (n - 1) ** 2 * cmath.log(n - a))
+    return sum_i, surface.imag, 2.0 / W * logs.imag
+
+
+def hall_static_numeric(E: float, params: ModelParams,
+                        spectrum: LandauSpectrum, *,
+                        sigma: SelfEnergySolution | complex | None = None) -> ViscosityValue:
+    """Static Hall viscosity: Fermi-surface (I) channels at E plus the
+    Fermi-sea (II) channel.
+
+    The zero-temperature Fermi-sea integral is evaluated exactly through the
+    antiderivatives of (1 - dSigma/dw) G^n, leaving closed expressions in
+    z(E) = E - Sigma(E); the deep sea cancels pairwise. The sums over the
+    four (s, s') level chains are taken in closed form by _hall_sums, in
+    O(|z|^2 / (hbar w_c)^2) time whatever N_c, so a ladder is materialized
+    only when it ends below the energy. Inside gaps Im Sigma is held at
+    -_GAP_FLOOR to keep G retarded.
+    """
+    _require_zero_temperature(params)
+    s = _resolve_sigma(sigma, lambda: solve_self_energy_landau(
+        E, params, spectrum))
+    if s.imag > -_GAP_FLOOR:
+        s = complex(s.real, -_GAP_FLOOR)
+    z = E - s
+    W = spectrum.hbar_omega_c ** 2
+    lb2 = spectrum.l_B ** 2
+    scale = params.degeneracy / 4.0
+
+    sum_i, sum_surface, sum_log = _hall_sums(z, spectrum)
     eta_i = scale * W / (16.0 * math.pi ** 2 * lb2) * sum_i
-    eta_ii = scale * W / (8.0 * math.pi ** 2 * lb2) * (sum_surface.imag - sum_log)
+    eta_ii = scale * W / (8.0 * math.pi ** 2 * lb2) * (sum_surface - sum_log)
     tag, _, low = detect_regime(E, params, spectrum, s)
     return ViscosityValue(value=eta_i + eta_ii,
                           channels={"RA": eta_i, "RR": 0.0, "II": eta_ii},

@@ -12,7 +12,9 @@ from diracvisc import (LandauSpectrum, ModelParams, OVERLAPPED, SEPARATED,
                        shear_bfield_analytic, shear_bfield_dirac_limit,
                        shear_bfield_numeric, solve_self_energy_landau,
                        stress_element_xx_minus_yy, stress_element_xy)
-from diracvisc.kubo_static import (_k_kernel, _k_kernel_quad,
+from diracvisc import kubo_static, model
+from diracvisc.kubo_static import (_hall_sums, _hall_sums_direct, _k_kernel,
+                                   _k_kernel_quad, _weighted_log_sum,
                                    hall_fermi_sea_quadrature,
                                    shear_pair_sums, shear_pair_sums_direct)
 from test_scba import ladder_cases, solved_z
@@ -297,6 +299,119 @@ class TestShearPairSums:
         assert got == shear_pair_sums_direct(z, spectrum)
         for c, ref in zip(got, direct_pair_sums(z, spectrum)):
             assert c == pytest.approx(ref, rel=1e-11)
+
+
+# ---------------------------------------------------------------------------
+# closed-form static Hall sums
+# ---------------------------------------------------------------------------
+
+def collapsed_log_sum(z, spectrum, chunk=500_000):
+    """Reference for the Fermi-sea log sum: (2/W) sum_{m=0}^{N_c} c_m
+    Im Log(m - a), a = z^2/W, weights c = (1, 4m for m = 1..N_c-2,
+    -(N_c-2)^2, -(N_c-1)^2), added by math.fsum in chunks."""
+    W = spectrum.hbar_omega_c ** 2
+    n = spectrum.n_cutoff
+    a = z * z / W
+
+    def terms():
+        for lo in range(0, n + 1, chunk):
+            m = np.arange(lo, min(lo + chunk, n + 1), dtype=float)
+            c = 4.0 * m
+            c[m == 0] = 1.0
+            c[m == n - 1] = -float((n - 2) ** 2)
+            c[m == n] = -float((n - 1) ** 2)
+            yield from (c * np.log(m - a).imag).tolist()
+
+    return 2.0 / W * math.fsum(terms())
+
+
+def direct_weighted_log_sum(a, hi):
+    """sum_{m=1}^{hi} m Log(m - a), real and imaginary parts by math.fsum."""
+    m = np.arange(1.0, hi + 1)
+    terms = m * np.log(m - a)
+    return complex(math.fsum(terms.real), math.fsum(terms.imag))
+
+
+def hall_by_loop(monkeypatch, *args, **kwargs):
+    """hall_static_numeric with its ladder sums taken level by level."""
+    with monkeypatch.context() as m:
+        m.setattr(kubo_static, "_hall_sums", _hall_sums_direct)
+        return hall_static_numeric(*args, **kwargs)
+
+
+class TestHallSums:
+    def test_fig3_grid_matches_level_loop(self, monkeypatch):
+        # the fig3 preset: 10 T, E in [-0.3, 0.3] (121 points), A = 50,
+        # 100, 500; each channel against its column maximum, since inside
+        # gaps the I channel's Im*Im products are rounding noise
+        energies = np.linspace(-0.3, 0.3, 121)
+        got, ref = [], []
+        for A in (50.0, 100.0, 500.0):
+            params = ModelParams(disorder_A=A)
+            spectrum = build_spectrum(params, 10.0)
+            sigma = solve_self_energy_landau(energies, params, spectrum).sigma
+            for E, s in zip(energies, sigma):
+                got.append(hall_static_numeric(E, params, spectrum, sigma=s))
+                ref.append(hall_by_loop(monkeypatch, E, params, spectrum,
+                                        sigma=s))
+
+        def column(values, key):
+            return np.array([v.value if key == "value" else v.channels[key]
+                             for v in values])
+
+        for key, tol in (("RA", 1e-13), ("II", 1e-9), ("value", 1e-9)):
+            dev = np.abs(column(got, key) - column(ref, key)).max()
+            assert dev <= tol * np.abs(column(ref, key)).max(), key
+        assert all(g.regime_tag == r.regime_tag for g, r in zip(got, ref))
+
+    @pytest.mark.parametrize("B", [10.0, 1.0, 0.1])
+    @pytest.mark.parametrize("A", [20.0, 500.0])
+    @pytest.mark.parametrize("E", [0.05, -0.12, 0.3])
+    def test_fermi_sea_log_sum_matches_fsum(self, B, A, E):
+        z, spectrum = solved_z(B, A, E)
+        _, _, sum_log = _hall_sums(z, spectrum)
+        assert sum_log == pytest.approx(collapsed_log_sum(z, spectrum),
+                                        rel=1e-12)
+
+    @pytest.mark.parametrize("hi", [60, 3_937, 393_807])
+    def test_euler_maclaurin_tail_matches_fsum(self, hi):
+        spectrum = build_spectrum(ModelParams(disorder_A=500.0), 10.0)
+        W = spectrum.hbar_omega_c ** 2
+        e_gap = 0.5 * (1.0 + math.sqrt(2.0)) * spectrum.hbar_omega_c
+        cases = [
+            complex(-0.37, 0.0),                      # E = 0: real a < 0
+            complex(e_gap, 1e-15) ** 2 / W,           # Im z at the gap floor
+            complex(5.0, -4.9),                       # |a| = 7.0
+        ]
+        for a in cases:
+            got = _weighted_log_sum(a, hi)
+            ref = direct_weighted_log_sum(a, hi)
+            assert got.real == pytest.approx(ref.real, rel=1e-13)
+            assert got.imag == pytest.approx(ref.imag, rel=1e-12, abs=0.0)
+
+    def test_short_ladder_falls_back_to_level_loop(self, params50,
+                                                   monkeypatch):
+        # |z^2 / W| > N_c: past the ladder's end, summed level by level
+        spectrum = small_spectrum(n_cutoff=4)
+        z = complex(60.0 * spectrum.hbar_omega_c, 0.01)
+        assert abs(z * z) / spectrum.hbar_omega_c ** 2 > spectrum.n_cutoff
+        assert _hall_sums(z, spectrum) == _hall_sums_direct(z, spectrum)
+        E, sigma = z.real, complex(0.0, -z.imag)
+        assert (hall_static_numeric(E, params50, spectrum, sigma=sigma)
+                == hall_by_loop(monkeypatch, E, params50, spectrum,
+                                sigma=sigma))
+        # a ladder with no (n, n + 2) pair has empty sums
+        z = complex(0.3 * spectrum.hbar_omega_c, 0.01)
+        assert _hall_sums(z, small_spectrum(n_cutoff=1)) == (0.0, 0.0, 0.0)
+
+    def test_no_level_is_materialized(self, params50, spectrum10_50,
+                                      monkeypatch):
+        # the ladder has 3,939 levels; a 10-level cap stops any level loop
+        expected = hall_static_numeric(0.12, params50, spectrum10_50)
+        monkeypatch.setattr(model, "MAX_MATERIALIZED_LEVELS", 10)
+        with pytest.raises(ValueError, match="stop at 10"):
+            _hall_sums_direct(1j, spectrum10_50)
+        assert hall_static_numeric(0.12, params50, spectrum10_50) == expected
 
 
 class TestParity:

@@ -15,11 +15,13 @@ from diracvisc import (GridSpec, ModelParams, SweepSpec, build_spectrum,
                        solve_self_energy_landau)
 from diracvisc import cli, sweep
 from diracvisc.cli import main
-from diracvisc.kubo_static import shear_pair_sums, shear_pair_sums_direct
+from diracvisc.kubo_static import (_hall_sums, shear_pair_sums,
+                                   shear_pair_sums_direct)
 from diracvisc.model import MAX_MATERIALIZED_LEVELS
 from diracvisc.scba import landau_green_sum_direct
 from diracvisc.sweep import QUANTITIES
-from test_kubo_static import small_spectrum
+from test_kubo_static import collapsed_log_sum, small_spectrum
+from test_scba import solved_z
 
 
 def tiny_spec(**overrides):
@@ -238,12 +240,25 @@ class TestPhysicalLadder:
         assert [r.value for r in rows] == [r.value for r in ref]
 
     def test_level_by_level_sum_past_the_cap_is_usage_error(self, capsys):
-        # 0.01 T: 3.9e6 levels, which the static Hall sum would materialize
-        rc = main(["sweep", "--quantity", "static_hall", "--e", "0.1",
-                   "--b", "0.01", "--a", "20"])
+        # 0.01 T: 3.9e6 levels, which the dynamic Hall sum would materialize
+        rc = main(["sweep", "--quantity", "dynamic_hall", "--e", "0.1",
+                   "--b", "0.01", "--omega", "0.05", "--a", "20"])
         assert rc == 2
         err = capsys.readouterr().err
         assert "usage error" in err and str(MAX_MATERIALIZED_LEVELS) in err
+
+    def test_static_hall_past_the_cap_runs(self, capsys):
+        # 0.01 T: 3.9e6 levels, summed in closed form with no cap
+        rc = main(["sweep", "--quantity", "static_hall", "--e", "0.1",
+                   "--b", "0.01", "--a", "20"])
+        assert rc == 0
+        row = capsys.readouterr().out.splitlines()[-1].split(",")
+        assert row[-1] == "true" and math.isfinite(float(row[4]))
+        z, spectrum = solved_z(0.01, 20.0, 0.1)
+        assert spectrum.n_cutoff == 3_938_085 > MAX_MATERIALIZED_LEVELS
+        _, _, sum_log = _hall_sums(z, spectrum)
+        assert sum_log == pytest.approx(collapsed_log_sum(z, spectrum),
+                                        rel=1e-12)
 
     def test_dynamic_shear_window_needs_no_cap(self):
         # 0.05 T: 7.9e5 levels, of which the window sum builds ~1.2e3
