@@ -22,7 +22,7 @@ from .kubo_static import (_hall_sums, _hall_sums_direct, hall_static_numeric,
                           shear_b0_analytic, shear_b0_numeric,
                           shear_bfield_numeric, shear_pair_sums,
                           shear_pair_sums_direct)
-from .kubo_dynamic import static_limit_check
+from .kubo_dynamic import _hall_dynamic_terms, hall_dynamic, static_limit_check
 from .sweep import (QUANTITIES, GridSpec, SweepSpec, figure_preset,
                     result_to_csv, result_to_json, result_to_svg, run_sweep)
 from .vertex import vertex_correction_b0, vertex_correction_landau
@@ -173,6 +173,25 @@ def _validate_checks():
            f"SCBA step, RA, RR at 4 energies: max rel dev {worst:.1e}; "
            f"Hall I, II surface, II log: max dev {worst_hall:.1e} "
            f"of column max")
+
+    # the T = 0 dynamic Hall sum over its Fermi window vs every ladder term,
+    # rounded once, on every sixth frequency of the fig5 grid
+    fig5 = figure_preset("fig5")
+    params = ModelParams(disorder_A=fig5.a_values[0])
+    spectrum = build_spectrum(params, fig5.b_grid.start)
+    gamma = spectrum.hbar_omega_c / 50.0
+    ladder = spectrum.level_indices()[:-2]
+    points = [(E, Omega) for E in fig5.e_grid.values()
+              for Omega in fig5.omega_grid.values()[::6]]
+    window = np.array([hall_dynamic(E, Omega, params, spectrum, gamma)
+                       for E, Omega in points])
+    full = np.array([math.fsum(_hall_dynamic_terms(
+        E, Omega, params, spectrum, gamma, ladder, False))
+        for E, Omega in points])
+    dev = np.abs(window - full).max() / np.abs(full).max()
+    yield ("dynamic Hall Fermi-window sum vs full ladder (B=10 T, A=500)",
+           PASS if dev <= 1e-11 else FAIL,
+           f"{len(points)} fig5 points: max dev {dev:.1e} of column max")
 
     # batched Landau SCBA roots re-inserted into the level-by-level ladder
     energies = np.linspace(-0.3, 0.3, 41)

@@ -47,18 +47,27 @@ def _classify(e_from: float, e_to: float) -> str:
     return ELECTRON_ELECTRON if e_from > 0.0 else HOLE_HOLE
 
 
+def _window_top(reach: float, spectrum: LandauSpectrum) -> int:
+    """Largest lower index n of the pairs (n, n + 2) with sqrt(n) hbar w_c
+    <= reach, plus one index of margin against rounding; capped at N_c - 2."""
+    return min(int((reach / spectrum.hbar_omega_c) ** 2) + 1,
+               spectrum.n_cutoff - 2)
+
+
 def transition_table(e_fermi: float, spectrum: LandauSpectrum,
                      omega_max: float) -> list[Transition]:
     """All occupied -> empty level pairs with |dn| = 2 and |dE| <= omega_max.
 
     A level is occupied iff its energy is <= e_fermi. Deterministic order:
-    by frequency, then level indices.
+    by frequency, then level indices. Both levels of such a transition lie
+    within omega_max of e_fermi, so only the pairs (n, n + 2) with
+    sqrt(n) hbar w_c <= |e_fermi| + omega_max are visited.
     """
     if omega_max <= 0:
         raise ValueError(f"omega_max must be positive, got {omega_max}")
     hwc = spectrum.hbar_omega_c
     out: list[Transition] = []
-    for n in spectrum.level_indices()[:-2].tolist():
+    for n in range(_window_top(abs(e_fermi) + omega_max, spectrum) + 1):
         lo_states = [(n, 1)] if n == 0 else [(n, 1), (n, -1)]
         hi_states = [(n + 2, 1), (n + 2, -1)]
         for a in lo_states:
@@ -238,6 +247,37 @@ def shear_dynamic_bfield(E: float, Omega: float, params: ModelParams,
     return pref * float(np.sum(wq * occ * tot))
 
 
+def _hall_dynamic_terms(E: float, Omega: float, params: ModelParams,
+                        spectrum: LandauSpectrum, broadening: float,
+                        n: np.ndarray, reduced: bool) -> np.ndarray:
+    """The terms of hall_dynamic over the pairs (n, n + 2), prefactor
+    included: the (s, s') chains (+,+), (+,-), (-,+), (-,-) and then the
+    same chains with the two levels swapped, which enter with a minus sign.
+    """
+    om = abs(Omega)
+    g2 = broadening * broadening
+    hwc = spectrum.hbar_omega_c
+    lo, hi = hwc * np.sqrt(n), hwc * np.sqrt(n + 2.0)
+    e_lo = np.concatenate((lo, lo, -lo, -lo))
+    e_hi = np.concatenate((hi, -hi, hi, -hi))
+    ea = np.concatenate((e_lo, e_hi))
+    eb = np.concatenate((e_hi, e_lo))
+    pref = (params.degeneracy / 4.0) * hwc ** 2 / (
+        8.0 * math.pi * spectrum.l_B ** 2 * om)
+    w = np.repeat((pref, -pref), e_lo.size) * np.tile(n + 1.0, 8)
+
+    def f(x):
+        return _fermi(x, E, params.temperature)
+
+    x = om - eb + ea
+    kink = x / (x * x + g2)
+    if reduced:
+        return w * (f(eb) - f(ea)) * kink
+    x2 = om + eb - ea
+    return w * (2.0 * (f(ea + om) - f(ea)) * kink
+                + (f(eb + om) - f(ea - om)) * x2 / (x2 * x2 + g2))
+
+
 def hall_dynamic(E: float, Omega: float, params: ModelParams,
                  spectrum: LandauSpectrum, broadening: float, *,
                  reduced: bool = False) -> float:
@@ -247,34 +287,25 @@ def hall_dynamic(E: float, Omega: float, params: ModelParams,
     reduced form evaluates them at the level energies. In both, swapped
     transition partners enter with a minus sign and cancel pairwise when
     both directions are Pauli-allowed.
+
+    At T = 0 only the pairs (n, n + 2) with sqrt(n) hbar w_c <= |E| + |Omega|
+    are summed (one index of margin). Above that every level and every
+    shifted level lies on one side of E: the Fermi differences of the
+    (+,+) and (-,-) chains are 0, and the (+,-) and (-,+) chains carry the
+    same weight n + 1 and the same |E_b - E_a| with opposite signs, so
+    their terms cancel one by one. At T > 0 no Fermi factor is exactly 0
+    or 1, and the whole ladder is summed.
     """
     if Omega == 0:
         raise ValueError("Omega must be nonzero")
     if broadening <= 0:
         raise ValueError(f"broadening must be positive, got {broadening}")
-    om = abs(Omega)
-    g2 = broadening * broadening
-    T = params.temperature
-
-    def f(x):
-        return _fermi(x, E, T)
-
-    tot = 0.0
-    for Ea, Eb, w in _pair_energies(spectrum):
-        for ea, eb, sgn in ((Ea, Eb, 1.0), (Eb, Ea, -1.0)):
-            x = om - eb + ea
-            kink = x / (x * x + g2)
-            if reduced:
-                tot += sgn * np.sum((w / om) * (f(eb) - f(ea)) * kink)
-            else:
-                x2 = om + eb - ea
-                kink2 = x2 / (x2 * x2 + g2)
-                tot += sgn * np.sum((w / om) * (
-                    2.0 * (f(ea + om) - f(ea)) * kink
-                    + (f(eb + om) - f(ea - om)) * kink2))
-    W = spectrum.hbar_omega_c ** 2
-    pref = (params.degeneracy / 4.0) * W / (8.0 * math.pi * spectrum.l_B ** 2)
-    return pref * float(tot)
+    if params.temperature > 0:
+        n = spectrum.level_indices()[:-2]
+    else:
+        n = np.arange(_window_top(abs(E) + abs(Omega), spectrum) + 1)
+    return float(np.sum(_hall_dynamic_terms(E, Omega, params, spectrum,
+                                            broadening, n, reduced)))
 
 
 def counterpart_pair_sum(n: int, e_fermi: float, Omega: float,

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diracvisc import (ELECTRON_ELECTRON, ELECTRON_HOLE, HOLE_HOLE,
                        ModelParams, hall_dynamic,
@@ -9,8 +11,56 @@ from diracvisc import (ELECTRON_ELECTRON, ELECTRON_HOLE, HOLE_HOLE,
                        shear_bfield_numeric, shear_dynamic_b0,
                        shear_dynamic_b0_ee_limit, shear_dynamic_b0_eh_limit,
                        shear_dynamic_bfield, static_limit_check,
-                       transition_table)
-from diracvisc.kubo_dynamic import counterpart_pair_sum
+                       build_spectrum, transition_table)
+from diracvisc.kubo_dynamic import _fermi, counterpart_pair_sum
+from diracvisc.kubo_static import _pair_energies
+
+
+def hall_dynamic_full_ladder(E, Omega, params, spectrum, broadening,
+                             reduced=False):
+    """hall_dynamic summed over every (s, s') chain of the whole ladder in
+    both directions, rounded once (math.fsum); the term list is returned
+    too."""
+    om = abs(Omega)
+    g2 = broadening * broadening
+
+    def f(x):
+        return _fermi(x, E, params.temperature)
+
+    terms = []
+    for Ea, Eb, w in _pair_energies(spectrum):
+        for ea, eb, sgn in ((Ea, Eb, 1.0), (Eb, Ea, -1.0)):
+            x = om - eb + ea
+            kink = x / (x * x + g2)
+            if reduced:
+                terms.append(sgn * (w / om) * (f(eb) - f(ea)) * kink)
+            else:
+                x2 = om + eb - ea
+                kink2 = x2 / (x2 * x2 + g2)
+                terms.append(sgn * (w / om) * (
+                    2.0 * (f(ea + om) - f(ea)) * kink
+                    + (f(eb + om) - f(ea - om)) * kink2))
+    terms = np.concatenate(terms)
+    pref = (params.degeneracy / 4.0) * spectrum.hbar_omega_c ** 2 / (
+        8.0 * math.pi * spectrum.l_B ** 2)
+    return pref * math.fsum(terms), pref * terms
+
+
+def transition_table_full_ladder(e_fermi, spectrum, omega_max):
+    """transition_table's loop over every pair (n, n + 2) of the ladder."""
+    hwc = spectrum.hbar_omega_c
+    out = []
+    for n in spectrum.level_indices()[:-2].tolist():
+        lo_states = [(n, 1)] if n == 0 else [(n, 1), (n, -1)]
+        for a in lo_states:
+            ea = a[1] * hwc * math.sqrt(a[0])
+            for b in ((n + 2, 1), (n + 2, -1)):
+                eb = b[1] * hwc * math.sqrt(b[0])
+                for (i, ei), (f, ef) in (((a, ea), (b, eb)),
+                                         ((b, eb), (a, ea))):
+                    if ei <= e_fermi < ef and 0.0 < ef - ei <= omega_max:
+                        out.append((ef - ei, i, f, float(n + 1)))
+    return sorted(out)
 
 
 class TestTransitionTable:
@@ -54,6 +104,25 @@ class TestTransitionTable:
     def test_rejects_bad_omega_max(self, params500, spectrum10_500):
         with pytest.raises(ValueError):
             transition_table(0.0, spectrum10_500, 0.0)
+
+    @pytest.mark.parametrize("b_field,e_fermis,omega_maxes,levels", [
+        (10.0, (-0.4, -0.13, 0.0, 0.05, 0.13, 3.0), (0.02, 0.1, 0.45),
+         (1, 3, 8)),
+        (1.0, (-0.13, 0.05), (0.02, 0.1), (1, 8))])
+    def test_window_matches_full_ladder(self, params500, b_field, e_fermis,
+                                        omega_maxes, levels):
+        spectrum = build_spectrum(params500, b_field)
+        hwc = spectrum.hbar_omega_c
+        cases = [(e_f, om) for e_f in e_fermis for om in omega_maxes]
+        # Fermi energy on a level, omega_max on a transition frequency
+        for k in levels:
+            e_k = hwc * math.sqrt(k)
+            cases += [(e_k, hwc * math.sqrt(k + 2) - e_k),
+                      (-e_k, e_k + hwc * math.sqrt(k + 2))]
+        for e_f, om in cases:
+            tab = [(t.frequency, t.from_state, t.to_state, t.weight)
+                   for t in transition_table(e_f, spectrum, om)]
+            assert tab == transition_table_full_ladder(e_f, spectrum, om)
 
 
 class TestShearDynamicB0:
@@ -312,6 +381,90 @@ class TestHallDynamic:
             hall_dynamic(0.05, 0.0, params500, spectrum10_500, 0.01)
         with pytest.raises(ValueError):
             hall_dynamic(0.05, 0.1, params500, spectrum10_500, 0.0)
+
+
+FIG5_E = np.linspace(0.05, 0.22, 4)
+FIG5_OMEGA = np.linspace(0.02, 0.45, 87)
+
+
+def window_and_ladder(E_grid, Omega_grid, params, spectrum, gamma, reduced):
+    window = np.array([[hall_dynamic(E, om, params, spectrum, gamma,
+                                     reduced=reduced) for om in Omega_grid]
+                       for E in E_grid])
+    ladder = np.array([[hall_dynamic_full_ladder(E, om, params, spectrum,
+                                                 gamma, reduced)[0]
+                        for om in Omega_grid] for E in E_grid])
+    return window, ladder
+
+
+class TestHallDynamicWindow:
+    """The T = 0 sum over the Fermi window against every term of the
+    ladder, rounded once; the dropped pairs cancel exactly."""
+
+    @pytest.mark.parametrize("reduced", [False, True],
+                             ids=["full", "reduced"])
+    def test_fig5_grid(self, params500, spectrum10_500, reduced):
+        window, ladder = window_and_ladder(
+            FIG5_E, FIG5_OMEGA[::2], params500, spectrum10_500,
+            spectrum10_500.hbar_omega_c / 50.0, reduced)
+        assert np.abs(window - ladder).max() <= 1e-12 * np.abs(ladder).max()
+
+    @pytest.mark.parametrize("reduced", [False, True],
+                             ids=["full", "reduced"])
+    def test_one_tesla_grid(self, params500, reduced):
+        spectrum = build_spectrum(params500, 1.0)
+        window, ladder = window_and_ladder(
+            (0.0, 0.02, 0.05), np.linspace(0.005, 0.08, 7), params500,
+            spectrum, spectrum.hbar_omega_c / 50.0, reduced)
+        assert np.abs(window - ladder).max() <= 1e-12 * np.abs(ladder).max()
+
+    @pytest.mark.parametrize("E_levels,Omega_levels", [
+        (1.0, 1.0),                       # |E| + Omega = 2 hwc exactly
+        (-1.0, 1.0),
+        (0.4, math.sqrt(3.0) - 0.4)])     # sqrt(3) hwc up to rounding
+    def test_level_on_the_window_edge(self, params500, spectrum10_500,
+                                      E_levels, Omega_levels):
+        # the pair whose lower level sits at |E| + |Omega| still counts:
+        # there E - Omega or E + Omega meets a level exactly
+        hwc = spectrum10_500.hbar_omega_c
+        gamma = hwc / 50.0
+        E, om = E_levels * hwc, Omega_levels * hwc
+        for reduced in (False, True):
+            v = hall_dynamic(E, om, params500, spectrum10_500, gamma,
+                             reduced=reduced)
+            ref, terms = hall_dynamic_full_ladder(E, om, params500,
+                                                  spectrum10_500, gamma,
+                                                  reduced)
+            assert abs(v - ref) <= 1e-13 * np.abs(terms).max()
+
+    def test_finite_temperature_sums_the_whole_ladder(self, spectrum10_500):
+        params = ModelParams(disorder_A=500.0, temperature=1e-3)
+        gamma = spectrum10_500.hbar_omega_c / 50.0
+        for E, om in ((0.05, 0.162), (0.13, 0.2), (-0.2, 0.45)):
+            for reduced in (False, True):
+                v = hall_dynamic(E, om, params, spectrum10_500, gamma,
+                                 reduced=reduced)
+                ref, _ = hall_dynamic_full_ladder(E, om, params,
+                                                  spectrum10_500, gamma,
+                                                  reduced)
+                assert v == pytest.approx(ref, rel=1e-10)
+
+    @settings(max_examples=30, deadline=None)
+    @given(B=st.floats(1.0, 10.0), E=st.floats(-0.3, 0.3),
+           Omega=st.floats(1e-3, 0.5) | st.floats(-0.5, -1e-3),
+           gamma_div=st.floats(5.0, 200.0), reduced=st.booleans())
+    def test_any_point_matches_full_ladder(self, params500, B, E, Omega,
+                                           gamma_div, reduced):
+        spectrum = build_spectrum(params500, B)
+        gamma = spectrum.hbar_omega_c / gamma_div
+        v = hall_dynamic(E, Omega, params500, spectrum, gamma,
+                         reduced=reduced)
+        ref, terms = hall_dynamic_full_ladder(E, Omega, params500, spectrum,
+                                              gamma, reduced)
+        # against the largest single term: where the kinks cancel, the
+        # value itself is rounding noise, and the oracle's own rounding
+        # grows like sqrt(N_c) (1.9e-14 of that term at 1 T)
+        assert abs(v - ref) <= 1e-12 * np.abs(terms).max()
 
 
 class TestFiniteTemperature:

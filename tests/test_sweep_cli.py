@@ -240,12 +240,22 @@ class TestPhysicalLadder:
         assert [r.value for r in rows] == [r.value for r in ref]
 
     def test_level_by_level_sum_past_the_cap_is_usage_error(self, capsys):
-        # 0.01 T: 3.9e6 levels, which the dynamic Hall sum would materialize
+        # 0.01 T: 3.9e6 levels, which the finite-T dynamic Hall sum would
+        # materialize
         rc = main(["sweep", "--quantity", "dynamic_hall", "--e", "0.1",
-                   "--b", "0.01", "--omega", "0.05", "--a", "20"])
+                   "--b", "0.01", "--omega", "0.05", "--a", "20",
+                   "--fixed", '{"temperature": 0.001}'])
         assert rc == 2
         err = capsys.readouterr().err
         assert "usage error" in err and str(MAX_MATERIALIZED_LEVELS) in err
+
+    def test_zero_temperature_dynamic_hall_past_the_cap_runs(self, capsys):
+        # 0.01 T, T = 0: only the ~1.7e3 pairs of the Fermi window are summed
+        rc = main(["sweep", "--quantity", "dynamic_hall", "--e", "0.1",
+                   "--b", "0.01", "--omega", "0.05", "--a", "20"])
+        assert rc == 0
+        row = capsys.readouterr().out.splitlines()[-1].split(",")
+        assert row[-1] == "true" and math.isfinite(float(row[4]))
 
     def test_static_hall_past_the_cap_runs(self, capsys):
         # 0.01 T: 3.9e6 levels, summed in closed form with no cap
@@ -467,6 +477,12 @@ class TestCli:
         status = next(status for name, status, _ in cli._validate_checks()
                       if name.startswith("Landau ladder"))
         assert status == cli.PASS
+
+    def test_validate_dynamic_hall_window(self):
+        name, status, detail = next(
+            row for row in cli._validate_checks()
+            if row[0].startswith("dynamic Hall Fermi-window sum"))
+        assert status == cli.PASS, detail
 
     def test_io_error_exit_code(self, capsys):
         rc = main(["sweep", "--quantity", "dos", "--e", "1.5", "--a", "20",
