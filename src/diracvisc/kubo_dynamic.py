@@ -1,23 +1,26 @@
 """Frequency-dependent shear and Hall viscosities.
 
-B = 0: zero-temperature window integrals of the Kubo kernel over
-omega in [E - Omega, E], with the self-energy solved at every node.
-B != 0: Landau-level transition sums with |dn| = 2, either with the SCBA
-self-energy or with a constant broadening for clean-limit studies.
+B = 0: window integrals of the Kubo kernel over omega in [E - Omega, E],
+with the self-energy solved at every node. B != 0: Landau-level transition
+sums with |dn| = 2, either with the SCBA self-energy or with a constant
+broadening for clean-limit studies, integrated over the same window. At
+T > 0 both windows widen by 8 k_B T on each side and carry the Fermi
+factors f(omega) - f(omega + Omega).
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import expit
 
 from .model import LandauSpectrum, ModelParams
-from .kubo_static import (_b0_prefactor, _k_kernel, _pair_energies,
+from .kubo_static import (_b0_prefactor, _g_array, _k_kernel,
                           hall_static_numeric, shear_b0_numeric,
                           shear_bfield_numeric)
-from .scba import solve_self_energy_b0, solve_self_energy_landau
+from .scba import (level_width, solve_self_energy_b0,
+                   solve_self_energy_landau)
 
 ELECTRON_HOLE = "electron_hole"
 ELECTRON_ELECTRON = "electron_electron"
@@ -90,13 +93,10 @@ def transition_table(e_fermi: float, spectrum: LandauSpectrum,
 
 def _gauss_panels(lo: float, hi: float, breakpoints, rule):
     xs, ws = rule
-    bks = sorted({lo, hi, *[b for b in breakpoints if lo < b < hi]})
-    nodes, weights = [], []
-    for a, b in zip(bks[:-1], bks[1:]):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        nodes.append(mid + half * xs)
-        weights.append(half * ws)
-    return np.concatenate(nodes), np.concatenate(weights)
+    bks = np.array(sorted({lo, hi, *[b for b in breakpoints if lo < b < hi]}))
+    mid, half = 0.5 * (bks[:-1] + bks[1:]), 0.5 * (bks[1:] - bks[:-1])
+    return ((mid[:, None] + half[:, None] * xs).ravel(),
+            (half[:, None] * ws).ravel())
 
 
 def _b0_integrand(omega: np.ndarray, big_omega: float,
@@ -184,39 +184,36 @@ def shear_dynamic_bfield(E: float, Omega: float, params: ModelParams,
 
     broadening=None solves the SCBA self-energy at every omega node; a float
     uses constant-width Lorentzian levels (clean-limit studies). Even in
-    Omega. Only the pairs (n, n + 2) with a level inside level_window (the
-    window reach plus a pad of max(100 gamma, 8 hbar w_c)) are summed.
-    With the SCBA self-energy the far terms fall off only like 1/n, so the
-    dropped tail is not small: at 10 T, A = 20, Omega = 3e-4 the result
-    lies 5.5% (E = 0.1 eV) and 14.5% (E = 0) below the static shear, where
-    the same sum over the whole ladder comes within 2.3e-6 and 3.7e-5.
+    Omega. As sum_s 1/(z - s sqrt(n) hbar w_c) = 2 g_n(z) for every n, the
+    four (s, s') level chains factor: a node carries 4 sum_n (n + 1)
+    [Im g_n(z_up) Im g_{n+2}(z_lo) + Im g_n(z_lo) Im g_{n+2}(z_up)], z_lo at
+    omega and z_up at omega + Omega, over the pairs with a level inside
+    level_window (the window reach plus max(100 gamma, 8 hbar w_c)). With
+    the SCBA self-energy the far terms fall off only like 1/n, so the
+    dropped tail is not small: at 10 T, A = 20, Omega = 3e-4 the result lies
+    5.5% (E = 0.1 eV) and 14.5% (E = 0) below the static shear, where the
+    whole ladder comes within 2.3e-6 and 3.7e-5.
     """
     if Omega == 0:
         raise ValueError("Omega must be nonzero")
     om = abs(Omega)
     T = params.temperature
-    pad = 8.0 * T if T > 0 else 0.0
-    lo, hi = E - om - pad, E + pad
-    gam = broadening if broadening is not None else (
-        spectrum.hbar_omega_c / math.sqrt(2.0 * params.disorder_A))
-    level_window = (max(abs(lo), abs(hi)) + om
-                    + max(100.0 * gam, 8.0 * spectrum.hbar_omega_c))
-    # the pairs (n, n + 2) with a level inside the window: n <= (window/hwc)^2
-    n_top = min(int((level_window / spectrum.hbar_omega_c) ** 2),
-                spectrum.n_cutoff - 2)
-    pairs = _pair_energies(spectrum, np.arange(n_top + 1))
+    lo, hi = E - om - 8.0 * T, E + 8.0 * T
+    hwc = spectrum.hbar_omega_c
+    gam = level_width(params, spectrum) if broadening is None else broadening
+    level_window = max(abs(lo), abs(hi)) + om + max(100.0 * gam, 8.0 * hwc)
+    n_top = min(int((level_window / hwc) ** 2), spectrum.n_cutoff - 2)
 
-    bks = []
-    for Ea, Eb, _ in pairs:
-        for lev in (Ea, Eb):
-            sel = lev[(lev > lo - om - 8 * gam) & (lev < hi + om + 8 * gam)]
-            for e in sel:
-                bks.extend((e, e - om, e - 4 * gam, e + 4 * gam,
-                            e - om - 4 * gam, e - om + 4 * gam))
-    # cluster breakpoints closer than a quarter width: panel count control
-    bks = sorted(b for b in set(bks) if lo < b < hi)
+    # breakpoints at the levels +-sqrt(m) hbar w_c, m <= n_top + 2, near the
+    # window, shifted by 0 or -Omega and by 0 or +-4 gamma; clustered closer
+    # than a quarter width (panel count control)
+    lev = hwc * np.sqrt(np.arange(n_top + 3))
+    lev = np.concatenate((lev, -lev))
+    lev = lev[(lev > lo - om - 8 * gam) & (lev < hi + om + 8 * gam)]
+    lev = np.concatenate((lev, lev - om))
+    bks = np.concatenate((lev, lev - 4 * gam, lev + 4 * gam))
     merged = []
-    for b in bks:
+    for b in np.unique(bks[(lo < bks) & (bks < hi)]).tolist():
         if not merged or b - merged[-1] > 0.25 * gam:
             merged.append(b)
     nodes, wq = _gauss_panels(lo, hi, merged, _BFIELD_RULE)
@@ -228,21 +225,12 @@ def shear_dynamic_bfield(E: float, Omega: float, params: ModelParams,
     else:
         z_lo = nodes + 1j * broadening
         z_up = nodes + om + 1j * broadening
+    occ = _fermi(nodes, E, T) - _fermi(nodes + om, E, T)
 
-    if T > 0:
-        occ = _fermi(nodes, E, T) - _fermi(nodes + om, E, T)
-    else:
-        occ = np.ones_like(nodes)
-
-    tot = np.zeros_like(nodes)
-    for Ea, Eb, w in pairs:
-        ia_lo = (1.0 / (z_lo[:, None] - Ea[None, :])).imag
-        ia_up = (1.0 / (z_up[:, None] - Ea[None, :])).imag
-        ib_lo = (1.0 / (z_lo[:, None] - Eb[None, :])).imag
-        ib_up = (1.0 / (z_up[:, None] - Eb[None, :])).imag
-        tot += (ia_up * ib_lo + ia_lo * ib_up) @ w
-    W = spectrum.hbar_omega_c ** 2
-    pref = (params.degeneracy / 4.0) * W / (
+    g_lo, g_up = _g_array(np.stack((z_lo, z_up)), spectrum, n_top + 2).imag
+    tot = 4.0 * ((g_up[:, :-2] * g_lo[:, 2:] + g_lo[:, :-2] * g_up[:, 2:])
+                 @ (np.arange(n_top + 1) + 1.0))
+    pref = (params.degeneracy / 4.0) * hwc ** 2 / (
         8.0 * math.pi ** 2 * spectrum.l_B ** 2 * om)
     return pref * float(np.sum(wq * occ * tot))
 
@@ -311,26 +299,13 @@ def hall_dynamic(E: float, Omega: float, params: ModelParams,
 def counterpart_pair_sum(n: int, e_fermi: float, Omega: float,
                          params: ModelParams, spectrum: LandauSpectrum,
                          broadening: float) -> float:
-    """Reduced-form contribution of the mutually-cancelling interband pair
-    (n,-) -> (n+2,+) and (n,+) -> (n+2,-) alone (diagnostic for the
-    cancellation test)."""
-    hwc = spectrum.hbar_omega_c
-    g2 = broadening * broadening
-    om = abs(Omega)
-
-    def f(x):
-        return 1.0 if x <= e_fermi else 0.0
-
-    tot = 0.0
-    for s, sp in ((-1.0, 1.0), (1.0, -1.0)):
-        ea = s * hwc * math.sqrt(n)
-        eb = sp * hwc * math.sqrt(n + 2)
-        for a, b, sgn in ((ea, eb, 1.0), (eb, ea, -1.0)):
-            x = om - b + a
-            tot += sgn * ((n + 1) / om) * (f(b) - f(a)) * x / (x * x + g2)
-    W = hwc ** 2
-    pref = (params.degeneracy / 4.0) * W / (8.0 * math.pi * spectrum.l_B ** 2)
-    return pref * tot
+    """Zero-temperature reduced-form contribution of the mutually-cancelling
+    interband pair (n,-) -> (n+2,+) and (n,+) -> (n+2,-) alone, both
+    directions (diagnostic for the cancellation test)."""
+    cold = replace(params, temperature=0.0)
+    terms = _hall_dynamic_terms(e_fermi, Omega, cold, spectrum, broadening,
+                                np.array([n]), True)
+    return float(np.sum(terms[[1, 2, 5, 6]]))  # the (+,-) and (-,+) blocks
 
 
 @dataclass(frozen=True)
@@ -362,8 +337,7 @@ def static_limit_check(E: float, params: ModelParams,
     st_v = shear_bfield_numeric(E, params, spectrum)
     dy = shear_dynamic_bfield(E, omega, params, spectrum, broadening)
     hall_st = hall_static_numeric(E, params, spectrum).value
-    gam = broadening if broadening is not None else (
-        spectrum.hbar_omega_c / math.sqrt(2.0 * params.disorder_A))
+    gam = level_width(params, spectrum) if broadening is None else broadening
     hall_dy = hall_dynamic(E, omega, params, spectrum, gam)
     return StaticLimitReport(
         omega=omega, shear_static=st_v.value, shear_dynamic=dy,

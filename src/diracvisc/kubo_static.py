@@ -16,8 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import LandauSpectrum, ModelParams, effective_cyclotron
-from .scba import (SelfEnergySolution, dos, pole_sum, relaxation_time,
-                   solve_self_energy_b0, solve_self_energy_landau)
+from .scba import (SelfEnergySolution, dos, level_width, pole_sum,
+                   relaxation_time, solve_self_energy_b0,
+                   solve_self_energy_landau)
 
 SEPARATED = "separated"
 OVERLAPPED = "overlapped"
@@ -40,8 +41,8 @@ class ViscosityValue:
 # radial momentum integral, B = 0
 # ---------------------------------------------------------------------------
 
-def _t_integral(a, b, T: float):
-    """Exact int_0^T t dt / ((a - t)(b - t)), element-wise over arrays.
+def _t_integral(z1, z2, T):
+    """Exact int_0^T t dt / ((a - t)(b - t)), a = z1^2, b = z2^2, per element.
 
     Principal logs are valid here: Im(a - t) is constant along the real-t
     path, and for real a, b both endpoint logs sit on the same side of the
@@ -49,8 +50,8 @@ def _t_integral(a, b, T: float):
     confluent form; each branch is evaluated only on its own elements.
     Scalar input gives a scalar.
     """
-    a, b = np.broadcast_arrays(np.asarray(a, dtype=complex),
-                               np.asarray(b, dtype=complex))
+    a, b = np.broadcast_arrays(np.asarray(z1 * z1, dtype=complex),
+                               np.asarray(z2 * z2, dtype=complex))
     out = np.empty(a.shape, dtype=complex)
     far = np.abs(a - b) > 1e-8 * (np.abs(a) + np.abs(b))
     af, bf = a[far], b[far]
@@ -61,11 +62,29 @@ def _t_integral(a, b, T: float):
     return out[()]
 
 
+_TINY_Z = 1e-70  # |z| below which _radial integrates in u = t / |z|^2
+
+
+def _radial(integral, z1, z2, T: float):
+    """0.5 z1 z2 integral(z1, z2, T), where integral(z1, z2, T) returns
+    int_0^T t dt / ((z1^2 - t)(z2^2 - t)). Once any |z| < _TINY_Z (at E = 0,
+    z^2 underflows past A ~ 750, the quad integrand past A ~ 350) this is
+    taken in u = t / c^2, c = max(|z1|, |z2|), up to u = 1e30; beyond, the
+    integrand is 1/u to 1e-30 relative, and that part is added as a log."""
+    c = np.maximum(abs(z1), abs(z2))
+    if not (c < _TINY_Z).any():
+        return 0.5 * z1 * z2 * integral(z1, z2, T)
+    log_end = math.log(T) - 2.0 * np.log(c)
+    log_top = np.minimum(log_end, math.log(1e30))
+    scaled = np.vectorize(integral, otypes=[complex])(z1 / c, z2 / c,
+                                                      np.exp(log_top))
+    return 0.5 * z1 * z2 * (scaled + log_end - log_top)
+
+
 def _k_kernel(z1, z2, params: ModelParams):
     """z1 z2 * int_0^{Ec} du u^3 / ((z1^2-u^2)(z2^2-u^2)), u = hbar v_f k,
     element-wise over arrays."""
-    T = params.cutoff_Ec ** 2
-    return 0.5 * z1 * z2 * _t_integral(z1 * z1, z2 * z2, T)
+    return _radial(_t_integral, z1, z2, params.cutoff_Ec ** 2)
 
 
 def _pole_points(z: complex, T: float) -> list[float]:
@@ -84,23 +103,22 @@ def _k_kernel_quad(z1: complex, z2: complex, params: ModelParams,
     """Adaptive Gauss-Kronrod evaluation of _k_kernel (validation route)."""
     from scipy.integrate import quad  # slow to import; only this route uses it
 
-    T = params.cutoff_Ec ** 2
-    a, b = z1 * z1, z2 * z2
-    pts = sorted(set(_pole_points(z1, T) + _pole_points(z2, T)))
+    def integral(z1, z2, T):
+        a, b = z1 * z1, z2 * z2
+        pts = sorted(set(_pole_points(z1, T) + _pole_points(z2, T)))
 
-    def f_re(t):
-        return (t / ((a - t) * (b - t))).real
+        def f(t):
+            return t / ((a - t) * (b - t))
 
-    def f_im(t):
-        return (t / ((a - t) * (b - t))).imag
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            re, _ = quad(lambda t: f(t).real, 0.0, T, points=pts, limit=500,
+                         epsabs=0.0, epsrel=epsrel)
+            im, _ = quad(lambda t: f(t).imag, 0.0, T, points=pts, limit=500,
+                         epsabs=0.0, epsrel=epsrel)
+        return re + 1j * im
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        re, _ = quad(f_re, 0.0, T, points=pts, limit=500, epsabs=0.0,
-                     epsrel=epsrel)
-        im, _ = quad(f_im, 0.0, T, points=pts, limit=500, epsabs=0.0,
-                     epsrel=epsrel)
-    return 0.5 * z1 * z2 * (re + 1j * im)
+    return _radial(integral, z1, z2, params.cutoff_Ec ** 2)
 
 
 def _require_zero_temperature(params: ModelParams) -> None:
@@ -160,9 +178,11 @@ def shear_b0_analytic(E: float, params: ModelParams) -> float:
 # Landau-level sums, B != 0
 # ---------------------------------------------------------------------------
 
-def _g_array(z: complex, spectrum: LandauSpectrum) -> np.ndarray:
-    """g_n = z / (z^2 - n (hbar w_c)^2), n = 0..N_c; n = 0 counted once."""
-    n = spectrum.level_indices()
+def _g_array(z, spectrum: LandauSpectrum, hi: int | None = None):
+    """g_n = z / (z^2 - n (hbar w_c)^2), n = 0..hi (by default N_c), along
+    the last axis: one row per element of an array z; n = 0 counted once."""
+    n = spectrum.level_indices() if hi is None else np.arange(hi + 1)
+    z = np.expand_dims(z, -1)
     return z / (z * z - n * spectrum.hbar_omega_c ** 2)
 
 
@@ -329,12 +349,11 @@ def shear_bfield_analytic(E: float, params: ModelParams,
 _GAP_FLOOR = 1e-15  # minimal |Im Sigma| used inside gaps to keep G retarded
 
 
-def _pair_energies(spectrum: LandauSpectrum, n: np.ndarray | None = None):
-    """(E_a, E_b, n+1) arrays for the four (s, s') chains of |dn| = 2 pairs
-    (n, n + 2), over the lower indices n (by default the whole ladder)."""
+def _pair_energies(spectrum: LandauSpectrum):
+    """(E_a, E_b, n+1) arrays for the four (s, s') chains of the |dn| = 2
+    pairs (n, n + 2) of the whole ladder."""
     hwc = spectrum.hbar_omega_c
-    if n is None:
-        n = spectrum.level_indices()[:-2]
+    n = spectrum.level_indices()[:-2]
     out = []
     for s in (1.0, -1.0):
         for sp in (1.0, -1.0):
@@ -477,7 +496,7 @@ def hall_fermi_sea_quadrature(E: float, params: ModelParams,
     real-axis branch is ambiguous inside gaps).
     """
     hwc = spectrum.hbar_omega_c
-    gamma = hwc / math.sqrt(2.0 * params.disorder_A)
+    gamma = level_width(params, spectrum)
     if bottom_pad is None:
         bottom_pad = 40.0 * gamma
     bottom = -hwc * math.sqrt(spectrum.n_cutoff) - bottom_pad

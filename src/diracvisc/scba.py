@@ -165,6 +165,11 @@ def landau_green_sum(z, spectrum: LandauSpectrum):
     return (z / W) * (2.0 * pole_sum(a, 0, spectrum.n_cutoff) - 1.0 / a)
 
 
+def level_width(params: ModelParams, spectrum: LandauSpectrum) -> float:
+    """The SCBA Landau level width hbar w_c / sqrt(2A)."""
+    return spectrum.hbar_omega_c / math.sqrt(2.0 * params.disorder_A)
+
+
 def solve_self_energy_landau(E, params: ModelParams, spectrum: LandauSpectrum,
                              *, tol: float = 1e-10,
                              max_iter: int = 100) -> SelfEnergySolution:
@@ -184,7 +189,7 @@ def solve_self_energy_landau(E, params: ModelParams, spectrum: LandauSpectrum,
     """
     A = params.disorder_A
     scale = spectrum.hbar_omega_c ** 2 / (2.0 * A)
-    width = spectrum.hbar_omega_c / math.sqrt(2.0 * A)
+    width = level_width(params, spectrum)
     e = np.asarray(E, dtype=float).reshape(-1)
 
     def fmap(e, s):

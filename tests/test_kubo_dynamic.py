@@ -12,8 +12,10 @@ from diracvisc import (ELECTRON_ELECTRON, ELECTRON_HOLE, HOLE_HOLE,
                        shear_dynamic_b0_ee_limit, shear_dynamic_b0_eh_limit,
                        shear_dynamic_bfield, static_limit_check,
                        build_spectrum, transition_table)
+from diracvisc import kubo_dynamic
 from diracvisc.kubo_dynamic import _fermi, counterpart_pair_sum
 from diracvisc.kubo_static import _pair_energies
+from diracvisc.scba import solve_self_energy_landau
 
 
 def hall_dynamic_full_ladder(E, Omega, params, spectrum, broadening,
@@ -44,6 +46,63 @@ def hall_dynamic_full_ladder(E, Omega, params, spectrum, broadening,
     pref = (params.degeneracy / 4.0) * spectrum.hbar_omega_c ** 2 / (
         8.0 * math.pi * spectrum.l_B ** 2)
     return pref * math.fsum(terms), pref * terms
+
+
+def shear_dynamic_bfield_four_chains(E, Omega, params, spectrum,
+                                     broadening=None):
+    """shear_dynamic_bfield as a loop over the four (s, s') level chains of
+    the pairs (n, n + 2), n <= n_top, with the breakpoints collected chain by
+    chain: the form the band-summed sum replaced."""
+    om = abs(Omega)
+    T = params.temperature
+    pad = 8.0 * T if T > 0 else 0.0
+    lo, hi = E - om - pad, E + pad
+    gam = broadening if broadening is not None else (
+        spectrum.hbar_omega_c / math.sqrt(2.0 * params.disorder_A))
+    level_window = (max(abs(lo), abs(hi)) + om
+                    + max(100.0 * gam, 8.0 * spectrum.hbar_omega_c))
+    n_top = min(int((level_window / spectrum.hbar_omega_c) ** 2),
+                spectrum.n_cutoff - 2)
+    pairs = [(Ea[:n_top + 1], Eb[:n_top + 1], w[:n_top + 1])
+             for Ea, Eb, w in _pair_energies(spectrum)]
+
+    bks = []
+    for Ea, Eb, _ in pairs:
+        for lev in (Ea, Eb):
+            sel = lev[(lev > lo - om - 8 * gam) & (lev < hi + om + 8 * gam)]
+            for e in sel:
+                bks.extend((e, e - om, e - 4 * gam, e + 4 * gam,
+                            e - om - 4 * gam, e - om + 4 * gam))
+    bks = sorted(b for b in set(bks) if lo < b < hi)
+    merged = []
+    for b in bks:
+        if not merged or b - merged[-1] > 0.25 * gam:
+            merged.append(b)
+    nodes, wq = kubo_dynamic._gauss_panels(lo, hi, merged,
+                                           kubo_dynamic._BFIELD_RULE)
+
+    if broadening is None:
+        z_lo = nodes - solve_self_energy_landau(nodes, params, spectrum).sigma
+        z_up = nodes + om - solve_self_energy_landau(nodes + om, params,
+                                                     spectrum).sigma
+    else:
+        z_lo = nodes + 1j * broadening
+        z_up = nodes + om + 1j * broadening
+    if T > 0:
+        occ = _fermi(nodes, E, T) - _fermi(nodes + om, E, T)
+    else:
+        occ = np.ones_like(nodes)
+
+    tot = np.zeros_like(nodes)
+    for Ea, Eb, w in pairs:
+        ia_lo = (1.0 / (z_lo[:, None] - Ea[None, :])).imag
+        ia_up = (1.0 / (z_up[:, None] - Ea[None, :])).imag
+        ib_lo = (1.0 / (z_lo[:, None] - Eb[None, :])).imag
+        ib_up = (1.0 / (z_up[:, None] - Eb[None, :])).imag
+        tot += (ia_up * ib_lo + ia_lo * ib_up) @ w
+    pref = (params.degeneracy / 4.0) * spectrum.hbar_omega_c ** 2 / (
+        8.0 * math.pi ** 2 * spectrum.l_B ** 2 * om)
+    return pref * float(np.sum(wq * occ * tot))
 
 
 def transition_table_full_ladder(e_fermi, spectrum, omega_max):
@@ -300,6 +359,28 @@ class TestShearDynamicBfield:
         st = shear_bfield_numeric(e1, params500, spectrum10_500).value
         dy = shear_dynamic_bfield(e1, 1e-3, params500, spectrum10_500, None)
         assert dy == pytest.approx(st, rel=0.05)
+
+
+class TestShearDynamicBfieldChains:
+    """The band-summed node sum against the four-chain loop it replaced."""
+
+    @pytest.mark.parametrize("T", [0.0, 1e-3])
+    @pytest.mark.parametrize("B,A,width", [
+        (10.0, 500.0, 50.0), (1.0, 500.0, 50.0),   # constant hbar w_c / 50
+        (10.0, 20.0, None), (10.0, 30.0, None),    # SCBA
+        (1.0, 20.0, None), (1.0, 30.0, None)])
+    def test_matches_four_chain_sum(self, B, A, width, T):
+        params = ModelParams(disorder_A=A, temperature=T)
+        # smaller windows at 1 T, where the four-chain loop is slow
+        points = {10.0: ((0.0, 0.05), (0.13, -0.313), (-0.21, 0.1)),
+                  1.0: ((0.0, -0.05), (0.13, 0.02), (-0.21, -0.02))}[B]
+        for E, Omega in points:
+            spectrum = build_spectrum(params, B, e_window=E, omega=Omega)
+            gamma = width and spectrum.hbar_omega_c / width
+            v = shear_dynamic_bfield(E, Omega, params, spectrum, gamma)
+            ref = shear_dynamic_bfield_four_chains(E, Omega, params, spectrum,
+                                                   gamma)
+            assert v == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 class TestHallDynamic:

@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import diracvisc
 from diracvisc import (LandauSpectrum, ModelParams, OVERLAPPED, SEPARATED,
                        build_spectrum, detect_regime, hall_static_analytic,
                        hall_static_numeric, landau_energy, magnetic_length,
@@ -14,7 +19,8 @@ from diracvisc import (LandauSpectrum, ModelParams, OVERLAPPED, SEPARATED,
                        stress_element_xx_minus_yy, stress_element_xy)
 from diracvisc import kubo_static, model
 from diracvisc.kubo_static import (_hall_sums, _hall_sums_direct, _k_kernel,
-                                   _k_kernel_quad, _weighted_log_sum,
+                                   _k_kernel_quad, _radial, _t_integral,
+                                   _weighted_log_sum,
                                    hall_fermi_sea_quadrature,
                                    shear_pair_sums, shear_pair_sums_direct)
 from test_scba import ladder_cases, solved_z
@@ -153,6 +159,69 @@ class TestShearB0:
                                                                    rel=1e-12)
             vals.append(shear_b0_analytic(0.0, params))
         assert vals[0] > vals[1] > vals[2]
+
+
+WEAK_DISORDER_A = (400.0, 500.0, 750.0, 1000.0)
+
+
+def check_dirac_point_value(v, A):
+    """Finite, >= 0 and the closed form times 4(A-1)/(3A); past A ~ 745
+    both underflow, since the value scales like e^{-A}."""
+    assert math.isfinite(v) and v >= 0.0
+    oracle = 4.0 * (A - 1.0) / (3.0 * A) * shear_b0_analytic(
+        0.0, ModelParams(disorder_A=A))
+    assert abs(v - oracle) <= 1e-6 * oracle + 1e-300
+
+
+class TestWeakDisorderDiracPoint:
+    """At E = 0, Sigma ~ -i Ec e^{-A/2}: z^2 underflows past A ~ 750 and
+    the quad integrand's (a - t)(b - t) past A ~ 350."""
+
+    @pytest.mark.parametrize("A", WEAK_DISORDER_A)
+    def test_exact_route(self, A):
+        v = shear_b0_numeric(0.0, ModelParams(disorder_A=A), method="exact")
+        check_dirac_point_value(v.value, A)
+
+    def test_quad_route_in_a_subprocess(self):
+        # a failure here once killed the interpreter inside quad
+        src = str(Path(diracvisc.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        code = ("from diracvisc import ModelParams, shear_b0_numeric\n"
+                f"for A in {WEAK_DISORDER_A!r}:\n"
+                "    print(repr(float(shear_b0_numeric(0.0, ModelParams("
+                "disorder_A=A)).value)))")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert out.returncode == 0, out.stderr
+        values = [float(x) for x in out.stdout.split()]
+        assert len(values) == len(WEAK_DISORDER_A)
+        for A, v in zip(WEAK_DISORDER_A, values):
+            check_dirac_point_value(v, A)
+            exact = shear_b0_numeric(0.0, ModelParams(disorder_A=A),
+                                     method="exact").value
+            assert v == pytest.approx(exact, rel=1e-9, abs=1e-300)
+
+    @pytest.mark.parametrize("z1,z2", [
+        (2e-70j, -2e-70j), (2e-70j, 2e-70j),
+        ((3.0 + 2.0j) * 1e-60, (3.0 - 2.0j) * 1e-60),
+        (0.3 + 0.01j, 0.3 + 0.01j)])
+    def test_scaled_integral_matches_direct(self, params20, z1, z2,
+                                            monkeypatch):
+        # where z^2 is still a normal float both forms hold
+        T = params20.cutoff_Ec ** 2
+        direct = _radial(_t_integral, z1, z2, T)
+        monkeypatch.setattr(kubo_static, "_TINY_Z", 1.0)
+        scaled = _radial(_t_integral, z1, z2, T)
+        assert abs(scaled - direct) <= 1e-13 * abs(direct)
+
+    def test_array_with_tiny_and_normal_elements(self, params20):
+        z1 = np.array([1e-75j, 0.4 + 1e-3j, 1e-200 + 1e-180j])
+        z2 = z1.conjugate()
+        k = _k_kernel(z1, z2, params20)
+        for i in range(z1.size):
+            one = _k_kernel(complex(z1[i]), complex(z2[i]), params20)
+            assert abs(k[i] - one) <= 1e-14 * abs(one)
 
 
 # ---------------------------------------------------------------------------

@@ -445,6 +445,26 @@ class TestLandauArraySolve:
         with pytest.raises(ValueError, match="max_iter"):
             solve_self_energy_landau(0.1, params50, spectrum10_50, max_iter=0)
 
+    # a Gauss node of dynamic_shear at 1 T, A = 500, E = 0.13, Omega = 0.1
+    TRAP_E = 0.1268914167697149
+
+    @pytest.mark.xfail(strict=True, raises=ConvergenceError,
+                       reason="the cold-seed Newton iterate falls onto the "
+                              "real axis (Im Sigma ~ -1e-71) and cycles at "
+                              "residual 0.34 for any max_iter")
+    def test_real_axis_trap_at_one_tesla(self):
+        params = ModelParams(disorder_A=500.0)
+        spectrum = build_spectrum(params, 1.0, e_window=self.TRAP_E)
+        sol = solve_self_energy_landau(self.TRAP_E, params, spectrum)
+        assert sol.sigma.imag < -5e-4
+
+    def test_trap_neighbours_converge_off_axis(self):
+        params = ModelParams(disorder_A=500.0)
+        for E in (self.TRAP_E - 1e-5, self.TRAP_E + 1e-5):
+            spectrum = build_spectrum(params, 1.0, e_window=E)
+            sol = solve_self_energy_landau(E, params, spectrum)
+            assert sol.sigma.imag < -5e-4 and sol.iterations <= 20
+
 
 class TestSeparatedForm:
     def test_center_value(self, params50, spectrum10_50):

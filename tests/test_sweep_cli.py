@@ -399,6 +399,17 @@ class TestCli:
         assert rc == 0
         assert "dos (1/eV nm^2)" in capsys.readouterr().out
 
+    def test_dirac_point_shear_at_weak_disorder(self, capsys):
+        # z^2 underflows at A >= 750; the row once read nan, converged
+        rc = main(["sweep", "--quantity", "static_shear", "--e", "0",
+                   "--a", "750,1000", "--format", "json"])
+        assert rc == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert len(rows) == 2
+        for row in rows:
+            assert math.isfinite(row["value"]) and row["value"] >= 0.0
+            assert row["converged"]
+
     def test_usage_error_exit_code(self, capsys):
         rc = main(["sweep", "--quantity", "static_hall", "--e", "0:1:2",
                    "--a", "10"])
