@@ -21,8 +21,7 @@ from .kubo_static import (B_ZERO, OVERLAPPED, SEPARATED, ViscosityValue,
                           detect_regime, hall_static_analytic,
                           hall_static_numeric, shear_b0_analytic,
                           shear_b0_numeric, shear_bfield_analytic,
-                          shear_bfield_dirac_limit, shear_bfield_numeric,
-                          shear_bfield_sdh)
+                          shear_bfield_dirac_limit, shear_bfield_numeric)
 from .kubo_dynamic import (ELECTRON_ELECTRON, ELECTRON_HOLE, HOLE_HOLE,
                            Transition, StaticLimitReport, hall_dynamic,
                            shear_dynamic_b0, shear_dynamic_b0_ee_limit,
@@ -46,7 +45,7 @@ __all__ = [
     "ViscosityValue", "B_ZERO", "SEPARATED",
     "OVERLAPPED", "detect_regime",
     "shear_b0_numeric", "shear_b0_analytic", "shear_bfield_numeric",
-    "shear_bfield_analytic", "shear_bfield_sdh", "shear_bfield_dirac_limit",
+    "shear_bfield_analytic", "shear_bfield_dirac_limit",
     "hall_static_numeric", "hall_static_analytic",
     "Transition", "transition_table", "shear_dynamic_b0",
     "ELECTRON_ELECTRON", "ELECTRON_HOLE", "HOLE_HOLE",

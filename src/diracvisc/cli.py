@@ -174,22 +174,25 @@ def _validate_checks():
            f"Hall I, II surface, II log: max dev {worst_hall:.1e} "
            f"of column max")
 
-    # the T = 0 dynamic Hall sum over its Fermi window vs every ladder term,
-    # rounded once, on every sixth frequency of the fig5 grid
+    # the dynamic Hall sum over its Fermi window vs every ladder term,
+    # rounded once, on every sixth frequency of the fig5 grid, at T = 0
+    # and at k_B T = 1 meV
     fig5 = figure_preset("fig5")
-    params = ModelParams(disorder_A=fig5.a_values[0])
-    spectrum = build_spectrum(params, fig5.b_grid.start)
+    spectrum = build_spectrum(ModelParams(disorder_A=fig5.a_values[0]),
+                              fig5.b_grid.start)
     gamma = spectrum.hbar_omega_c / 50.0
     ladder = spectrum.level_indices()[:-2]
-    points = [(E, Omega) for E in fig5.e_grid.values()
+    points = [(ModelParams(disorder_A=fig5.a_values[0], temperature=T),
+               E, Omega) for T in (0.0, 1e-3) for E in fig5.e_grid.values()
               for Omega in fig5.omega_grid.values()[::6]]
     window = np.array([hall_dynamic(E, Omega, params, spectrum, gamma)
-                       for E, Omega in points])
+                       for params, E, Omega in points])
     full = np.array([math.fsum(_hall_dynamic_terms(
         E, Omega, params, spectrum, gamma, ladder, False))
-        for E, Omega in points])
+        for params, E, Omega in points])
     dev = np.abs(window - full).max() / np.abs(full).max()
-    yield ("dynamic Hall Fermi-window sum vs full ladder (B=10 T, A=500)",
+    yield ("dynamic Hall Fermi-window sum vs full ladder "
+           "(B=10 T, A=500, T=0 and 1 meV)",
            PASS if dev <= 1e-11 else FAIL,
            f"{len(points)} fig5 points: max dev {dev:.1e} of column max")
 

@@ -5,7 +5,8 @@ with the self-energy solved at every node. B != 0: Landau-level transition
 sums with |dn| = 2, either with the SCBA self-energy or with a constant
 broadening for clean-limit studies, integrated over the same window. At
 T > 0 both windows widen by 8 k_B T on each side and carry the Fermi
-factors f(omega) - f(omega + Omega).
+factors f(omega) - f(omega + Omega). The dynamic Hall kink sum runs over
+the level pairs within 40 k_B T of its Fermi window at every T.
 """
 from __future__ import annotations
 
@@ -30,6 +31,8 @@ HOLE_HOLE = "hole_hole"
 # frequency windows
 _B0_RULE = np.polynomial.legendre.leggauss(24)
 _BFIELD_RULE = np.polynomial.legendre.leggauss(16)
+# reach of the dynamic Hall sum past its Fermi window, in k_B T
+_FERMI_REACH = 40.0  # expit(40) rounds to 1.0; expit(-40) < 4.3e-18
 
 
 @dataclass(frozen=True)
@@ -48,6 +51,13 @@ def _classify(e_from: float, e_to: float) -> str:
     if e_from < 0.0 < e_to or e_to < 0.0 < e_from:
         return ELECTRON_HOLE
     return ELECTRON_ELECTRON if e_from > 0.0 else HOLE_HOLE
+
+
+def _check_broadening(broadening: float) -> float:
+    if not (math.isfinite(broadening) and broadening > 0):
+        raise ValueError(
+            f"broadening must be positive and finite, got {broadening}")
+    return broadening
 
 
 def _window_top(reach: float, spectrum: LandauSpectrum) -> int:
@@ -200,7 +210,8 @@ def shear_dynamic_bfield(E: float, Omega: float, params: ModelParams,
     T = params.temperature
     lo, hi = E - om - 8.0 * T, E + 8.0 * T
     hwc = spectrum.hbar_omega_c
-    gam = level_width(params, spectrum) if broadening is None else broadening
+    gam = (level_width(params, spectrum) if broadening is None
+           else _check_broadening(broadening))
     level_window = max(abs(lo), abs(hi)) + om + max(100.0 * gam, 8.0 * hwc)
     n_top = min(int((level_window / hwc) ** 2), spectrum.n_cutoff - 2)
 
@@ -276,22 +287,20 @@ def hall_dynamic(E: float, Omega: float, params: ModelParams,
     transition partners enter with a minus sign and cancel pairwise when
     both directions are Pauli-allowed.
 
-    At T = 0 only the pairs (n, n + 2) with sqrt(n) hbar w_c <= |E| + |Omega|
-    are summed (one index of margin). Above that every level and every
-    shifted level lies on one side of E: the Fermi differences of the
-    (+,+) and (-,-) chains are 0, and the (+,-) and (-,+) chains carry the
-    same weight n + 1 and the same |E_b - E_a| with opposite signs, so
-    their terms cancel one by one. At T > 0 no Fermi factor is exactly 0
-    or 1, and the whole ladder is summed.
+    Only the pairs (n, n + 2) with sqrt(n) hbar w_c <= |E| + |Omega| +
+    40 k_B T are summed (one index of margin). Above that every level and
+    every shifted level lies more than 40 k_B T from E, where its Fermi
+    factor is 1 or 0 to within e^-40 (exactly at T = 0): the Fermi
+    differences of the (+,+) and (-,-) chains vanish, and the (+,-) and
+    (-,+) chains carry the same weight n + 1 and the same |E_b - E_a| with
+    opposite signs, so their terms cancel one by one. No temperature or
+    field makes the sum materialize the ladder.
     """
     if Omega == 0:
         raise ValueError("Omega must be nonzero")
-    if broadening <= 0:
-        raise ValueError(f"broadening must be positive, got {broadening}")
-    if params.temperature > 0:
-        n = spectrum.level_indices()[:-2]
-    else:
-        n = np.arange(_window_top(abs(E) + abs(Omega), spectrum) + 1)
+    _check_broadening(broadening)
+    reach = abs(E) + abs(Omega) + _FERMI_REACH * params.temperature
+    n = np.arange(_window_top(reach, spectrum) + 1)
     return float(np.sum(_hall_dynamic_terms(E, Omega, params, spectrum,
                                             broadening, n, reduced)))
 

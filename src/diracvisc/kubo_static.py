@@ -297,22 +297,6 @@ def shear_bfield_overlapped(E: float, params: ModelParams,
     return (E * E * rho * tau / 8.0) / d + (rho / (32.0 * tau)) * (3.0 + 16.0 * wct * wct) / d
 
 
-def shear_bfield_sdh(E: float, params: ModelParams,
-                     spectrum: LandauSpectrum) -> float:
-    """Evaluated overlapped form for |E| >> hbar w_c, with the
-    Shubnikov-de Haas cosine (period (hbar w_c)^2 in E^2)."""
-    if E == 0:
-        raise ValueError("the oscillatory form needs E != 0")
-    A = params.disorder_A
-    W = spectrum.hbar_omega_c ** 2
-    alpha = (A / math.pi) * W / (2.0 * E * abs(E))
-    delta = math.exp(-4.0 * math.pi ** 2 * E * E / (A * W))
-    d = 1.0 + 4.0 * alpha * alpha
-    osc = 1.0 + (4.0 * alpha * alpha * delta / d) * math.cos(2.0 * math.pi * E * abs(E) / W)
-    return (params.degeneracy / 4.0) / (4.0 * math.pi ** 2 * spectrum.l_B ** 2) * (
-        A * E * E / (W * d)) * osc
-
-
 def shear_bfield_dirac_limit(params: ModelParams,
                              spectrum: LandauSpectrum) -> float:
     """Near-Dirac-point overlapped form:

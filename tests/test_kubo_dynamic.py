@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -12,7 +13,7 @@ from diracvisc import (ELECTRON_ELECTRON, ELECTRON_HOLE, HOLE_HOLE,
                        shear_dynamic_b0_ee_limit, shear_dynamic_b0_eh_limit,
                        shear_dynamic_bfield, static_limit_check,
                        build_spectrum, transition_table)
-from diracvisc import kubo_dynamic
+from diracvisc import kubo_dynamic, model
 from diracvisc.kubo_dynamic import _fermi, counterpart_pair_sum
 from diracvisc.kubo_static import _pair_energies
 from diracvisc.scba import solve_self_energy_landau
@@ -479,8 +480,9 @@ def window_and_ladder(E_grid, Omega_grid, params, spectrum, gamma, reduced):
 
 
 class TestHallDynamicWindow:
-    """The T = 0 sum over the Fermi window against every term of the
-    ladder, rounded once; the dropped pairs cancel exactly."""
+    """The sum over the Fermi window against every term of the ladder,
+    rounded once; the dropped pairs cancel exactly at T = 0 and to within
+    e^-40 at T > 0."""
 
     @pytest.mark.parametrize("reduced", [False, True],
                              ids=["full", "reduced"])
@@ -518,29 +520,53 @@ class TestHallDynamicWindow:
                                                   reduced)
             assert abs(v - ref) <= 1e-13 * np.abs(terms).max()
 
-    def test_finite_temperature_sums_the_whole_ladder(self, spectrum10_500):
-        params = ModelParams(disorder_A=500.0, temperature=1e-3)
-        gamma = spectrum10_500.hbar_omega_c / 50.0
-        for E, om in ((0.05, 0.162), (0.13, 0.2), (-0.2, 0.45)):
-            for reduced in (False, True):
-                v = hall_dynamic(E, om, params, spectrum10_500, gamma,
+    def test_finite_temperature_sums_the_whole_ladder(self):
+        # past |E| + |Omega| + 40 k_B T the Fermi factors are 1 or below
+        # e^-40, so the dropped pairs cancel to that order. (E, Omega)
+        # points per field: at 0.2 T the oracle sums 1.6e6 terms, ~0.4 s
+        points = {10.0: [(E, om) for E in (0.0, 0.05, 0.13, -0.2)
+                         for om in (0.02, 0.162, -0.45)],
+                  1.0: [(0.05, 0.162), (-0.2, -0.45)],
+                  0.2: [(0.13, -0.45)]}
+        for B, T in itertools.product(points, (5e-4, 1e-3, 2e-3, 1e-2)):
+            params = ModelParams(disorder_A=500.0, temperature=T)
+            spectrum = build_spectrum(params, B)
+            gamma = spectrum.hbar_omega_c / 50.0
+            for (E, om), reduced in itertools.product(points[B],
+                                                      (False, True)):
+                v = hall_dynamic(E, om, params, spectrum, gamma,
                                  reduced=reduced)
-                ref, _ = hall_dynamic_full_ladder(E, om, params,
-                                                  spectrum10_500, gamma,
-                                                  reduced)
-                assert v == pytest.approx(ref, rel=1e-10)
+                ref, terms = hall_dynamic_full_ladder(E, om, params,
+                                                      spectrum, gamma,
+                                                      reduced)
+                assert abs(v - ref) <= 1e-12 * np.abs(terms).max(), (B, T)
+
+    def test_no_level_is_materialized(self, params500, spectrum10_500,
+                                      monkeypatch):
+        # the ladder has 3,939 levels; a 10-level cap stops any level loop
+        gamma = spectrum10_500.hbar_omega_c / 50.0
+        hot = ModelParams(disorder_A=500.0, temperature=1e-3)
+        expected = [hall_dynamic(0.13, 0.2, p, spectrum10_500, gamma)
+                    for p in (params500, hot)]
+        monkeypatch.setattr(model, "MAX_MATERIALIZED_LEVELS", 10)
+        with pytest.raises(ValueError, match="stop at 10"):
+            spectrum10_500.level_indices()
+        assert [hall_dynamic(0.13, 0.2, p, spectrum10_500, gamma)
+                for p in (params500, hot)] == expected
 
     @settings(max_examples=30, deadline=None)
     @given(B=st.floats(1.0, 10.0), E=st.floats(-0.3, 0.3),
            Omega=st.floats(1e-3, 0.5) | st.floats(-0.5, -1e-3),
+           T=st.just(0.0) | st.floats(1e-4, 1e-2),
            gamma_div=st.floats(5.0, 200.0), reduced=st.booleans())
-    def test_any_point_matches_full_ladder(self, params500, B, E, Omega,
+    def test_any_point_matches_full_ladder(self, B, E, Omega, T,
                                            gamma_div, reduced):
-        spectrum = build_spectrum(params500, B)
+        params = ModelParams(disorder_A=500.0, temperature=T)
+        spectrum = build_spectrum(params, B)
         gamma = spectrum.hbar_omega_c / gamma_div
-        v = hall_dynamic(E, Omega, params500, spectrum, gamma,
+        v = hall_dynamic(E, Omega, params, spectrum, gamma,
                          reduced=reduced)
-        ref, terms = hall_dynamic_full_ladder(E, Omega, params500, spectrum,
+        ref, terms = hall_dynamic_full_ladder(E, Omega, params, spectrum,
                                               gamma, reduced)
         # against the largest single term: where the kinks cancel, the
         # value itself is rounding noise, and the oracle's own rounding

@@ -239,15 +239,15 @@ class TestPhysicalLadder:
         ref = run_sweep(SweepSpec(quantity="static_shear", **HALF_TESLA)).rows
         assert [r.value for r in rows] == [r.value for r in ref]
 
-    def test_level_by_level_sum_past_the_cap_is_usage_error(self, capsys):
-        # 0.01 T: 3.9e6 levels, which the finite-T dynamic Hall sum would
-        # materialize
+    def test_finite_temperature_dynamic_hall_past_the_cap_runs(self, capsys):
+        # 0.01 T, k_B T = 1 meV: 3.9e6 levels, of which the Fermi window
+        # sums ~2.7e3 pairs
         rc = main(["sweep", "--quantity", "dynamic_hall", "--e", "0.1",
                    "--b", "0.01", "--omega", "0.05", "--a", "20",
                    "--fixed", '{"temperature": 0.001}'])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert "usage error" in err and str(MAX_MATERIALIZED_LEVELS) in err
+        assert rc == 0
+        row = capsys.readouterr().out.splitlines()[-1].split(",")
+        assert row[-1] == "true" and math.isfinite(float(row[4]))
 
     def test_zero_temperature_dynamic_hall_past_the_cap_runs(self, capsys):
         # 0.01 T, T = 0: only the ~1.7e3 pairs of the Fermi window are summed
@@ -409,6 +409,20 @@ class TestCli:
         for row in rows:
             assert math.isfinite(row["value"]) and row["value"] >= 0.0
             assert row["converged"]
+
+    @pytest.mark.parametrize("quantity", ["dynamic_shear", "dynamic_hall"])
+    @pytest.mark.parametrize("broadening", ["0", "-0.0023", "NaN",
+                                            "Infinity"])
+    def test_bad_broadening_is_usage_error(self, quantity, broadening,
+                                           capsys):
+        # each once gave a number marked converged or an error that did
+        # not name the setting
+        rc = main(["sweep", "--quantity", quantity, "--e", "0.13",
+                   "--b", "10", "--omega", "0.2", "--a", "500",
+                   "--fixed", f'{{"broadening": {broadening}}}'])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "usage error" in err and "broadening" in err
 
     def test_usage_error_exit_code(self, capsys):
         rc = main(["sweep", "--quantity", "static_hall", "--e", "0:1:2",
