@@ -137,12 +137,12 @@ def _validate_checks():
         params = ModelParams(disorder_A=A)
         worst = 0.0
         for E in np.linspace(0.9, 2.0, 12):
-            v = shear_b0_numeric(E, params, method="exact").value
+            v = shear_b0_numeric(E, params).value
             worst = max(worst, abs(v / shear_b0_analytic(E, params) - 1.0))
         yield (f"B=0 shear vs closed form, A={A:g}, E in [0.9,2]",
                PASS if worst <= 0.07 else FAIL, f"max dev {100*worst:.2f}%")
     params = ModelParams(disorder_A=20.0)
-    dev0 = abs(shear_b0_numeric(0.0, params, method="exact").value
+    dev0 = abs(shear_b0_numeric(0.0, params).value
                / shear_b0_analytic(0.0, params) - 1.0)
     yield ("B=0 shear at the Dirac point vs closed form",
            KNOWN if dev0 > 0.07 else PASS,

@@ -109,47 +109,36 @@ def _gauss_panels(lo: float, hi: float, breakpoints, rule):
             (half[:, None] * ws).ravel())
 
 
-def _b0_integrand(omega: np.ndarray, big_omega: float,
-                  params: ModelParams) -> np.ndarray:
-    """Re[K_RA - K_RR] at the window nodes omega, with the Re-dropped
-    self-energy solved at every omega and omega + Omega in one call."""
-    sig = solve_self_energy_b0(np.concatenate((omega, omega + big_omega)),
-                               params, drop_real_part=True).sigma
-    s2, s1 = sig[:omega.size], sig[omega.size:]
-    z1 = omega + big_omega - s1
-    return (_k_kernel(z1, omega - s2.conjugate(), params).real
-            - _k_kernel(z1, omega - s2, params).real)
-
-
 def shear_dynamic_b0(E: float, Omega: float, params: ModelParams, *,
                      return_split: bool = False):
     """Dynamic shear viscosity at B = 0.
 
-    Even in Omega. With return_split=True also returns the interband
-    (electron-hole, omega < 0 < omega + Omega) and intraband window parts.
+    Even in Omega. The window [E - Omega - 8 k_B T, E + 8 k_B T] is cut at
+    0, -Omega, E - Omega and E where they lie inside, each cut in thirds
+    and at -Omega/2 (interband 2 omega + Omega = 0); every node carries
+    f(omega) - f(omega + Omega), a step at T = 0. With return_split=True
+    also returns the interband (electron-hole, omega < 0 < omega + Omega)
+    and intraband window parts.
     """
     if Omega == 0:
         raise ValueError("Omega must be nonzero; use the static route at 0")
     om = abs(Omega)
     T = params.temperature
-    if T > 0:
-        lo, hi = E - om - 8.0 * T, E + 8.0 * T
-        nodes, weights = _gauss_panels(lo, hi, [0.0, -om, E - om, E,
-                                                0.5 * (lo + hi)], _B0_RULE)
-        weights = weights * (_fermi(nodes, E, T) - _fermi(nodes + om, E, T))
-        keep = weights != 0.0
-        nodes, weights = nodes[keep], weights[keep]
-    else:
-        lo, hi = E - om, E
-        cuts = sorted({lo, hi, *[x for x in (0.0, -om) if lo < x < hi]})
-        panels = [_gauss_panels(a, b, [-0.5 * om,  # interband 2w + Omega = 0
-                                       a + (b - a) / 3.0, b - (b - a) / 3.0],
-                                _B0_RULE)
-                  for a, b in zip(cuts[:-1], cuts[1:])]
-        nodes = np.concatenate([x for x, _ in panels])
-        weights = np.concatenate([w for _, w in panels])
-    pref = _b0_prefactor(params) / om
-    v = pref * weights * _b0_integrand(nodes, om, params)
+    lo, hi = E - om - 8.0 * T, E + 8.0 * T
+    cuts = sorted({lo, hi, *[x for x in (0.0, -om, E - om, E) if lo < x < hi]})
+    panels = [_gauss_panels(a, b, [-0.5 * om, a + (b - a) / 3.0,
+                                   b - (b - a) / 3.0], _B0_RULE)
+              for a, b in zip(cuts[:-1], cuts[1:])]
+    nodes = np.concatenate([x for x, _ in panels])
+    weights = np.concatenate([w for _, w in panels]) * (
+        _fermi(nodes, E, T) - _fermi(nodes + om, E, T))
+    sig = solve_self_energy_b0(np.concatenate((nodes, nodes + om)), params,
+                               drop_real_part=True).sigma
+    s2, s1 = sig[:nodes.size], sig[nodes.size:]
+    z1 = nodes + om - s1
+    v = _b0_prefactor(params) / om * weights * (
+        _k_kernel(z1, nodes - s2.conjugate(), params).real
+        - _k_kernel(z1, nodes - s2, params).real)
     tot = float(np.sum(v))
     eh = float(np.sum(v[(nodes < 0.0) & (0.0 < nodes + om)]))
     if return_split:
@@ -192,10 +181,11 @@ def shear_dynamic_bfield(E: float, Omega: float, params: ModelParams,
                          broadening: float | None = None) -> float:
     """Dynamic shear viscosity in a field (|dn| = 2 transition sums).
 
-    broadening=None solves the SCBA self-energy at every omega node; a float
-    uses constant-width Lorentzian levels (clean-limit studies). Even in
-    Omega. As sum_s 1/(z - s sqrt(n) hbar w_c) = 2 g_n(z) for every n, the
-    four (s, s') level chains factor: a node carries 4 sum_n (n + 1)
+    broadening=None solves the SCBA self-energy at every node omega and
+    omega + Omega in one call; a float uses constant-width Lorentzian
+    levels (clean-limit studies). Even in Omega. As
+    sum_s 1/(z - s sqrt(n) hbar w_c) = 2 g_n(z) for every n, the four
+    (s, s') level chains factor: a node carries 4 sum_n (n + 1)
     [Im g_n(z_up) Im g_{n+2}(z_lo) + Im g_n(z_lo) Im g_{n+2}(z_up)], z_lo at
     omega and z_up at omega + Omega, over the pairs with a level inside
     level_window (the window reach plus max(100 gamma, 8 hbar w_c)). With
@@ -229,16 +219,15 @@ def shear_dynamic_bfield(E: float, Omega: float, params: ModelParams,
             merged.append(b)
     nodes, wq = _gauss_panels(lo, hi, merged, _BFIELD_RULE)
 
+    omega = np.stack((nodes, nodes + om))   # the rows of z_lo and z_up
     if broadening is None:
-        z_lo = nodes - solve_self_energy_landau(nodes, params, spectrum).sigma
-        z_up = nodes + om - solve_self_energy_landau(nodes + om, params,
-                                                     spectrum).sigma
+        z = omega - solve_self_energy_landau(omega.ravel(), params,
+                                             spectrum).sigma.reshape(2, -1)
     else:
-        z_lo = nodes + 1j * broadening
-        z_up = nodes + om + 1j * broadening
+        z = omega + 1j * broadening
     occ = _fermi(nodes, E, T) - _fermi(nodes + om, E, T)
 
-    g_lo, g_up = _g_array(np.stack((z_lo, z_up)), spectrum, n_top + 2).imag
+    g_lo, g_up = _g_array(z, spectrum, n_top + 2).imag
     tot = 4.0 * ((g_up[:, :-2] * g_lo[:, 2:] + g_lo[:, :-2] * g_up[:, 2:])
                  @ (np.arange(n_top + 1) + 1.0))
     pref = (params.degeneracy / 4.0) * hwc ** 2 / (
@@ -337,7 +326,7 @@ def static_limit_check(E: float, params: ModelParams,
     """|eta(omega) - eta_static| / eta_static for shear (and Hall if a
     spectrum is given)."""
     if spectrum is None:
-        st = shear_b0_numeric(E, params, method="exact").value
+        st = shear_b0_numeric(E, params).value
         dy = shear_dynamic_b0(E, omega, params)
         return StaticLimitReport(omega=omega, shear_static=st,
                                  shear_dynamic=dy,

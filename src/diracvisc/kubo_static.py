@@ -63,6 +63,7 @@ def _t_integral(z1, z2, T):
 
 
 _TINY_Z = 1e-70  # |z| below which _radial integrates in u = t / |z|^2
+_QUAD_EPSREL = 1e-9  # relative tolerance of _k_kernel_quad
 
 
 def _radial(integral, z1, z2, T: float):
@@ -98,8 +99,7 @@ def _pole_points(z: complex, T: float) -> list[float]:
     return sorted(pts)
 
 
-def _k_kernel_quad(z1: complex, z2: complex, params: ModelParams,
-                   epsrel: float = 1e-9) -> complex:
+def _k_kernel_quad(z1: complex, z2: complex, params: ModelParams) -> complex:
     """Adaptive Gauss-Kronrod evaluation of _k_kernel (validation route)."""
     from scipy.integrate import quad  # slow to import; only this route uses it
 
@@ -113,9 +113,9 @@ def _k_kernel_quad(z1: complex, z2: complex, params: ModelParams,
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             re, _ = quad(lambda t: f(t).real, 0.0, T, points=pts, limit=500,
-                         epsabs=0.0, epsrel=epsrel)
+                         epsabs=0.0, epsrel=_QUAD_EPSREL)
             im, _ = quad(lambda t: f(t).imag, 0.0, T, points=pts, limit=500,
-                         epsabs=0.0, epsrel=epsrel)
+                         epsabs=0.0, epsrel=_QUAD_EPSREL)
         return re + 1j * im
 
     return _radial(integral, z1, z2, params.cutoff_Ec ** 2)
@@ -143,24 +143,19 @@ def _resolve_sigma(sigma: SelfEnergySolution | complex | None,
 
 
 def shear_b0_numeric(E: float, params: ModelParams, *,
-                     sigma: SelfEnergySolution | complex | None = None,
-                     method: str = "quad") -> ViscosityValue:
-    """Static shear viscosity at B = 0 from the radial Kubo integral.
-
-    method="quad" uses adaptive Gauss-Kronrod with pole-aware subdivision;
-    method="exact" uses the closed antiderivative of the same integrand.
-    """
-    if method not in ("quad", "exact"):
-        raise ValueError(f"unknown method {method!r}")
+                     sigma: SelfEnergySolution | complex | None = None
+                     ) -> ViscosityValue:
+    """Static shear viscosity at B = 0 from the radial Kubo integral, taken
+    with its closed antiderivative (_k_kernel; _k_kernel_quad is the
+    adaptive-quadrature check of it)."""
     _require_zero_temperature(params)
     s = _resolve_sigma(sigma, lambda: solve_self_energy_b0(
         E, params, drop_real_part=True))
     zR = E - s
     zA = E - s.conjugate()
-    kern = _k_kernel_quad if method == "quad" else _k_kernel
     pref = _b0_prefactor(params)
-    ra = pref * kern(zR, zA, params).real
-    rr = pref * kern(zR, zR, params).real
+    ra = pref * _k_kernel(zR, zA, params).real
+    rr = pref * _k_kernel(zR, zR, params).real
     return ViscosityValue(value=ra - rr, channels={"RA": ra, "RR": rr},
                           regime_tag=B_ZERO)
 
@@ -461,17 +456,21 @@ def hall_static_numeric(E: float, params: ModelParams,
                           regime_tag=tag, low_confidence=low)
 
 
+# hall_fermi_sea_quadrature's grid: uniform from 8 eV below the ladder up
+# to E, plus 160 nodes within 10 level widths of every level
+_SEA_COARSE_NODES = 4000
+_SEA_LEVEL_NODES = 160
+_SEA_PAD_WIDTHS = 10.0
+_SEA_BOTTOM_PAD = 8.0
+_SEA_SOLVER_TOL = 1e-9
+
+
 def hall_fermi_sea_quadrature(E: float, params: ModelParams,
-                              spectrum: LandauSpectrum, *,
-                              nodes_per_level: int = 160,
-                              coarse_nodes: int = 1200,
-                              pad_widths: float = 10.0,
-                              bottom_pad: float | None = None,
-                              solver_tol: float = 1e-9) -> float:
+                              spectrum: LandauSpectrum) -> float:
     """Fermi-sea (II) channel by direct quadrature (validation route).
 
-    Solves Sigma(w) in one array call on a composite grid (refined
-    around every Landau level) and integrates
+    Solves Sigma(w) in one array call (tolerance _SEA_SOLVER_TOL) on a
+    composite grid (refined around every Landau level) and integrates
     i (hbar w_c)^2/(8 pi^2 l_B^2) sum (n+1) Delta (1 - Sigma') G_a^2 G_b^2
     as a trapezoid sum along the path z(w) = w - Sigma(w), using
     (1 - dSigma/dw) dw = dz; this stays accurate across the sqrt-edges of
@@ -481,24 +480,22 @@ def hall_fermi_sea_quadrature(E: float, params: ModelParams,
     """
     hwc = spectrum.hbar_omega_c
     gamma = level_width(params, spectrum)
-    if bottom_pad is None:
-        bottom_pad = 40.0 * gamma
-    bottom = -hwc * math.sqrt(spectrum.n_cutoff) - bottom_pad
-    grid = [np.linspace(bottom, E, coarse_nodes)]
+    bottom = -hwc * math.sqrt(spectrum.n_cutoff) - _SEA_BOTTOM_PAD
+    grid = [np.linspace(bottom, E, _SEA_COARSE_NODES)]
     for n in spectrum.level_indices():
         for sgn in (1, -1):
             en = sgn * hwc * math.sqrt(n)
-            lo = max(bottom, en - pad_widths * gamma)
-            hi = min(E, en + pad_widths * gamma)
+            lo = max(bottom, en - _SEA_PAD_WIDTHS * gamma)
+            hi = min(E, en + _SEA_PAD_WIDTHS * gamma)
             if hi > lo:
-                grid.append(np.linspace(lo, hi, nodes_per_level))
+                grid.append(np.linspace(lo, hi, _SEA_LEVEL_NODES))
     om = np.unique(np.concatenate(grid))
-    min_step = 1e-4 * gamma / nodes_per_level
+    min_step = 1e-4 * gamma / _SEA_LEVEL_NODES
     keep = np.concatenate(([True], np.diff(om) > min_step))
     om = om[keep]
 
     z = om - solve_self_energy_landau(om, params, spectrum,
-                                      tol=solver_tol).sigma
+                                      tol=_SEA_SOLVER_TOL).sigma
     integrand = np.zeros(om.size, dtype=complex)
     for Ea, Eb, w in _pair_energies(spectrum):
         Ga = 1.0 / (z[:, None] - Ea[None, :])

@@ -297,7 +297,9 @@ def dos(E: float, sigma: complex, params: ModelParams,
 
 
 def relaxation_time(sigma: complex) -> float:
-    """Quasiparticle lifetime tau = hbar / (2 |Im Sigma|), in hbar/eV."""
+    """Quasiparticle lifetime tau = hbar / (2 |Im Sigma|), in hbar/eV, as a
+    Python float: at E ~ 1e-309 omega_c_eff * tau then overflows to inf,
+    the E = 0 value, without a numpy RuntimeWarning."""
     if sigma.imag >= 0:
         raise ValueError("Im Sigma must be negative for a finite lifetime")
-    return 1.0 / (2.0 * abs(sigma.imag))
+    return 1.0 / (2.0 * abs(float(sigma.imag)))

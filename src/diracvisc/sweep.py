@@ -69,7 +69,7 @@ def _static_shear(E, B, Omega, params, fixed) -> dict:
     if B:
         return _static_fields(shear_bfield_numeric(
             E, params, build_spectrum(params, B, e_window=E)))
-    return _static_fields(shear_b0_numeric(E, params, method="exact"))
+    return _static_fields(shear_b0_numeric(E, params))
 
 
 def _static_hall(E, B, Omega, params, fixed) -> dict:
@@ -190,6 +190,10 @@ class SweepSpec:
         if self.output_format not in ("csv", "json"):
             raise ValueError(f"unknown output format {self.output_format!r}")
         _int_setting(self.fixed, "degeneracy", 4)
+        for name in ("hbar_vf", "cutoff_Ec", "temperature", "broadening"):
+            value = self.fixed.get(name, 0.0)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"{name} must be a number, got {value!r}")
 
     def to_config(self) -> dict:
         """Flat JSON form, as read back by from_config."""
@@ -362,10 +366,13 @@ def figure_preset(name: str) -> SweepSpec:
 # minimal SVG line plots
 # ---------------------------------------------------------------------------
 
-def result_to_svg(result: SweepResult, width: int = 640,
-                  height: int = 400) -> str:
+_SVG_WIDTH, _SVG_HEIGHT = 640, 400
+
+
+def result_to_svg(result: SweepResult) -> str:
     """One polyline per (B, Omega, A) combination against the E axis
     (or against Omega when E is fixed and Omega swept)."""
+    width, height = _SVG_WIDTH, _SVG_HEIGHT
     rows = [r for r in result.rows if math.isfinite(r.value)]
     if not rows:
         return ("<svg xmlns='http://www.w3.org/2000/svg' "

@@ -95,7 +95,7 @@ def test_03_b0_equivalence_as_stated(A, request):
     params = ModelParams(disorder_A=A)
     worst = 0.0
     for E in np.linspace(0.0, 2.0, 20):
-        v = shear_b0_numeric(E, params, method="exact").value
+        v = shear_b0_numeric(E, params).value
         worst = max(worst, abs(v / shear_b0_analytic(E, params) - 1.0))
     ok = worst <= 0.07
     report(3, f"B=0 numeric vs closed form, A={A:g}, E in [0,2]", ok,
@@ -108,7 +108,7 @@ def test_03b_b0_equivalence_away_from_dirac_point():
     for A in (10.0, 20.0, 35.0):
         params = ModelParams(disorder_A=A)
         for E in np.linspace(0.9, 2.0, 8):
-            v = shear_b0_numeric(E, params, method="exact").value
+            v = shear_b0_numeric(E, params).value
             worst = max(worst, abs(v / shear_b0_analytic(E, params) - 1.0))
     ok = worst <= 0.07
     report(3, "B=0 numeric vs closed form for E >= 0.9 eV", ok,
@@ -121,8 +121,7 @@ def test_03b_b0_equivalence_away_from_dirac_point():
 # --------------------------------------------------------------------------
 
 def test_04_dirac_point_enhancement_monotonic():
-    vals = {A: shear_b0_numeric(0.0, ModelParams(disorder_A=A),
-                                method="exact").value
+    vals = {A: shear_b0_numeric(0.0, ModelParams(disorder_A=A)).value
             for A in (5.0, 10.0, 20.0, 35.0)}
     seq = [vals[a] for a in (5.0, 10.0, 20.0, 35.0)]
     ok = all(x > y for x, y in zip(seq, seq[1:]))
@@ -135,8 +134,8 @@ def _pair_crossing(a1, a2, lo, hi):
     p1, p2 = ModelParams(disorder_A=a1), ModelParams(disorder_A=a2)
 
     def diff(E):
-        return (shear_b0_numeric(E, p1, method="exact").value
-                - shear_b0_numeric(E, p2, method="exact").value)
+        return (shear_b0_numeric(E, p1).value
+                - shear_b0_numeric(E, p2).value)
 
     d_lo, d_hi = diff(lo), diff(hi)
     if d_lo * d_hi > 0:
@@ -379,8 +378,8 @@ def test_12_symmetry_and_determinism(params50, spectrum10_50):
         devs.append(abs(h_p / -h_m - 1.0))
     for E in (0.0, 1.1):
         p = ModelParams(disorder_A=20.0)
-        devs.append(abs(shear_b0_numeric(E, p, method="exact").value
-                        / shear_b0_numeric(-E, p, method="exact").value - 1.0))
+        devs.append(abs(shear_b0_numeric(E, p).value
+                        / shear_b0_numeric(-E, p).value - 1.0))
     spec_kwargs = dict(quantity="static_shear", e_grid=GridSpec(-0.5, 0.5, 3),
                        a_values=(10.0, 20.0))
     csvs = [result_to_csv(run_sweep(SweepSpec(**spec_kwargs)))

@@ -134,8 +134,7 @@ class TestSerialization:
         from diracvisc import ModelParams, shear_b0_numeric
         res = run_sweep(tiny_spec())
         row = [r for r in res.rows if r.E == 0.5 and r.A == 20.0][0]
-        direct = shear_b0_numeric(0.5, ModelParams(disorder_A=20.0),
-                                  method="exact")
+        direct = shear_b0_numeric(0.5, ModelParams(disorder_A=20.0))
         assert row.value == pytest.approx(direct.value, rel=1e-12)
 
 
@@ -458,6 +457,24 @@ class TestCli:
                      "--b", "10", "--a", "20", "--fixed", fixed])
         assert code == 2
         assert "must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("quantity,key,value", [
+        ("dynamic_hall", "broadening", '"x"'), ("dos", "temperature", '"x"'),
+        ("dos", "cutoff_Ec", '"7"'), ("dynamic_hall", "broadening", "null"),
+        ("dos", "temperature", "null"), ("dos", "hbar_vf", "true")])
+    def test_non_numeric_setting_is_usage_error(self, quantity, key, value,
+                                                monkeypatch, capsys):
+        # each once ended in an uncaught TypeError from a row
+        calls = []
+        monkeypatch.setattr(sweep, "_eval_point",
+                            lambda *a: calls.append(a))
+        grids = ["--b", "10", "--omega", "0.2"] if quantity == "dynamic_hall" \
+            else []
+        code = main(["sweep", "--quantity", quantity, "--e", "0.13",
+                     "--a", "500", *grids, "--fixed", f'{{"{key}": {value}}}'])
+        assert code == 2 and calls == []
+        err = capsys.readouterr().err
+        assert "usage error" in err and key in err
 
     def test_static_sweep_rejects_temperature(self, capsys):
         rc = main(["sweep", "--quantity", "static_shear", "--e", "0.5",
