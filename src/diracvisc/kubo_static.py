@@ -285,7 +285,7 @@ def shear_bfield_overlapped(E: float, params: ModelParams,
                             spectrum: LandauSpectrum,
                             sigma: complex) -> float:
     """(1/8) E^2 rho tau / (1+4 w^2 t^2) + (rho/32 tau)(3+16 w^2 t^2)/(1+4 w^2 t^2)."""
-    rho = dos(E, sigma, params, spectrum.b_field)
+    rho = dos(E, sigma, params, spectrum)
     tau = relaxation_time(sigma)
     wct = effective_cyclotron(E, spectrum) * tau
     d = 1.0 + 4.0 * wct * wct
@@ -523,7 +523,7 @@ def hall_static_analytic(E: float, params: ModelParams,
     wc_eff = effective_cyclotron(E, spectrum)
     if s.imag < 0:
         tau = relaxation_time(s)
-        rho = dos(E, s, params, spectrum.b_field)
+        rho = dos(E, s, params, spectrum)
     else:
         tau, rho = math.inf, 0.0
     if tag == SEPARATED:

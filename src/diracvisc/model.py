@@ -8,7 +8,7 @@ in tesla, viscosities in hbar/nm^2. The default hbar*v_f = 0.6582 eV nm
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,14 +86,18 @@ class LandauSpectrum:
         return np.arange(self.n_cutoff + 1)
 
 
-def build_spectrum(params: ModelParams, b_field: float, *,
-                   e_window: float = 0.0, omega: float = 0.0) -> LandauSpectrum:
-    """Spectrum with N_c = smallest n such that hbar omega_c sqrt(n) reaches
-    max(E_c, 3(|E| + |Omega|))."""
+def check_in_band(E: float, cutoff_Ec: float) -> None:
+    """Refuse an energy outside the band, |E| >= E_c, with a ValueError."""
+    if not abs(E) < cutoff_Ec:
+        raise ValueError(f"energy E = {E:g} eV lies outside the band "
+                         f"|E| < E_c = {cutoff_Ec:g} eV")
+
+
+def build_spectrum(params: ModelParams, b_field: float) -> LandauSpectrum:
+    """N_c = the least n with hbar w_c sqrt(n) >= E_c, the band cutoff."""
     lb = magnetic_length(b_field)
     hwc = math.sqrt(2.0) * params.hbar_vf / lb
-    target = max(params.cutoff_Ec, 3.0 * (abs(e_window) + abs(omega)))
-    n_c = int(math.ceil((target / hwc) ** 2))
+    n_c = int(math.ceil((params.cutoff_Ec / hwc) ** 2))
     return LandauSpectrum(b_field=b_field, l_B=lb, hbar_omega_c=hwc,
                           n_cutoff=n_c)
 

@@ -41,7 +41,6 @@ class SelfEnergySolution:
     iterations: int        # Newton steps; for array input, the most any
                            # element took, plus the most any branch
                            # re-solve took
-    converged: bool
 
 
 def _log_branch(z, cutoff: float):
@@ -97,8 +96,8 @@ def _solution(E, e: np.ndarray, sigma: np.ndarray, residual: np.ndarray,
               iterations: int) -> SelfEnergySolution:
     """Scalars for scalar E, arrays otherwise."""
     if np.ndim(E) == 0:
-        return SelfEnergySolution(E, sigma[0], residual[0], iterations, True)
-    return SelfEnergySolution(e, sigma, residual, iterations, True)
+        return SelfEnergySolution(E, sigma[0], residual[0], iterations)
+    return SelfEnergySolution(e, sigma, residual, iterations)
 
 
 def solve_self_energy_b0(E, params: ModelParams, *,
@@ -278,21 +277,19 @@ def self_energy_dirac_point_bfield(params: ModelParams,
 
 
 def dos(E: float, sigma: complex, params: ModelParams,
-        b_field: float | None = None) -> float:
+        spectrum: LandauSpectrum | None = None) -> float:
     """Density of states per eV nm^2 (includes the degeneracy factor).
 
-    B = 0:   rho = -(g/4) (2A / pi^2 (hbar v_f)^2) Im Sigma
+    B = 0 (no spectrum): rho = -(g/4) (2A / pi^2 (hbar v_f)^2) Im Sigma
     B != 0:  rho = -(g/4) (2 / pi^2 l_B^2)(2A / (hbar w_c)^2) Im Sigma
     """
     if sigma.imag > 0:
         raise ValueError(f"retarded Im Sigma must be <= 0, got {sigma.imag}")
     A = params.disorder_A
     scale = params.degeneracy / 4.0
-    if b_field is None or b_field == 0:
+    if spectrum is None:
         return -scale * (2.0 * A / (math.pi ** 2 * params.hbar_vf ** 2)) * sigma.imag
-    from .model import magnetic_length
-    lb = magnetic_length(b_field)
-    hwc = math.sqrt(2.0) * params.hbar_vf / lb
+    lb, hwc = spectrum.l_B, spectrum.hbar_omega_c
     return -scale * (2.0 / (math.pi ** 2 * lb ** 2)) * (2.0 * A / hwc ** 2) * sigma.imag
 
 

@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .model import ModelParams, build_spectrum
+from .model import DEFAULT_CUTOFF, ModelParams, build_spectrum, check_in_band
 from .kubo_static import (hall_static_numeric, shear_b0_numeric,
                           shear_bfield_numeric)
 from .kubo_dynamic import hall_dynamic, shear_dynamic_b0, shear_dynamic_bfield
@@ -24,8 +24,8 @@ from .vertex import vertex_correction_b0, vertex_correction_landau
 
 
 # ---------------------------------------------------------------------------
-# quantities: each evaluator maps one grid point to SweepRow fields. They
-# call the physics through this module's globals, looked up at call time.
+# quantities: each evaluator maps a grid point and its spectrum (None at
+# B = 0) to SweepRow fields, calling the physics through module globals.
 # ---------------------------------------------------------------------------
 
 def _int_setting(fixed: dict, name: str, default: int) -> int:
@@ -39,11 +39,10 @@ def _int_setting(fixed: dict, name: str, default: int) -> int:
     return int(value)
 
 
-def _solve_sigma(E, B, params):
-    if B:
-        return solve_self_energy_landau(E, params,
-                                        build_spectrum(params, B, e_window=E))
-    return solve_self_energy_b0(E, params)
+def _solve_sigma(E, spectrum, params):
+    if spectrum is None:
+        return solve_self_energy_b0(E, params)
+    return solve_self_energy_landau(E, params, spectrum)
 
 
 def _static_fields(v) -> dict:
@@ -51,61 +50,56 @@ def _static_fields(v) -> dict:
             "regime_tag": v.regime_tag}
 
 
-def _self_energy(E, B, Omega, params, fixed) -> dict:
-    sol = _solve_sigma(E, B, params)
+def _self_energy(E, spectrum, Omega, params, fixed) -> dict:
+    sol = _solve_sigma(E, spectrum, params)
     return {"value": sol.sigma.imag,
             "channels": {"re_sigma": sol.sigma.real,
                          "residual": sol.residual,
-                         "iterations": sol.iterations},
-            "converged": sol.converged}
+                         "iterations": sol.iterations}}
 
 
-def _dos(E, B, Omega, params, fixed) -> dict:
-    sol = _solve_sigma(E, B, params)
-    return {"value": dos(E, sol.sigma, params, B), "converged": sol.converged}
+def _dos(E, spectrum, Omega, params, fixed) -> dict:
+    sol = _solve_sigma(E, spectrum, params)
+    return {"value": dos(E, sol.sigma, params, spectrum)}
 
 
-def _static_shear(E, B, Omega, params, fixed) -> dict:
-    if B:
-        return _static_fields(shear_bfield_numeric(
-            E, params, build_spectrum(params, B, e_window=E)))
-    return _static_fields(shear_b0_numeric(E, params))
+def _static_shear(E, spectrum, Omega, params, fixed) -> dict:
+    if spectrum is None:
+        return _static_fields(shear_b0_numeric(E, params))
+    return _static_fields(shear_bfield_numeric(E, params, spectrum))
 
 
-def _static_hall(E, B, Omega, params, fixed) -> dict:
-    return _static_fields(hall_static_numeric(
-        E, params, build_spectrum(params, B, e_window=E)))
+def _static_hall(E, spectrum, Omega, params, fixed) -> dict:
+    return _static_fields(hall_static_numeric(E, params, spectrum))
 
 
-def _dynamic_shear(E, B, Omega, params, fixed) -> dict:
-    if B:
-        spectrum = build_spectrum(params, B, e_window=E, omega=Omega)
-        return {"value": shear_dynamic_bfield(E, Omega, params, spectrum,
-                                              fixed.get("broadening"))}
-    return {"value": shear_dynamic_b0(E, Omega, params)}
+def _dynamic_shear(E, spectrum, Omega, params, fixed) -> dict:
+    if spectrum is None:
+        return {"value": shear_dynamic_b0(E, Omega, params)}
+    return {"value": shear_dynamic_bfield(E, Omega, params, spectrum,
+                                          fixed.get("broadening"))}
 
 
-def _dynamic_hall(E, B, Omega, params, fixed) -> dict:
-    spectrum = build_spectrum(params, B, e_window=E, omega=Omega)
+def _dynamic_hall(E, spectrum, Omega, params, fixed) -> dict:
     gamma = fixed.get("broadening", spectrum.hbar_omega_c / 50.0)
     return {"value": hall_dynamic(E, Omega, params, spectrum, gamma)}
 
 
-def _vertex_check(E, B, Omega, params, fixed) -> dict:
+def _vertex_check(E, spectrum, Omega, params, fixed) -> dict:
     ratio = vertex_correction_b0(E, params).ratio
     channels = {"ratio_momentum": ratio}
-    if B:
+    if spectrum is not None:
         channels["ratio_landau"] = vertex_correction_landau(
-            E, params, build_spectrum(params, B, e_window=E)).ratio
+            E, params, spectrum).ratio
     return {"value": ratio, "channels": channels}
 
 
 class Quantity(NamedTuple):
-    evaluate: Callable[..., dict]  # (E, B, Omega, params, fixed) -> fields
+    evaluate: Callable[..., dict]  # (E, spectrum, Omega, params, fixed)
     value_label: str               # CSV header of the value column
     channels: tuple[str, ...] = ()  # CSV channel columns, in order
     dynamic: bool = False          # needs an Omega grid; others refuse one
-    needs_field: bool = False      # needs a B grid
+    needs_field: bool = False      # needs a B grid with every B > 0
 
 
 QUANTITIES = {
@@ -185,8 +179,9 @@ class SweepSpec:
         if q.dynamic and 0.0 in self.omega_grid.values():
             raise ValueError(f"{self.quantity!r} needs Omega != 0; the Omega "
                              "grid contains 0 (use the static quantity there)")
-        if q.needs_field and self.b_grid is None:
-            raise ValueError(f"{self.quantity!r} requires a magnetic field")
+        if q.needs_field and (self.b_grid is None
+                              or min(self.b_grid.values()) <= 0.0):
+            raise ValueError(f"{self.quantity!r} needs a magnetic field B > 0")
         if self.output_format not in ("csv", "json"):
             raise ValueError(f"unknown output format {self.output_format!r}")
         _int_setting(self.fixed, "degeneracy", 4)
@@ -194,6 +189,8 @@ class SweepSpec:
             value = self.fixed.get(name, 0.0)
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ValueError(f"{name} must be a number, got {value!r}")
+        for E in self.e_grid.values() if self.e_grid else ():
+            check_in_band(E, self.fixed.get("cutoff_Ec", DEFAULT_CUTOFF))
 
     def to_config(self) -> dict:
         """Flat JSON form, as read back by from_config."""
@@ -239,21 +236,20 @@ class SweepResult:
 
 
 def _make_params(A: float, fixed: dict) -> ModelParams:
-    return ModelParams(
-        disorder_A=A,
-        hbar_vf=fixed.get("hbar_vf", ModelParams.__dataclass_fields__["hbar_vf"].default),
-        cutoff_Ec=fixed.get("cutoff_Ec", ModelParams.__dataclass_fields__["cutoff_Ec"].default),
-        degeneracy=_int_setting(fixed, "degeneracy", 4),
-        temperature=fixed.get("temperature", 0.0))
+    given = {k: fixed[k] for k in ("hbar_vf", "cutoff_Ec", "temperature")
+             if k in fixed}
+    return ModelParams(disorder_A=A, **given,
+                       degeneracy=_int_setting(fixed, "degeneracy", 4))
 
 
 def _eval_point(spec: SweepSpec, E: float, B: float | None,
                 Omega: float | None, A: float) -> SweepRow:
     params = _make_params(A, spec.fixed)
+    spectrum = build_spectrum(params, B) if B else None
     evaluate = QUANTITIES[spec.quantity].evaluate
     try:
         return SweepRow(E, B, Omega, A,
-                        **evaluate(E, B, Omega, params, spec.fixed))
+                        **evaluate(E, spectrum, Omega, params, spec.fixed))
     except ConvergenceError:
         return SweepRow(E, B, Omega, A, value=math.nan, converged=False)
 

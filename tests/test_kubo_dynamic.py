@@ -417,7 +417,7 @@ class TestShearDynamicBfieldChains:
         points = {10.0: ((0.0, 0.05), (0.13, -0.313), (-0.21, 0.1)),
                   1.0: ((0.0, -0.05), (0.13, 0.02), (-0.21, -0.02))}[B]
         for E, Omega in points:
-            spectrum = build_spectrum(params, B, e_window=E, omega=Omega)
+            spectrum = build_spectrum(params, B)
             gamma = width and spectrum.hbar_omega_c / width
             v = shear_dynamic_bfield(E, Omega, params, spectrum, gamma)
             ref = shear_dynamic_bfield_four_chains(E, Omega, params, spectrum,

@@ -671,7 +671,7 @@ class TestRegimesAndClosedForms:
         assert v15.value > 0
         s = solve_self_energy_landau(1.5, params, spectrum).sigma
         from diracvisc import dos, relaxation_time, effective_cyclotron
-        rho = dos(1.5, s, params, 10.0)
+        rho = dos(1.5, s, params, spectrum)
         tau = relaxation_time(s)
         wc = effective_cyclotron(1.5, spectrum)
         expected = rho * wc * tau ** 2 * 1.5 ** 2 / (4.0 * (1.0 + 4.0 * (wc * tau) ** 2))

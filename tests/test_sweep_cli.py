@@ -217,7 +217,7 @@ class TestPhysicalLadder:
     @pytest.mark.parametrize("E", [0.05, 0.1])
     def test_default_ladder_meets_direct_sums(self, E, A):
         params = ModelParams(disorder_A=A)
-        spectrum = build_spectrum(params, 0.5, e_window=E)
+        spectrum = build_spectrum(params, 0.5)
         assert spectrum.n_cutoff == 78_762
         sigma = solve_self_energy_landau(E, params, spectrum).sigma
         z = E - sigma
@@ -450,6 +450,45 @@ class TestCli:
         assert code == 2 and calls == []
         captured = capsys.readouterr()
         assert "usage error" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("quantity,omega", [("static_hall", []),
+                                                ("dynamic_hall",
+                                                 ["--omega", "0.2"])])
+    @pytest.mark.parametrize("b_grid", ["10:0:2", "-1"])
+    def test_field_quantity_refuses_b_zero(self, quantity, omega, b_grid,
+                                           monkeypatch, capsys):
+        # the 10 T row once ran before B = 0 ended the sweep with exit 2
+        calls = []
+        real = sweep._eval_point
+        monkeypatch.setattr(sweep, "_eval_point",
+                            lambda *a: calls.append(a) or real(*a))
+        code = main(["sweep", "--quantity", quantity, "--e", "0.1",
+                     f"--b={b_grid}", "--a", "20", *omega])
+        assert code == 2 and calls == []
+        captured = capsys.readouterr()
+        assert "usage error" in captured.err and "B > 0" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("args", [
+        ["sweep", "--quantity", "self_energy", "--e=-36", "--a", "2.5"],
+        ["sweep", "--quantity", "dos", "--e=-8:0:3", "--b", "0.05",
+         "--a", "20"],
+        ["sweep", "--quantity", "static_shear", "--e", "3", "--a", "20",
+         "--fixed", '{"cutoff_Ec": 3}'],
+        ["solve-sigma", "--E=-36", "--A", "2.5"],
+        ["solve-sigma", "--E", "8", "--A", "20", "--B", "0.05"],
+        ["vertex-check", "--E", "7.2"]])
+    def test_energy_outside_the_band_is_usage_error(self, args, monkeypatch,
+                                                    capsys):
+        # at A = 2.5, E = -36 eV solve-sigma once ran 100 Newton steps and
+        # exited 1, and sweep wrote a NaN row and exited 0
+        calls = []
+        monkeypatch.setattr(sweep, "_eval_point", lambda *a: calls.append(a))
+        assert main(args) == 2 and calls == []
+        captured = capsys.readouterr()
+        assert "usage error" in captured.err and "E_c" in captured.err
+        assert "E = " in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("fixed", ['{"degeneracy": 4.7}'])
     def test_fractional_integer_setting_is_usage_error(self, fixed, capsys):
