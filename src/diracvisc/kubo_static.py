@@ -29,7 +29,9 @@ B_ZERO = "b_zero"
 class ViscosityValue:
     """A viscosity with its channel decomposition.
 
-    value = Re(RA) - Re(RR) [+ Re(II) for Hall] by construction.
+    value = Re(RA) - Re(RR) [+ Re(II) for Hall] by construction. For a 1-D
+    array of energies, value and the channels are arrays and regime_tag and
+    low_confidence are tuples, one entry per energy.
     """
     value: float
     channels: dict[str, float] = field(default_factory=dict)
@@ -71,10 +73,18 @@ def _radial(integral, z1, z2, T: float):
     int_0^T t dt / ((z1^2 - t)(z2^2 - t)). Once any |z| < _TINY_Z (at E = 0,
     z^2 underflows past A ~ 750, the quad integrand past A ~ 350) this is
     taken in u = t / c^2, c = max(|z1|, |z2|), up to u = 1e30; beyond, the
-    integrand is 1/u to 1e-30 relative, and that part is added as a log."""
+    integrand is 1/u to 1e-30 relative, and that part is added as a log.
+    Each element takes the route its own |z| selects."""
     c = np.maximum(abs(z1), abs(z2))
-    if not (c < _TINY_Z).any():
+    tiny = c < _TINY_Z
+    if not tiny.any():
         return 0.5 * z1 * z2 * integral(z1, z2, T)
+    if not tiny.all():
+        z1, z2 = np.broadcast_arrays(z1, z2)
+        out = np.empty(tiny.shape, dtype=complex)
+        out[~tiny] = _radial(integral, z1[~tiny], z2[~tiny], T)
+        out[tiny] = _radial(integral, z1[tiny], z2[tiny], T)
+        return out
     log_end = math.log(T) - 2.0 * np.log(c)
     log_top = np.minimum(log_end, math.log(1e30))
     scaled = np.vectorize(integral, otypes=[complex])(z1 / c, z2 / c,
@@ -142,22 +152,48 @@ def _resolve_sigma(sigma: SelfEnergySolution | complex | None,
     return sigma
 
 
-def shear_b0_numeric(E: float, params: ModelParams, *,
+def _column(E, sigma, solve) -> tuple[np.ndarray, np.ndarray]:
+    """(energies, self-energies) as 1-D arrays for a float or a 1-D array
+    E; one solve() call for the whole column when no sigma is given."""
+    e = np.asarray(E, dtype=float).reshape(-1)
+    s = np.asarray(_resolve_sigma(sigma, solve), dtype=complex).reshape(-1)
+    return e, s
+
+
+def _viscosity(E, value, channels: dict, tags, low) -> ViscosityValue:
+    """Scalars for scalar E, per-energy arrays and tuples otherwise."""
+    if np.ndim(E) == 0:
+        return ViscosityValue(value[0], {k: c[0] for k, c in channels.items()},
+                              tags[0], low[0])
+    return ViscosityValue(value, channels, tuple(tags), tuple(low))
+
+
+def _regimes(e: np.ndarray, params: ModelParams, spectrum: LandauSpectrum,
+             s: np.ndarray) -> tuple[list[str], list[bool]]:
+    """detect_regime's tags and low-confidence flags, energy by energy (as
+    Python floats, so that w_eff tau overflows to inf without a warning)."""
+    found = [detect_regime(float(E), params, spectrum, si)
+             for E, si in zip(e, s)]
+    return [tag for tag, _, _ in found], [low for _, _, low in found]
+
+
+def shear_b0_numeric(E, params: ModelParams, *,
                      sigma: SelfEnergySolution | complex | None = None
                      ) -> ViscosityValue:
     """Static shear viscosity at B = 0 from the radial Kubo integral, taken
     with its closed antiderivative (_k_kernel; _k_kernel_quad is the
-    adaptive-quadrature check of it)."""
+    adaptive-quadrature check of it). E is a float or a 1-D array; an
+    array is solved in one SCBA call."""
     _require_zero_temperature(params)
-    s = _resolve_sigma(sigma, lambda: solve_self_energy_b0(
+    e, s = _column(E, sigma, lambda: solve_self_energy_b0(
         E, params, drop_real_part=True))
-    zR = E - s
-    zA = E - s.conjugate()
+    zR = e - s
+    zA = e - s.conjugate()
     pref = _b0_prefactor(params)
     ra = pref * _k_kernel(zR, zA, params).real
     rr = pref * _k_kernel(zR, zR, params).real
-    return ViscosityValue(value=ra - rr, channels={"RA": ra, "RR": rr},
-                          regime_tag=B_ZERO)
+    return _viscosity(E, ra - rr, {"RA": ra, "RR": rr}, [B_ZERO] * e.size,
+                      [False] * e.size)
 
 
 def shear_b0_analytic(E: float, params: ModelParams) -> float:
@@ -199,18 +235,24 @@ def _pair_sum(zr: complex, zs: complex, W: float, hi: int) -> complex:
     return fractions * zr * zs / (W * W * (b - 2.0 - a))
 
 
-def shear_pair_sums(z: complex,
-                    spectrum: LandauSpectrum) -> tuple[complex, complex]:
-    """The sums of shear_pair_sums_direct in O(1) by partial fractions.
+def shear_pair_sums(z, spectrum: LandauSpectrum):
+    """The sums of shear_pair_sums_direct in O(1) by partial fractions, for
+    a complex scalar or array z.
 
     Like landau_green_sum, the ladder is summed directly once
     |z^2 / (hbar w_c)^2| > N_c, where the digamma terms cancel.
     """
     W = spectrum.hbar_omega_c ** 2
-    if abs(z * z / W) > spectrum.n_cutoff:
-        return shear_pair_sums_direct(z, spectrum)
+    z = np.asarray(z, dtype=complex)
+    far = np.abs(z * z / W) > spectrum.n_cutoff
+    if far.any():
+        ra, rr = np.empty_like(z), np.empty_like(z)
+        ra[~far], rr[~far] = shear_pair_sums(z[~far], spectrum)
+        ra[far], rr[far] = np.array(
+            [shear_pair_sums_direct(x, spectrum) for x in z[far]]).T
+        return ra[()], rr[()]
     hi = spectrum.n_cutoff - 2
-    return _pair_sum(z, z.conjugate(), W, hi), _pair_sum(z, z, W, hi)
+    return _pair_sum(z, z.conjugate(), W, hi)[()], _pair_sum(z, z, W, hi)[()]
 
 
 def detect_regime(E: float, params: ModelParams, spectrum: LandauSpectrum,
@@ -226,7 +268,7 @@ def detect_regime(E: float, params: ModelParams, spectrum: LandauSpectrum,
     return (SEPARATED if wct >= 1.0 else OVERLAPPED), wct, True
 
 
-def shear_bfield_numeric(E: float, params: ModelParams,
+def shear_bfield_numeric(E, params: ModelParams,
                          spectrum: LandauSpectrum, *,
                          sigma: SelfEnergySolution | complex | None = None
                          ) -> ViscosityValue:
@@ -235,20 +277,19 @@ def shear_bfield_numeric(E: float, params: ModelParams,
     RA = (hbar^3 w_c^2 / 4 pi^2 l_B^2) sum_n (n+1)(g^R_n g^A_{n+2} + g^R_{n+2} g^A_n)
     RR = (hbar^3 w_c^2 / 2 pi^2 l_B^2) sum_n (n+1) g^R_n g^R_{n+2}
 
-    evaluated by shear_pair_sums.
+    evaluated by shear_pair_sums. E is a float or a 1-D array; an array is
+    solved in one SCBA call.
     """
     _require_zero_temperature(params)
-    s = _resolve_sigma(sigma, lambda: solve_self_energy_landau(
+    e, s = _column(E, sigma, lambda: solve_self_energy_landau(
         E, params, spectrum))
-    z = E - s
-    s_ra, s_rr = shear_pair_sums(z, spectrum)
+    s_ra, s_rr = shear_pair_sums(e - s, spectrum)
     scale = (params.degeneracy / 4.0) * spectrum.hbar_omega_c ** 2 / (
         math.pi ** 2 * spectrum.l_B ** 2)
     ra = 0.5 * scale * s_ra.real
     rr = 0.5 * scale * s_rr.real
-    tag, _, low = detect_regime(E, params, spectrum, s)
-    return ViscosityValue(value=ra - rr, channels={"RA": ra, "RR": rr},
-                          regime_tag=tag, low_confidence=low)
+    return _viscosity(E, ra - rr, {"RA": ra, "RR": rr},
+                      *_regimes(e, params, spectrum, s))
 
 
 def nearest_level(E: float, spectrum: LandauSpectrum) -> tuple[int, int]:
@@ -423,7 +464,7 @@ def _hall_sums(z: complex,
     return sum_i, surface.imag, 2.0 / W * logs.imag
 
 
-def hall_static_numeric(E: float, params: ModelParams,
+def hall_static_numeric(E, params: ModelParams,
                         spectrum: LandauSpectrum, *,
                         sigma: SelfEnergySolution | complex | None = None) -> ViscosityValue:
     """Static Hall viscosity: Fermi-surface (I) channels at E plus the
@@ -435,25 +476,24 @@ def hall_static_numeric(E: float, params: ModelParams,
     four (s, s') level chains are taken in closed form by _hall_sums, in
     O(|z|^2 / (hbar w_c)^2) time whatever N_c, so a ladder is materialized
     only when it ends below the energy. Inside gaps Im Sigma is held at
-    -_GAP_FLOOR to keep G retarded.
+    -_GAP_FLOOR to keep G retarded. E is a float or a 1-D array; an array
+    is solved in one SCBA call and summed energy by energy.
     """
     _require_zero_temperature(params)
-    s = _resolve_sigma(sigma, lambda: solve_self_energy_landau(
+    e, s = _column(E, sigma, lambda: solve_self_energy_landau(
         E, params, spectrum))
-    if s.imag > -_GAP_FLOOR:
-        s = complex(s.real, -_GAP_FLOOR)
-    z = E - s
+    s = s.real + 1j * np.minimum(s.imag, -_GAP_FLOOR)
     W = spectrum.hbar_omega_c ** 2
     lb2 = spectrum.l_B ** 2
     scale = params.degeneracy / 4.0
 
-    sum_i, sum_surface, sum_log = _hall_sums(z, spectrum)
+    sum_i, sum_surface, sum_log = np.array(
+        [_hall_sums(z, spectrum) for z in e - s]).T
     eta_i = scale * W / (16.0 * math.pi ** 2 * lb2) * sum_i
     eta_ii = scale * W / (8.0 * math.pi ** 2 * lb2) * (sum_surface - sum_log)
-    tag, _, low = detect_regime(E, params, spectrum, s)
-    return ViscosityValue(value=eta_i + eta_ii,
-                          channels={"RA": eta_i, "RR": 0.0, "II": eta_ii},
-                          regime_tag=tag, low_confidence=low)
+    return _viscosity(E, eta_i + eta_ii,
+                      {"RA": eta_i, "RR": np.zeros(e.size), "II": eta_ii},
+                      *_regimes(e, params, spectrum, s))
 
 
 # hall_fermi_sea_quadrature's grid: uniform from 8 eV below the ladder up

@@ -129,9 +129,36 @@ def solve_self_energy_b0(E, params: ModelParams, *,
     return _solution(E, e, *_iterate(e, seed, fmap, tol, max_iter))
 
 
+def _near_roots(x):
+    """Where scipy's complex digamma takes its slow series about the roots
+    at -0.50 and 1.46 (about 10 us an element, against 0.4 us elsewhere)."""
+    return (-1.6 < x.real) & (x.real < 2.0) & (abs(x.imag) < 1.0)
+
+
+def _shifted_psi(x):
+    """psi(x) = psi(x + 4) - sum_{k<4} 1/(x + k) (DLMF 5.5.2)."""
+    return digamma(x + 4.0) - (1.0 / x + 1.0 / (x + 1.0) + 1.0 / (x + 2.0)
+                               + 1.0 / (x + 3.0))
+
+
+def _psi(x):
+    """digamma(x), with the arguments near its roots shifted by 4. A scalar
+    stays on plain Python arithmetic, which is cheaper there than numpy
+    masks."""
+    if np.ndim(x) == 0:
+        x = complex(x)
+        return _shifted_psi(x) if _near_roots(x) else digamma(x)
+    x = np.asarray(x, dtype=complex)
+    near = _near_roots(x)
+    out = np.empty_like(x)
+    out[~near] = digamma(x[~near])
+    out[near] = _shifted_psi(x[near])
+    return out
+
+
 def pole_sum(c: complex, lo: int, hi: int) -> complex:
     """sum_{n=lo}^{hi} 1/(c - n) = psi(lo - c) - psi(hi + 1 - c) (DLMF 5.5.2)."""
-    return digamma(lo - c) - digamma(hi + 1 - c)
+    return _psi(lo - c) - _psi(hi + 1 - c)
 
 
 def landau_green_sum_direct(z: complex, spectrum: LandauSpectrum) -> complex:

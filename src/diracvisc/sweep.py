@@ -1,8 +1,9 @@
 """Parameter sweeps with deterministic, reproducible tabular output.
 
 A sweep is described by a flat SweepSpec (JSON-serializable); rows are
-computed serially in lexicographic grid order (E, B, Omega, A), so CSV
-output is byte-identical across runs. Each quantity is one QUANTITIES
+computed serially, one (B, Omega, A) column of energies at a time, and
+listed in lexicographic grid order (E, B, Omega, A), so CSV output is
+byte-identical across runs. Each quantity is one QUANTITIES
 entry: its evaluator, its CSV columns and the grids it needs.
 """
 from __future__ import annotations
@@ -24,8 +25,9 @@ from .vertex import vertex_correction_b0, vertex_correction_landau
 
 
 # ---------------------------------------------------------------------------
-# quantities: each evaluator maps a grid point and its spectrum (None at
-# B = 0) to SweepRow fields, calling the physics through module globals.
+# quantities: each evaluator maps an E column (a 1-D array) and its spectrum
+# (None at B = 0) to one dict of SweepRow fields per energy, calling the
+# physics through module globals.
 # ---------------------------------------------------------------------------
 
 def _int_setting(fixed: dict, name: str, default: int) -> int:
@@ -39,63 +41,75 @@ def _int_setting(fixed: dict, name: str, default: int) -> int:
     return int(value)
 
 
-def _solve_sigma(E, spectrum, params):
+def _solve_sigma(e, spectrum, params):
     if spectrum is None:
-        return solve_self_energy_b0(E, params)
-    return solve_self_energy_landau(E, params, spectrum)
+        return solve_self_energy_b0(e, params)
+    return solve_self_energy_landau(e, params, spectrum)
 
 
-def _static_fields(v) -> dict:
-    return {"value": v.value, "channels": v.channels,
-            "regime_tag": v.regime_tag}
+def _static_rows(v) -> list[dict]:
+    return [{"value": value,
+             "channels": {name: c[i] for name, c in v.channels.items()},
+             "regime_tag": tag}
+            for i, (value, tag) in enumerate(zip(v.value, v.regime_tag))]
 
 
-def _self_energy(E, spectrum, Omega, params, fixed) -> dict:
-    sol = _solve_sigma(E, spectrum, params)
-    return {"value": sol.sigma.imag,
-            "channels": {"re_sigma": sol.sigma.real,
-                         "residual": sol.residual,
-                         "iterations": sol.iterations}}
+def _self_energy(e, spectrum, Omega, params, fixed) -> list[dict]:
+    # one solve per energy: an array solve reports only its largest step
+    # count, and the iterations channel counts each energy's own steps
+    rows = []
+    for E in e:
+        sol = _solve_sigma(E, spectrum, params)
+        rows.append({"value": sol.sigma.imag,
+                     "channels": {"re_sigma": sol.sigma.real,
+                                  "residual": sol.residual,
+                                  "iterations": sol.iterations}})
+    return rows
 
 
-def _dos(E, spectrum, Omega, params, fixed) -> dict:
-    sol = _solve_sigma(E, spectrum, params)
-    return {"value": dos(E, sol.sigma, params, spectrum)}
+def _dos(e, spectrum, Omega, params, fixed) -> list[dict]:
+    sigma = _solve_sigma(e, spectrum, params).sigma
+    return [{"value": dos(E, s, params, spectrum)} for E, s in zip(e, sigma)]
 
 
-def _static_shear(E, spectrum, Omega, params, fixed) -> dict:
+def _static_shear(e, spectrum, Omega, params, fixed) -> list[dict]:
     if spectrum is None:
-        return _static_fields(shear_b0_numeric(E, params))
-    return _static_fields(shear_bfield_numeric(E, params, spectrum))
+        return _static_rows(shear_b0_numeric(e, params))
+    return _static_rows(shear_bfield_numeric(e, params, spectrum))
 
 
-def _static_hall(E, spectrum, Omega, params, fixed) -> dict:
-    return _static_fields(hall_static_numeric(E, params, spectrum))
+def _static_hall(e, spectrum, Omega, params, fixed) -> list[dict]:
+    return _static_rows(hall_static_numeric(e, params, spectrum))
 
 
-def _dynamic_shear(E, spectrum, Omega, params, fixed) -> dict:
+def _dynamic_shear(e, spectrum, Omega, params, fixed) -> list[dict]:
     if spectrum is None:
-        return {"value": shear_dynamic_b0(E, Omega, params)}
-    return {"value": shear_dynamic_bfield(E, Omega, params, spectrum,
-                                          fixed.get("broadening"))}
+        return [{"value": shear_dynamic_b0(E, Omega, params)} for E in e]
+    return [{"value": shear_dynamic_bfield(E, Omega, params, spectrum,
+                                           fixed.get("broadening"))}
+            for E in e]
 
 
-def _dynamic_hall(E, spectrum, Omega, params, fixed) -> dict:
+def _dynamic_hall(e, spectrum, Omega, params, fixed) -> list[dict]:
     gamma = fixed.get("broadening", spectrum.hbar_omega_c / 50.0)
-    return {"value": hall_dynamic(E, Omega, params, spectrum, gamma)}
+    return [{"value": hall_dynamic(E, Omega, params, spectrum, gamma)}
+            for E in e]
 
 
-def _vertex_check(E, spectrum, Omega, params, fixed) -> dict:
-    ratio = vertex_correction_b0(E, params).ratio
-    channels = {"ratio_momentum": ratio}
-    if spectrum is not None:
-        channels["ratio_landau"] = vertex_correction_landau(
-            E, params, spectrum).ratio
-    return {"value": ratio, "channels": channels}
+def _vertex_check(e, spectrum, Omega, params, fixed) -> list[dict]:
+    rows = []
+    for E in e:
+        ratio = vertex_correction_b0(E, params).ratio
+        channels = {"ratio_momentum": ratio}
+        if spectrum is not None:
+            channels["ratio_landau"] = vertex_correction_landau(
+                E, params, spectrum).ratio
+        rows.append({"value": ratio, "channels": channels})
+    return rows
 
 
 class Quantity(NamedTuple):
-    evaluate: Callable[..., dict]  # (E, spectrum, Omega, params, fixed)
+    evaluate: Callable[..., list]  # (E column, spectrum, Omega, params, fixed)
     value_label: str               # CSV header of the value column
     channels: tuple[str, ...] = ()  # CSV channel columns, in order
     dynamic: bool = False          # needs an Omega grid; others refuse one
@@ -182,6 +196,9 @@ class SweepSpec:
         if q.needs_field and (self.b_grid is None
                               or min(self.b_grid.values()) <= 0.0):
             raise ValueError(f"{self.quantity!r} needs a magnetic field B > 0")
+        if self.b_grid is not None and min(self.b_grid.values()) < 0.0:
+            raise ValueError("B must be >= 0; the B grid holds a negative "
+                             "field")
         if self.output_format not in ("csv", "json"):
             raise ValueError(f"unknown output format {self.output_format!r}")
         _int_setting(self.fixed, "degeneracy", 4)
@@ -242,26 +259,38 @@ def _make_params(A: float, fixed: dict) -> ModelParams:
                        degeneracy=_int_setting(fixed, "degeneracy", 4))
 
 
-def _eval_point(spec: SweepSpec, E: float, B: float | None,
-                Omega: float | None, A: float) -> SweepRow:
+def _eval_point(spec: SweepSpec, e: np.ndarray, B: float | None,
+                Omega: float | None, A: float) -> list[SweepRow]:
+    """The rows of one (B, Omega, A) column over the energies e, in the
+    order of e. The column is evaluated in one call; when that raises
+    ConvergenceError, each energy is evaluated on its own, so only the
+    energies that fail are flagged."""
     params = _make_params(A, spec.fixed)
     spectrum = build_spectrum(params, B) if B else None
     evaluate = QUANTITIES[spec.quantity].evaluate
     try:
-        return SweepRow(E, B, Omega, A,
-                        **evaluate(E, spectrum, Omega, params, spec.fixed))
+        fields = evaluate(e, spectrum, Omega, params, spec.fixed)
     except ConvergenceError:
-        return SweepRow(E, B, Omega, A, value=math.nan, converged=False)
+        fields = []
+        for i in range(e.size):
+            try:
+                fields += evaluate(e[i:i + 1], spectrum, Omega, params,
+                                   spec.fixed)
+            except ConvergenceError:
+                fields.append({"value": math.nan, "converged": False})
+    return [SweepRow(E, B, Omega, A, **f) for E, f in zip(e, fields)]
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
-    """Evaluate the sweep grid serially in lexicographic grid order;
-    non-converged points are flagged."""
-    e_vals = (spec.e_grid or GridSpec(0.0, 0.0, 1)).values()
+    """Evaluate the sweep grid one (B, Omega, A) column at a time and list
+    the rows in lexicographic (E, B, Omega, A) order; non-converged points
+    are flagged."""
+    e_vals = np.array((spec.e_grid or GridSpec(0.0, 0.0, 1)).values())
     b_vals = spec.b_grid.values() if spec.b_grid else [None]
     o_vals = spec.omega_grid.values() if spec.omega_grid else [None]
-    rows = [_eval_point(spec, E, B, O, A) for E in e_vals for B in b_vals
-            for O in o_vals for A in spec.a_values]
+    columns = [_eval_point(spec, e_vals, B, O, A) for B in b_vals
+               for O in o_vals for A in spec.a_values]
+    rows = [column[i] for i in range(e_vals.size) for column in columns]
     header = {"config": spec.to_config(), "code_version": __version__}
     return SweepResult(header=header, rows=rows)
 

@@ -239,6 +239,18 @@ class TestWeakDisorderDiracPoint:
             one = _k_kernel(complex(z1[i]), complex(z2[i]), params20)
             assert abs(k[i] - one) <= 1e-14 * abs(one)
 
+    def test_column_equals_element_wise_calls(self, params500):
+        # at E = 0 |z| underflows past _TINY_Z; the other energies of the
+        # column once went through the scaled route with it and moved in
+        # the last bits (1.2713830314467836 against 1.271383031446784 at
+        # E = 0.1)
+        energies = np.array([0.0, 0.1, 0.5])
+        column = shear_b0_numeric(energies, params500)
+        for i, E in enumerate(energies):
+            one = shear_b0_numeric(float(E), params500)
+            assert column.value[i] == one.value
+            assert column.channels["RA"][i] == one.channels["RA"]
+
 
 # ---------------------------------------------------------------------------
 # Landau sums vs explicit matrix-element traces (dual route)

@@ -293,6 +293,35 @@ class TestLandauGreenSum:
         assert got == pytest.approx(direct_green_sum(z, spectrum), rel=1e-11)
 
 
+# near the poles at 0 and -1 and the roots at -0.50 and 1.46, where
+# scipy's digamma is slow and pole_sum shifts the argument by 4
+NEAR_DIGAMMA_ROOTS = [1e-3 + 1e-3j, -1e-3 + 0.01j, 0.3 - 0.2j, -1.0 + 1e-4j,
+                      -1.002 + 1e-3j, -0.999 - 0.01j, -0.5 + 0.2j, 0.6,
+                      1.46 + 0.05j, 1.4616 + 0.02j, 1.5 - 0.3j, 1.43,
+                      -1.5 + 0.9j, 1.9 + 0.9j]
+
+
+class TestPoleSum:
+    @pytest.mark.parametrize("x", NEAR_DIGAMMA_ROOTS)
+    def test_shifted_digamma_meets_mpmath(self, x):
+        mpmath = pytest.importorskip("mpmath")
+        want = complex(mpmath.digamma(x))
+        column = np.array([x, x + 3.0, 10.0 - 2.0j])  # near and far elements
+        for got in (scba._psi(x), scba._psi(column)[0]):
+            assert abs(got - want) <= 1e-13 * abs(want)
+        far = complex(mpmath.digamma(10.0 - 2.0j))
+        assert abs(scba._psi(column)[2] - far) <= 1e-13 * abs(far)
+
+    def test_pole_sum_matches_direct_sum(self):
+        c = np.array([0.4 - 0.05j, -0.46 + 0.1j, 1.2 + 0.3j, 37.5 - 0.2j])
+        for ci, got in zip(c, scba.pole_sum(c, 0, 60)):
+            want = math.fsum((1.0 / (ci - n)).real for n in range(61)) \
+                + 1j * math.fsum((1.0 / (ci - n)).imag for n in range(61))
+            assert got == pytest.approx(want, rel=1e-13)
+            assert scba.pole_sum(complex(ci), 0, 60) == pytest.approx(
+                want, rel=1e-13)
+
+
 def damped_landau_sigma(E, params, spectrum, *, tol=1e-10,
                         max_iter=10_000):
     """Reference: Sigma = F(Sigma) by damped fixed-point iteration from the

@@ -5,15 +5,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import diracvisc
-from diracvisc import (GridSpec, ModelParams, SweepSpec, build_spectrum,
-                       figure_preset, hall_static_numeric, parse_csv_config,
-                       result_to_csv, result_to_json, result_to_svg,
-                       run_sweep, shear_bfield_numeric,
-                       solve_self_energy_landau)
-from diracvisc import cli, sweep
+from diracvisc import (ConvergenceError, GridSpec, ModelParams, SweepSpec,
+                       build_spectrum, figure_preset, hall_static_numeric,
+                       parse_csv_config, result_to_csv, result_to_json,
+                       result_to_svg, run_sweep, shear_b0_numeric,
+                       shear_bfield_numeric, solve_self_energy_landau)
+from diracvisc import cli, kubo_static, sweep
 from diracvisc.cli import main
 from diracvisc.kubo_static import (_hall_sums, shear_pair_sums,
                                    shear_pair_sums_direct)
@@ -180,6 +181,81 @@ class TestQuantities:
         row = run_sweep(spec).rows[0]
         assert row.value <= 1e-8
         assert row.channels["ratio_landau"] == 0.0
+
+
+# (quantity, B, A values, E grid) of whole sweep columns: fig2a's and fig3's
+# 10 T columns at A = 20 and 500, fig1, and fig2b's 0.1 T column
+COLUMNS = [
+    ("static_shear", 10.0, (20.0, 500.0), GridSpec(-0.3, 0.3, 121)),
+    ("static_hall", 10.0, (20.0, 500.0), GridSpec(-0.3, 0.3, 121)),
+    ("static_shear", None, (10.0, 15.0, 20.0, 35.0), GridSpec(-2.0, 2.0, 81)),
+    ("static_shear", 0.1, (15.0,), GridSpec(-0.15, 0.15, 61)),
+]
+# a Gauss node of a 1 T, A = 500 window where the Landau Newton solve
+# cycles on the real axis and raises ConvergenceError
+NEWTON_TRAP = 0.1268914167697149
+
+
+def scalar_kubo(quantity, E, params, spectrum):
+    if quantity == "static_hall":
+        return hall_static_numeric(E, params, spectrum)
+    if spectrum is None:
+        return shear_b0_numeric(E, params)
+    return shear_bfield_numeric(E, params, spectrum)
+
+
+def assert_rows_match_scalar_calls(rows, quantity, params, spectrum):
+    for r in rows:
+        one = scalar_kubo(quantity, float(r.E), params, spectrum)
+        assert r.converged and r.regime_tag == one.regime_tag
+        for got, want in [(r.value, one.value),
+                          *[(r.channels[k], v) for k, v in one.channels.items()]]:
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
+
+
+class TestColumns:
+    @pytest.mark.parametrize("quantity,B,a_values,e_grid", COLUMNS)
+    def test_column_rows_match_scalar_calls(self, quantity, B, a_values,
+                                            e_grid):
+        spec = SweepSpec(quantity=quantity, e_grid=e_grid, a_values=a_values,
+                         b_grid=None if B is None else GridSpec(B, B, 1))
+        rows = run_sweep(spec).rows
+        assert len(rows) == e_grid.count * len(a_values)
+        for A in a_values:
+            params = ModelParams(disorder_A=A)
+            spectrum = None if B is None else build_spectrum(params, B)
+            assert_rows_match_scalar_calls([r for r in rows if r.A == A],
+                                           quantity, params, spectrum)
+
+    def test_one_landau_solve_per_column(self, monkeypatch):
+        calls = []
+        solve = kubo_static.solve_self_energy_landau
+
+        def record(E, *args, **kwargs):
+            calls.append(np.size(E))
+            return solve(E, *args, **kwargs)
+
+        monkeypatch.setattr(kubo_static, "solve_self_energy_landau", record)
+        spec = figure_preset("fig3")
+        rows = run_sweep(spec).rows
+        assert calls == [spec.e_grid.count] * len(spec.a_values)
+        assert len(rows) == spec.e_grid.count * len(spec.a_values)
+
+    def test_failed_energy_is_the_only_row_flagged(self):
+        spec = SweepSpec(quantity="static_shear",
+                         e_grid=GridSpec(0.0, 2.0 * NEWTON_TRAP, 5),
+                         b_grid=GridSpec(1.0, 1.0, 1), a_values=(500.0,))
+        params = ModelParams(disorder_A=500.0)
+        spectrum = build_spectrum(params, 1.0)
+        with pytest.raises(ConvergenceError):
+            solve_self_energy_landau(NEWTON_TRAP, params, spectrum)
+        rows = run_sweep(spec).rows
+        assert [r.E == NEWTON_TRAP for r in rows] == [False, False, True,
+                                                      False, False]
+        trap = rows[2]
+        assert not trap.converged and math.isnan(trap.value)
+        assert_rows_match_scalar_calls(rows[:2] + rows[3:], "static_shear",
+                                       params, spectrum)
 
 
 def full_ladder_fields(quantity, E, params, spectrum):
@@ -467,6 +543,23 @@ class TestCli:
         assert code == 2 and calls == []
         captured = capsys.readouterr()
         assert "usage error" in captured.err and "B > 0" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("quantity,omega", [
+        ("self_energy", []), ("dos", []), ("static_shear", []),
+        ("dynamic_shear", ["--omega", "0.2"]), ("vertex_check", [])])
+    def test_negative_field_evaluates_no_row(self, quantity, omega,
+                                             monkeypatch, capsys):
+        # the 1 T and 0 T rows once ran before B = -1 ended the sweep
+        calls = []
+        real = sweep._eval_point
+        monkeypatch.setattr(sweep, "_eval_point",
+                            lambda *a: calls.append(a) or real(*a))
+        code = main(["sweep", "--quantity", quantity, "--e", "0.1",
+                     "--b=1:-1:3", "--a", "20", *omega])
+        assert code == 2 and calls == []
+        captured = capsys.readouterr()
+        assert "usage error" in captured.err and "B must be >= 0" in captured.err
         assert captured.out == ""
 
     @pytest.mark.parametrize("args", [
