@@ -153,21 +153,18 @@ def _validate_checks():
     # digamma resummation of the Landau ladders vs level-by-level sums
     params = ModelParams(disorder_A=20.0)
     spectrum = build_spectrum(params, 10.0)
-    worst = 0.0
-    hall, hall_direct = [], []
-    for E in (0.0, 0.05, 0.12, 0.3):
-        z = E - solve_self_energy_landau(E, params, spectrum).sigma
-        pairs = [(landau_green_sum(z, spectrum),
-                  landau_green_sum_direct(z, spectrum))]
-        pairs += zip(shear_pair_sums(z, spectrum),
-                     shear_pair_sums_direct(z, spectrum))
-        worst = max([worst] + [abs(c / d - 1.0) for c, d in pairs])
-        hall.append(_hall_sums(z, spectrum))
-        hall_direct.append(_hall_sums_direct(z, spectrum))
+    energies = np.array([0.0, 0.05, 0.12, 0.3])
+    z = energies - solve_self_energy_landau(energies, params, spectrum).sigma
+    closed = np.array([landau_green_sum(z, spectrum),
+                       *shear_pair_sums(z, spectrum)]).T
+    direct = np.array([(landau_green_sum_direct(x, spectrum),
+                        *shear_pair_sums_direct(x, spectrum)) for x in z])
+    worst = np.abs(closed / direct - 1.0).max()
     # the Hall I sum and the two Fermi-sea (II) sums against their column
     # maximum: where Im*Im products cancel (E = 0, gaps) a sum is rounding
     # noise, with no relative error to speak of
-    hall, hall_direct = np.array(hall), np.array(hall_direct)
+    hall = np.array(_hall_sums(z, spectrum)).T
+    hall_direct = np.array([_hall_sums_direct(x, spectrum) for x in z])
     worst_hall = (np.abs(hall - hall_direct).max(axis=0)
                   / np.abs(hall_direct).max(axis=0)).max()
     yield ("Landau ladder closed forms vs direct sums (B=10 T, A=20)",

@@ -8,7 +8,6 @@ All viscosities are in hbar/nm^2 and include the spin-valley degeneracy.
 """
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -16,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import LandauSpectrum, ModelParams, effective_cyclotron
-from .scba import (SelfEnergySolution, dos, level_width, pole_sum,
-                   relaxation_time, solve_self_energy_b0,
+from .scba import (SelfEnergySolution, dos, ladder_sums, level_width,
+                   pole_sum, relaxation_time, solve_self_energy_b0,
                    solve_self_energy_landau)
 
 SEPARATED = "separated"
@@ -237,22 +236,12 @@ def _pair_sum(zr: complex, zs: complex, W: float, hi: int) -> complex:
 
 def shear_pair_sums(z, spectrum: LandauSpectrum):
     """The sums of shear_pair_sums_direct in O(1) by partial fractions, for
-    a complex scalar or array z.
+    a complex scalar or array z, through scba.ladder_sums."""
+    def closed(z, a):
+        W, hi = spectrum.hbar_omega_c ** 2, spectrum.n_cutoff - 2
+        return _pair_sum(z, z.conjugate(), W, hi), _pair_sum(z, z, W, hi)
 
-    Like landau_green_sum, the ladder is summed directly once
-    |z^2 / (hbar w_c)^2| > N_c, where the digamma terms cancel.
-    """
-    W = spectrum.hbar_omega_c ** 2
-    z = np.asarray(z, dtype=complex)
-    far = np.abs(z * z / W) > spectrum.n_cutoff
-    if far.any():
-        ra, rr = np.empty_like(z), np.empty_like(z)
-        ra[~far], rr[~far] = shear_pair_sums(z[~far], spectrum)
-        ra[far], rr[far] = np.array(
-            [shear_pair_sums_direct(x, spectrum) for x in z[far]]).T
-        return ra[()], rr[()]
-    hi = spectrum.n_cutoff - 2
-    return _pair_sum(z, z.conjugate(), W, hi)[()], _pair_sum(z, z, W, hi)[()]
+    return ladder_sums(z, spectrum, closed, shear_pair_sums_direct)
 
 
 def detect_regime(E: float, params: ModelParams, spectrum: LandauSpectrum,
@@ -405,21 +394,30 @@ _EULER_MACLAURIN = ((-1.0 / 720.0, 3), (1.0 / 30240.0, 5),
                     (-1.0 / 1209600.0, 7))
 
 
-def _weighted_log_sum(a: complex, hi: int) -> complex:
-    """sum_{m=1}^{hi} m Log(m - a) in O(|a|).
+def _weighted_log_sum(a, hi: int):
+    """sum_{m=1}^{hi} m Log(m - a) in O(|a|), for a complex scalar or array a.
 
-    The first K - 1 terms, K = min(2|a| + 50, hi), are summed directly and
-    the smooth rest m = K..hi by Euler-Maclaurin (DLMF 2.10.1) on
-    f(x) = x Log(x - a). With u = x - a: antiderivative
-    u^2/2 Log u - u^2/4 + a (u Log u - u), f' = Log u + 1 + a/u and
-    f^(j) = -(j-2)! (1 - (j-1) a/u) / u^(j-1) for odd j >= 3. Im u = -Im a
-    is constant and Re u > |a| on the tail, so the principal logs stay on
-    one branch.
+    Each element sums its first K - 1 terms directly, K = min(2|a| + 50,
+    hi): the heads of all elements lie end to end in one flat array, the
+    work and memory are the sum of their K, and each head is reduced on its
+    own (np.add.reduceat), so its value does not depend on the rest of the
+    array. The smooth rest m = K..hi is taken by
+    Euler-Maclaurin (DLMF 2.10.1) on f(x) = x Log(x - a). With u = x - a:
+    antiderivative u^2/2 Log u - u^2/4 + a (u Log u - u),
+    f' = Log u + 1 + a/u and f^(j) = -(j-2)! (1 - (j-1) a/u) / u^(j-1) for
+    odd j >= 3. Im u = -Im a is constant and Re u > |a| on the tail, so the
+    principal logs stay on one branch.
     """
-    k = min(int(2.0 * abs(a)) + 50, hi)
-    m = np.arange(1.0, k)
-    head = np.sum(m * np.log(m - a))
-    x = np.array([k, hi], dtype=float)
+    a = np.asarray(a, dtype=complex)
+    k = np.minimum((2.0 * np.abs(a)).astype(int) + 50, hi)
+    # heads run over m = 0..K-1: the m = 0 term is an exact zero, and it
+    # keeps every head non-empty, as reduceat needs
+    size = np.maximum(k, 1).reshape(-1)
+    start = np.cumsum(size) - size
+    m = np.arange(float(size.sum())) - np.repeat(start, size)
+    terms = m * np.log(m - np.repeat(a.reshape(-1), size))
+    head = np.add.reduceat(terms, start).reshape(a.shape)
+    x = np.array(np.broadcast_arrays(k, hi), dtype=float)
     u = x - a
     log_u = np.log(u)
     ends = (0.5 * u * u * log_u - 0.25 * u * u + a * (u * log_u - u)
@@ -431,9 +429,9 @@ def _weighted_log_sum(a: complex, hi: int) -> complex:
     return head + ends[1] - ends[0] + 0.5 * (f[0] + f[1])
 
 
-def _hall_sums(z: complex,
-               spectrum: LandauSpectrum) -> tuple[float, float, float]:
-    """The sums of _hall_sums_direct in O(|a|), a = z^2 / (hbar w_c)^2.
+def _hall_sums(z, spectrum: LandauSpectrum):
+    """The sums of _hall_sums_direct in O(|a|), a = z^2 / (hbar w_c)^2, for
+    a complex scalar or array z, through scba.ladder_sums.
 
     With W = (hbar w_c)^2, N = N_c and S(c) = pole_sum(c, 0, N - 2):
     - I: the band sums factor into g_n, giving 8 Im _pair_sum(z, conj z).
@@ -445,23 +443,19 @@ def _hall_sums(z: complex,
       = pi + Im Log(m - a). Summation by parts gives the weights 1, 4m
       (m = 1..N-2), -(N-2)^2 and -(N-1)^2 on m = 0..N; they sum to 0, so
       the pi terms cancel and _weighted_log_sum carries the 4m part.
-    Like shear_pair_sums, the ladder is summed directly once |a| > N_c,
-    and also when it holds no (n, n + 2) pair (N_c < 2).
     """
-    W = spectrum.hbar_omega_c ** 2
-    a = z * z / W
-    n = spectrum.n_cutoff
-    if abs(a) > n or n < 2:
-        return _hall_sums_direct(z, spectrum)
-    hi = n - 2
-    sum_i = 8.0 * _pair_sum(z, z.conjugate(), W, hi).imag
-    surface = (2.0 * a / W) * ((a + 1.0) * pole_sum(a, 0, hi)
-                               + (a - 1.0) * pole_sum(a - 2.0, 0, hi)
-                               - 2.0 * (hi + 1))
-    logs = (cmath.log(-a) + 4.0 * _weighted_log_sum(a, hi)
-            - (n - 2) ** 2 * cmath.log(n - 1 - a)
-            - (n - 1) ** 2 * cmath.log(n - a))
-    return sum_i, surface.imag, 2.0 / W * logs.imag
+    def closed(z, a):
+        W, n = spectrum.hbar_omega_c ** 2, spectrum.n_cutoff
+        sum_i = 8.0 * _pair_sum(z, z.conjugate(), W, n - 2).imag
+        surface = (2.0 * a / W) * ((a + 1.0) * pole_sum(a, 0, n - 2)
+                                   + (a - 1.0) * pole_sum(a - 2.0, 0, n - 2)
+                                   - 2.0 * (n - 1))
+        logs = (np.log(-a) + 4.0 * _weighted_log_sum(a, n - 2)
+                - (n - 2) ** 2 * np.log(n - 1 - a)
+                - (n - 1) ** 2 * np.log(n - a))
+        return sum_i, surface.imag, 2.0 / W * logs.imag
+
+    return ladder_sums(z, spectrum, closed, _hall_sums_direct)
 
 
 def hall_static_numeric(E, params: ModelParams,
@@ -477,7 +471,7 @@ def hall_static_numeric(E, params: ModelParams,
     O(|z|^2 / (hbar w_c)^2) time whatever N_c, so a ladder is materialized
     only when it ends below the energy. Inside gaps Im Sigma is held at
     -_GAP_FLOOR to keep G retarded. E is a float or a 1-D array; an array
-    is solved in one SCBA call and summed energy by energy.
+    is solved in one SCBA call and summed in one _hall_sums call.
     """
     _require_zero_temperature(params)
     e, s = _column(E, sigma, lambda: solve_self_energy_landau(
@@ -487,8 +481,7 @@ def hall_static_numeric(E, params: ModelParams,
     lb2 = spectrum.l_B ** 2
     scale = params.degeneracy / 4.0
 
-    sum_i, sum_surface, sum_log = np.array(
-        [_hall_sums(z, spectrum) for z in e - s]).T
+    sum_i, sum_surface, sum_log = _hall_sums(e - s, spectrum)
     eta_i = scale * W / (16.0 * math.pi ** 2 * lb2) * sum_i
     eta_ii = scale * W / (8.0 * math.pi ** 2 * lb2) * (sum_surface - sum_log)
     return _viscosity(E, eta_i + eta_ii,

@@ -129,36 +129,52 @@ def solve_self_energy_b0(E, params: ModelParams, *,
     return _solution(E, e, *_iterate(e, seed, fmap, tol, max_iter))
 
 
-def _near_roots(x):
-    """Where scipy's complex digamma takes its slow series about the roots
-    at -0.50 and 1.46 (about 10 us an element, against 0.4 us elsewhere)."""
-    return (-1.6 < x.real) & (x.real < 2.0) & (abs(x.imag) < 1.0)
-
-
-def _shifted_psi(x):
-    """psi(x) = psi(x + 4) - sum_{k<4} 1/(x + k) (DLMF 5.5.2)."""
-    return digamma(x + 4.0) - (1.0 / x + 1.0 / (x + 1.0) + 1.0 / (x + 2.0)
-                               + 1.0 / (x + 3.0))
-
-
 def _psi(x):
-    """digamma(x), with the arguments near its roots shifted by 4. A scalar
-    stays on plain Python arithmetic, which is cheaper there than numpy
-    masks."""
-    if np.ndim(x) == 0:
-        x = complex(x)
-        return _shifted_psi(x) if _near_roots(x) else digamma(x)
+    """digamma(x) for a complex array. Near its roots at -0.50 and 1.46,
+    where scipy's complex digamma takes a slow series (about 10 us an
+    element, against 0.4 us elsewhere), it is taken as
+    psi(x + 4) - sum_{k<4} 1/(x + k) (DLMF 5.5.2)."""
     x = np.asarray(x, dtype=complex)
-    near = _near_roots(x)
-    out = np.empty_like(x)
-    out[~near] = digamma(x[~near])
-    out[near] = _shifted_psi(x[near])
+    near = (-1.6 < x.real) & (x.real < 2.0) & (abs(x.imag) < 1.0)
+    out = digamma(np.where(near, x + 4.0, x), out=np.empty_like(x))
+    y = x[near]
+    out[near] -= 1.0 / y + 1.0 / (y + 1.0) + 1.0 / (y + 2.0) + 1.0 / (y + 3.0)
     return out
 
 
 def pole_sum(c: complex, lo: int, hi: int) -> complex:
     """sum_{n=lo}^{hi} 1/(c - n) = psi(lo - c) - psi(hi + 1 - c) (DLMF 5.5.2)."""
     return _psi(lo - c) - _psi(hi + 1 - c)
+
+
+def ladder_sums(z, spectrum: LandauSpectrum, closed, direct):
+    """A Landau ladder sum for a complex scalar or array z, by its closed
+    form where the ladder reaches past the energy and level by level
+    elsewhere.
+
+    With a = z^2 / (hbar w_c)^2, closed(z, a) takes the elements with
+    |a| <= N_c on a ladder of N_c >= 2 in one call on 1-D arrays: there
+    its digamma pairs hold ~1e-12 relative. Past the ladder's end
+    psi(N_c + 1 - a) and psi(-a) cancel, and a ladder of N_c < 2 holds no
+    (n, n + 2) pair, so direct(x, spectrum) sums the other elements one at
+    a time. Both return one value or a tuple of values per element, and so
+    does ladder_sums. A scalar z is a one-element column, so it gets the
+    value it would get inside any column.
+    """
+    x = np.asarray(z, dtype=complex).reshape(-1)
+    a = x * x / spectrum.hbar_omega_c ** 2
+    near = np.abs(a) <= spectrum.n_cutoff
+    if spectrum.n_cutoff >= 2 and near.all():
+        out = np.asarray(closed(x, a))
+    else:
+        near &= spectrum.n_cutoff >= 2
+        far = np.array([direct(v, spectrum) for v in x[~near]])
+        out = np.empty(far.shape[1:] + x.shape, dtype=far.dtype)
+        out[..., ~near] = far.T
+        out[..., near] = closed(x[near], a[near])
+    if np.ndim(z) == 0:
+        out = out[..., 0][()]
+    return tuple(out) if out.ndim > np.ndim(z) else out
 
 
 def landau_green_sum_direct(z: complex, spectrum: LandauSpectrum) -> complex:
@@ -172,23 +188,16 @@ def landau_green_sum_direct(z: complex, spectrum: LandauSpectrum) -> complex:
 
 def landau_green_sum(z, spectrum: LandauSpectrum):
     """The ladder sum of landau_green_sum_direct in O(1), for a complex
-    scalar or array z.
+    scalar or array z, through ladder_sums.
 
     With W = (hbar w_c)^2 and a = z^2/W it equals (z/W)[2 S(a) - 1/a],
-    S = pole_sum over n = 0..N_c. The digamma pair holds ~1e-12 relative
-    while the ladder reaches past the energy, |a| <= N_c; beyond that
-    psi(N_c + 1 - a) and psi(-a) cancel, so the ladder is summed directly.
+    S = pole_sum over n = 0..N_c.
     """
-    W = spectrum.hbar_omega_c ** 2
-    z = np.asarray(z, dtype=complex)
-    a = z * z / W
-    near = np.abs(a) <= spectrum.n_cutoff
-    if not near.all():
-        out = np.empty_like(z)
-        out[near] = landau_green_sum(z[near], spectrum)
-        out[~near] = [landau_green_sum_direct(x, spectrum) for x in z[~near]]
-        return out[()]
-    return (z / W) * (2.0 * pole_sum(a, 0, spectrum.n_cutoff) - 1.0 / a)
+    def closed(z, a):
+        return ((z / spectrum.hbar_omega_c ** 2)
+                * (2.0 * pole_sum(a, 0, spectrum.n_cutoff) - 1.0 / a))
+
+    return ladder_sums(z, spectrum, closed, landau_green_sum_direct)
 
 
 def level_width(params: ModelParams, spectrum: LandauSpectrum) -> float:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, field
 from typing import Callable, NamedTuple
 
@@ -30,13 +31,17 @@ from .vertex import vertex_correction_b0, vertex_correction_landau
 # physics through module globals.
 # ---------------------------------------------------------------------------
 
+def _number(value, kind=numbers.Real) -> bool:
+    """value is a number of the given kind and not a bool (JSON true and
+    false load as bools)."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 def _int_setting(fixed: dict, name: str, default: int) -> int:
     """fixed[name] as an int; a fractional or non-numeric value is refused
     rather than truncated."""
     value = fixed.get(name, default)
-    if isinstance(value, bool) or not (
-            isinstance(value, int)
-            or (isinstance(value, float) and value.is_integer())):
+    if not (_number(value) and value % 1 == 0):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
 
@@ -140,9 +145,12 @@ class GridSpec:
     scale: str = "linear"
 
     def __post_init__(self):
-        for end in (self.start, self.stop):
-            if not math.isfinite(end):
-                raise ValueError(f"grid endpoint {end!r} is not finite")
+        for key, end in (("start", self.start), ("stop", self.stop)):
+            if not (_number(end) and math.isfinite(end)):
+                raise ValueError(f"grid {key} {end!r} is not a number or "
+                                 "not finite")
+        if not _number(self.count, numbers.Integral):
+            raise ValueError(f"grid count {self.count!r} is not an integer")
 
     def values(self) -> list[float]:
         if self.count < 1:
@@ -156,14 +164,16 @@ class GridSpec:
         raise ValueError(f"unknown grid scale {self.scale!r}")
 
 
-def _as_grid(raw) -> GridSpec | None:
-    if raw is None:
-        return None
-    if isinstance(raw, GridSpec):
+def _as_grid(raw, name: str) -> GridSpec | None:
+    if raw is None or isinstance(raw, GridSpec):
         return raw
-    if isinstance(raw, (int, float)):
+    if _number(raw):
         return GridSpec(start=float(raw), stop=float(raw), count=1)
-    return GridSpec(**raw)
+    try:
+        return GridSpec(**raw)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name} must be a number or a grid object with "
+                         f"start, stop and count ({exc})") from None
 
 
 @dataclass(frozen=True)
@@ -182,8 +192,10 @@ class SweepSpec:
         if q is None:
             raise ValueError(f"unknown quantity {self.quantity!r}; "
                              f"valid: {', '.join(QUANTITIES)}")
-        if not self.a_values:
-            raise ValueError("at least one disorder value A is required")
+        if not (isinstance(self.a_values, tuple) and self.a_values
+                and all(map(_number, self.a_values))):
+            raise ValueError("A must be a non-empty list of disorder values, "
+                             f"got {self.a_values!r}")
         if self.omega_grid is not None and not q.dynamic:
             raise ValueError(
                 f"an Omega grid is only meaningful for dynamic quantities, "
@@ -204,7 +216,7 @@ class SweepSpec:
         _int_setting(self.fixed, "degeneracy", 4)
         for name in ("hbar_vf", "cutoff_Ec", "temperature", "broadening"):
             value = self.fixed.get(name, 0.0)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
+            if not _number(value):
                 raise ValueError(f"{name} must be a number, got {value!r}")
         for E in self.e_grid.values() if self.e_grid else ():
             check_in_band(E, self.fixed.get("cutoff_Ec", DEFAULT_CUTOFF))
@@ -223,12 +235,14 @@ class SweepSpec:
     @staticmethod
     def from_config(cfg: dict) -> "SweepSpec":
         out = cfg.get("output") or {}
+        a_values = cfg.get("A", ())
         return SweepSpec(
             quantity=cfg["quantity"],
-            e_grid=_as_grid(cfg.get("E")),
-            b_grid=_as_grid(cfg.get("B")),
-            omega_grid=_as_grid(cfg.get("Omega")),
-            a_values=tuple(cfg.get("A", ())),
+            e_grid=_as_grid(cfg.get("E"), "E"),
+            b_grid=_as_grid(cfg.get("B"), "B"),
+            omega_grid=_as_grid(cfg.get("Omega"), "Omega"),
+            a_values=(tuple(a_values) if isinstance(a_values, list)
+                      else a_values),
             fixed=dict(cfg.get("fixed") or {}),
             output_path=out.get("path"),
             output_format=out.get("format", "csv"))

@@ -23,6 +23,7 @@ from diracvisc.kubo_static import (_hall_sums, _hall_sums_direct, _k_kernel,
                                    _weighted_log_sum,
                                    hall_fermi_sea_quadrature,
                                    shear_pair_sums, shear_pair_sums_direct)
+from diracvisc.scba import landau_green_sum
 from test_scba import ladder_cases, solved_z
 
 
@@ -428,9 +429,13 @@ def direct_weighted_log_sum(a, hi):
 
 
 def hall_by_loop(monkeypatch, *args, **kwargs):
-    """hall_static_numeric with its ladder sums taken level by level."""
+    """hall_static_numeric with its ladder sums taken level by level, one
+    energy at a time."""
+    def by_level(z, spectrum):
+        return np.array([_hall_sums_direct(x, spectrum) for x in z]).T
+
     with monkeypatch.context() as m:
-        m.setattr(kubo_static, "_hall_sums", _hall_sums_direct)
+        m.setattr(kubo_static, "_hall_sums", by_level)
         return hall_static_numeric(*args, **kwargs)
 
 
@@ -507,6 +512,35 @@ class TestHallSums:
         with pytest.raises(ValueError, match="stop at 10"):
             _hall_sums_direct(1j, spectrum10_50)
         assert hall_static_numeric(0.12, params50, spectrum10_50) == expected
+
+
+class TestMixedColumns:
+    # near elements (|a| <= N_c, closed forms) and far ones (|a| > N_c,
+    # level by level) in one array: each sum must give exactly what its
+    # element-by-element calls give, and on a ladder of N_c < 2 every
+    # element is summed level by level
+    @pytest.mark.parametrize("n_cutoff", [4, 1])
+    @pytest.mark.parametrize("ladder_sum",
+                             [landau_green_sum, shear_pair_sums, _hall_sums])
+    def test_column_matches_element_calls(self, n_cutoff, ladder_sum):
+        spectrum = small_spectrum(n_cutoff=n_cutoff)
+        z = spectrum.hbar_omega_c * np.array(
+            [0.3 + 0.01j, 60.0 + 0.01j, -1.2 + 0.05j, 3.0 + 0.2j,
+             0.7 + 1e-15j, -2.5 + 1e-3j])
+        a = np.abs(z * z) / spectrum.hbar_omega_c ** 2
+        assert (a <= 4).sum() == 3 and (a > 4).sum() == 3
+        got = np.array(ladder_sum(z, spectrum)).T
+        want = np.array([ladder_sum(x, spectrum) for x in z])
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("hi", [2, 60, 3_937])
+    def test_weighted_log_sum_column_matches_scalar_calls(self, hi):
+        # heads of K - 1 = 1 to 1,449 terms in one array
+        a = np.array([-0.37, 5.0 - 4.9j, 0.2 + 1e-15j, 40.0 + 3.0j,
+                      700.0 - 1.0j])
+        got = _weighted_log_sum(a, hi)
+        want = np.array([_weighted_log_sum(x, hi) for x in a])
+        assert got.tobytes() == want.tobytes()
 
 
 class TestParity:

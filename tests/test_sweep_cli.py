@@ -474,6 +474,27 @@ class TestCli:
         assert rc == 0
         assert "dos (1/eV nm^2)" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("key,raw,named", [
+        ("A", 20, "A"),
+        ("A", ["x"], "A"),
+        ("A", [True], "A"),
+        ("E", "0.1", "E"),
+        ("E", {"start": "x", "stop": 1, "count": 2}, "start"),
+        ("E", {"start": 0.1, "stop": 1, "count": 2.5}, "count"),
+    ])
+    def test_malformed_config_is_a_usage_error(self, tmp_path, capsys, key,
+                                               raw, named):
+        # the config keeps keys the sweep ignores (threads, hard_limit)
+        cfg = {"quantity": "dos", "E": {"start": 0.1, "stop": 0.2, "count": 2},
+               "A": [20.0], "threads": 1, "fixed": {"hard_limit": 20_000},
+               key: raw}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        rc = main(["sweep", "--config", str(path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("usage error:") and named in err
+
     def test_dirac_point_shear_at_weak_disorder(self, capsys):
         # z^2 underflows at A >= 750; the row once read nan, converged
         rc = main(["sweep", "--quantity", "static_shear", "--e", "0",
