@@ -7,19 +7,23 @@ broadening for clean-limit studies, integrated over the same window. At
 T > 0 both windows widen by 8 k_B T on each side and carry the Fermi
 factors f(omega) - f(omega + Omega). The dynamic Hall kink sum runs over
 the level pairs within 40 k_B T of its Fermi window at every T.
+
+shear_dynamic_b0 and hall_dynamic take a block of (E, Omega) points (two
+arrays of one shape) in one call, in chunks of bounded memory;
+shear_dynamic_bfield takes one point per call.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
 
 from .model import LandauSpectrum, ModelParams
-from .kubo_static import (_b0_prefactor, _g_array, _k_kernel,
-                          hall_static_numeric, shear_b0_numeric,
-                          shear_bfield_numeric)
+from .kubo_static import (_CHUNK_TERMS, _b0_prefactor, _budget_slices,
+                          _g_array, _k_kernel, hall_static_numeric,
+                          shear_b0_numeric, shear_bfield_numeric)
 from .scba import (level_width, solve_self_energy_b0,
                    solve_self_energy_landau)
 
@@ -33,6 +37,10 @@ _B0_RULE = np.polynomial.legendre.leggauss(24)
 _BFIELD_RULE = np.polynomial.legendre.leggauss(16)
 # reach of the dynamic Hall sum past its Fermi window, in k_B T
 _FERMI_REACH = 40.0  # expit(40) rounds to 1.0; expit(-40) < 4.3e-18
+# most window nodes one SCBA solve and _k_kernel call of a B = 0 block
+# takes: each node holds about 0.5 kB of temporaries (it is solved at omega
+# and omega + Omega), so a chunk stays near 1 MB
+_CHUNK_NODES = 1 << 11
 
 
 @dataclass(frozen=True)
@@ -60,11 +68,12 @@ def _check_broadening(broadening: float) -> float:
     return broadening
 
 
-def _window_top(reach: float, spectrum: LandauSpectrum) -> int:
+def _window_top(reach, spectrum: LandauSpectrum):
     """Largest lower index n of the pairs (n, n + 2) with sqrt(n) hbar w_c
-    <= reach, plus one index of margin against rounding; capped at N_c - 2."""
-    return min(int((reach / spectrum.hbar_omega_c) ** 2) + 1,
-               spectrum.n_cutoff - 2)
+    <= reach, plus one index of margin against rounding; capped at N_c - 2.
+    Element-wise for an array reach."""
+    return np.minimum(((np.asarray(reach) / spectrum.hbar_omega_c) ** 2)
+                      .astype(int) + 1, spectrum.n_cutoff - 2)
 
 
 def transition_table(e_fermi: float, spectrum: LandauSpectrum,
@@ -101,15 +110,42 @@ def transition_table(e_fermi: float, spectrum: LandauSpectrum,
 # B = 0 window integrals
 # ---------------------------------------------------------------------------
 
-def _gauss_panels(lo: float, hi: float, breakpoints, rule):
+def _cuts(lo: float, hi: float, breakpoints) -> list[float]:
+    """lo, hi and the breakpoints strictly between them, sorted."""
+    return sorted({lo, hi, *[b for b in breakpoints if lo < b < hi]})
+
+
+def _panel_nodes(left, right, rule):
+    """Nodes and weights of rule on the panels [left_i, right_i]."""
     xs, ws = rule
-    bks = np.array(sorted({lo, hi, *[b for b in breakpoints if lo < b < hi]}))
-    mid, half = 0.5 * (bks[:-1] + bks[1:]), 0.5 * (bks[1:] - bks[:-1])
+    left, right = np.asarray(left), np.asarray(right)
+    mid, half = 0.5 * (left + right), 0.5 * (right - left)
     return ((mid[:, None] + half[:, None] * xs).ravel(),
             (half[:, None] * ws).ravel())
 
 
-def shear_dynamic_b0(E: float, Omega: float, params: ModelParams, *,
+def _gauss_panels(lo: float, hi: float, breakpoints, rule):
+    bks = _cuts(lo, hi, breakpoints)
+    return _panel_nodes(bks[:-1], bks[1:], rule)
+
+
+def _points(E, Omega):
+    """E and |Omega| as 1-D arrays of one length, and the shape of the
+    block (() for two scalars); Omega = 0 is refused (use the static
+    quantity there)."""
+    e, om = np.broadcast_arrays(np.asarray(E, dtype=float),
+                                np.abs(np.asarray(Omega, dtype=float)))
+    if not om.all():
+        raise ValueError("Omega must be nonzero")
+    return e.ravel(), om.ravel(), e.shape
+
+
+def _shaped(values: np.ndarray, shape: tuple):
+    """A float for a scalar block, else values in the block's shape."""
+    return float(values[0]) if shape == () else values.reshape(shape)
+
+
+def shear_dynamic_b0(E, Omega, params: ModelParams, *,
                      return_split: bool = False):
     """Dynamic shear viscosity at B = 0.
 
@@ -119,28 +155,48 @@ def shear_dynamic_b0(E: float, Omega: float, params: ModelParams, *,
     f(omega) - f(omega + Omega), a step at T = 0. With return_split=True
     also returns the interband (electron-hole, omega < 0 < omega + Omega)
     and intraband window parts.
+
+    E and Omega are floats, or arrays of one shape whose values come back
+    in that shape. The nodes of a block's points are solved in one SCBA
+    call and two _k_kernel calls per chunk of whole points of at most
+    _CHUNK_NODES nodes, and each point sums its own nodes.
     """
-    if Omega == 0:
-        raise ValueError("Omega must be nonzero; use the static route at 0")
-    om = abs(Omega)
+    e, om, shape = _points(E, Omega)
     T = params.temperature
-    lo, hi = E - om - 8.0 * T, E + 8.0 * T
-    cuts = sorted({lo, hi, *[x for x in (0.0, -om, E - om, E) if lo < x < hi]})
-    panels = [_gauss_panels(a, b, [-0.5 * om, a + (b - a) / 3.0,
-                                   b - (b - a) / 3.0], _B0_RULE)
-              for a, b in zip(cuts[:-1], cuts[1:])]
-    nodes = np.concatenate([x for x, _ in panels])
-    weights = np.concatenate([w for _, w in panels]) * (
-        _fermi(nodes, E, T) - _fermi(nodes + om, E, T))
-    sig = solve_self_energy_b0(np.concatenate((nodes, nodes + om)), params,
-                               drop_real_part=True).sigma
-    s2, s1 = sig[:nodes.size], sig[nodes.size:]
-    z1 = nodes + om - s1
-    v = _b0_prefactor(params) / om * weights * (
-        _k_kernel(z1, nodes - s2.conjugate(), params).real
-        - _k_kernel(z1, nodes - s2, params).real)
-    tot = float(np.sum(v))
-    eh = float(np.sum(v[(nodes < 0.0) & (0.0 < nodes + om)]))
+    # the panels of every point, and the panel count of each point
+    left, right, panels = [], [], []
+    for Ei, oi in zip(e.tolist(), om.tolist()):
+        lo, hi = Ei - oi - 8.0 * T, Ei + 8.0 * T
+        cuts = _cuts(lo, hi, (0.0, -oi, Ei - oi, Ei))
+        count = len(left)
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            edges = _cuts(a, b, (-0.5 * oi, a + (b - a) / 3.0,
+                                 b - (b - a) / 3.0))
+            left += edges[:-1]
+            right += edges[1:]
+        panels.append(len(left) - count)
+    per_point = np.array(panels) * _B0_RULE[0].size
+    first = np.concatenate(([0], np.cumsum(panels)))
+    tot, eh = np.empty(e.size), np.empty(e.size)
+    for part in _budget_slices(per_point, _CHUNK_NODES):
+        lo_panel, hi_panel = first[part.start], first[part.stop]
+        nodes, weights = _panel_nodes(left[lo_panel:hi_panel],
+                                      right[lo_panel:hi_panel], _B0_RULE)
+        n = per_point[part]
+        mu, o = np.repeat(e[part], n), np.repeat(om[part], n)
+        weights = weights * (_fermi(nodes, mu, T) - _fermi(nodes + o, mu, T))
+        sig = solve_self_energy_b0(np.concatenate((nodes, nodes + o)),
+                                   params, drop_real_part=True).sigma
+        s2, s1 = sig[:nodes.size], sig[nodes.size:]
+        z1 = nodes + o - s1
+        v = _b0_prefactor(params) / o * weights * (
+            _k_kernel(z1, nodes - s2.conjugate(), params).real
+            - _k_kernel(z1, nodes - s2, params).real)
+        start = np.cumsum(n) - n
+        tot[part] = np.add.reduceat(v, start)
+        eh[part] = np.add.reduceat(
+            np.where((nodes < 0.0) & (0.0 < nodes + o), v, 0.0), start)
+    tot, eh = _shaped(tot, shape), _shaped(eh, shape)
     if return_split:
         return tot, eh, tot - eh
     return tot
@@ -235,40 +291,58 @@ def shear_dynamic_bfield(E: float, Omega: float, params: ModelParams,
     return pref * float(np.sum(wq * occ * tot))
 
 
-def _hall_dynamic_terms(E: float, Omega: float, params: ModelParams,
-                        spectrum: LandauSpectrum, broadening: float,
-                        n: np.ndarray, reduced: bool) -> np.ndarray:
-    """The terms of hall_dynamic over the pairs (n, n + 2), prefactor
-    included: the (s, s') chains (+,+), (+,-), (-,+), (-,-) and then the
+def _hall_chains(n: np.ndarray, hwc: float):
+    """(E_a, E_b, weight) of the kink terms of the pairs (n, n + 2), one row
+    per pair: the (s, s') chains (+,+), (+,-), (-,+), (-,-) and then the
     same chains with the two levels swapped, which enter with a minus sign.
     """
-    om = abs(Omega)
+    lo = hwc * np.sqrt(n)[:, None]
+    hi = hwc * np.sqrt(n + 2.0)[:, None]
+    e_lo = np.hstack((lo, lo, -lo, -lo))
+    e_hi = np.hstack((hi, -hi, hi, -hi))
+    weight = (n + 1.0)[:, None] * np.repeat((1.0, -1.0), 4)
+    return np.hstack((e_lo, e_hi)), np.hstack((e_hi, e_lo)), weight
+
+
+def _hall_prefactor(params: ModelParams, spectrum: LandauSpectrum) -> float:
+    """The prefactor of the dynamic Hall kink sum times |Omega|."""
+    return (params.degeneracy / 4.0) * spectrum.hbar_omega_c ** 2 / (
+        8.0 * math.pi * spectrum.l_B ** 2)
+
+
+def _hall_dynamic_terms(e: np.ndarray, om: np.ndarray, chains,
+                        broadening: float, temperature: float,
+                        reduced: bool) -> np.ndarray:
+    """The kink terms of hall_dynamic without its prefactor, one row per
+    point (e_i, |Omega_i| = om_i) of the 1-D arrays e and om, one column
+    per term of the flat chain arrays (E_a, E_b, weight). The kink factors
+    depend on Omega alone, so they are computed once per distinct Omega and
+    shared by its energies; only the Fermi factors are taken point by point.
+    """
+    ea, eb, w = chains
     g2 = broadening * broadening
-    hwc = spectrum.hbar_omega_c
-    lo, hi = hwc * np.sqrt(n), hwc * np.sqrt(n + 2.0)
-    e_lo = np.concatenate((lo, lo, -lo, -lo))
-    e_hi = np.concatenate((hi, -hi, hi, -hi))
-    ea = np.concatenate((e_lo, e_hi))
-    eb = np.concatenate((e_hi, e_lo))
-    pref = (params.degeneracy / 4.0) * hwc ** 2 / (
-        8.0 * math.pi * spectrum.l_B ** 2 * om)
-    w = np.repeat((pref, -pref), e_lo.size) * np.tile(n + 1.0, 8)
+    # the distinct Omegas by a dict, not np.unique: numpy's sort code adds
+    # about 0.4 MB of resident pages to a sweep process that sorts nothing
+    # else
+    first = {}
+    inv = np.array([first.setdefault(o, len(first)) for o in om.tolist()])
+    om_u = np.array(list(first))
+    x = om_u[:, None] - eb + ea
+    kink = (w * x / (x * x + g2))[inv]
+    mu, om = e[:, None], om[:, None]
 
     def f(x):
-        return _fermi(x, E, params.temperature)
+        return _fermi(x, mu, temperature)
 
-    x = om - eb + ea
-    kink = x / (x * x + g2)
     if reduced:
-        return w * (f(eb) - f(ea)) * kink
-    x2 = om + eb - ea
-    return w * (2.0 * (f(ea + om) - f(ea)) * kink
-                + (f(eb + om) - f(ea - om)) * x2 / (x2 * x2 + g2))
+        return (f(eb) - f(ea)) * kink
+    x = om_u[:, None] + eb - ea
+    return (2.0 * (f(ea + om) - f(ea)) * kink
+            + (f(eb + om) - f(ea - om)) * (w * x / (x * x + g2))[inv])
 
 
-def hall_dynamic(E: float, Omega: float, params: ModelParams,
-                 spectrum: LandauSpectrum, broadening: float, *,
-                 reduced: bool = False) -> float:
+def hall_dynamic(E, Omega, params: ModelParams, spectrum: LandauSpectrum,
+                 broadening: float, *, reduced: bool = False):
     """Dynamic Hall viscosity as a sum of kink resonances.
 
     The full form keeps the frequency-shifted occupation factors; the
@@ -284,14 +358,39 @@ def hall_dynamic(E: float, Omega: float, params: ModelParams,
     (-,+) chains carry the same weight n + 1 and the same |E_b - E_a| with
     opposite signs, so their terms cancel one by one. No temperature or
     field makes the sum materialize the ladder.
+
+    E and Omega are floats, or arrays of one shape whose values come back
+    in that shape. A block builds its level pairs once, up to its largest
+    reach. Its points, in order of reach, are summed in chunks of at most
+    _CHUNK_TERMS terms, every point of a chunk up to the chunk's largest
+    reach (the pairs past a point's own reach cancel as above).
     """
-    if Omega == 0:
-        raise ValueError("Omega must be nonzero")
+    e, om, shape = _points(E, Omega)
     _check_broadening(broadening)
-    reach = abs(E) + abs(Omega) + _FERMI_REACH * params.temperature
-    n = np.arange(_window_top(reach, spectrum) + 1)
-    return float(np.sum(_hall_dynamic_terms(E, Omega, params, spectrum,
-                                            broadening, n, reduced)))
+    T = params.temperature
+    top = _window_top(np.abs(e) + om + _FERMI_REACH * T, spectrum)
+    chains = _hall_chains(np.arange(top.max() + 1), spectrum.hbar_omega_c)
+    # sorted(), not np.argsort, for the reason given in _hall_dynamic_terms
+    order = np.array(sorted(range(e.size), key=top.tolist().__getitem__),
+                     dtype=int)
+    width = 8 * (top[order] + 1)  # terms of a point up to its own reach
+    total = np.zeros(e.size)
+    start = 0
+    while start < e.size:
+        stop = start + 1
+        while (stop < e.size
+               and (stop + 1 - start) * width[stop] <= _CHUNK_TERMS):
+            stop += 1
+        pts = order[start:stop]
+        pairs = top[pts[-1]] + 1
+        step = max(_CHUNK_TERMS // (8 * pts.size), 1)
+        for n0 in range(0, pairs, step):
+            part = [c[n0:min(n0 + step, pairs)].ravel() for c in chains]
+            total[pts] += _hall_dynamic_terms(e[pts], om[pts], part,
+                                              broadening, T,
+                                              reduced).sum(axis=1)
+        start = stop
+    return _shaped(_hall_prefactor(params, spectrum) / om * total, shape)
 
 
 def counterpart_pair_sum(n: int, e_fermi: float, Omega: float,
@@ -300,10 +399,13 @@ def counterpart_pair_sum(n: int, e_fermi: float, Omega: float,
     """Zero-temperature reduced-form contribution of the mutually-cancelling
     interband pair (n,-) -> (n+2,+) and (n,+) -> (n+2,-) alone, both
     directions (diagnostic for the cancellation test)."""
-    cold = replace(params, temperature=0.0)
-    terms = _hall_dynamic_terms(e_fermi, Omega, cold, spectrum, broadening,
-                                np.array([n]), True)
-    return float(np.sum(terms[[1, 2, 5, 6]]))  # the (+,-) and (-,+) blocks
+    # the (+,-) and (-,+) chains, both directions
+    chains = [c[:, [1, 2, 5, 6]].ravel()
+              for c in _hall_chains(np.array([n]), spectrum.hbar_omega_c)]
+    om = abs(Omega)
+    terms = _hall_dynamic_terms(np.array([e_fermi]), np.array([om]), chains,
+                                broadening, 0.0, True)
+    return _hall_prefactor(params, spectrum) / om * float(np.sum(terms))
 
 
 @dataclass(frozen=True)

@@ -389,18 +389,38 @@ def _hall_sums_direct(z: complex,
     return sum_i, sum_surface.imag, sum_log
 
 
+# most terms a Landau ladder sum over a column or block holds at once: the
+# static Hall heads here and the dynamic Hall kink terms (kubo_dynamic)
+# are summed in slices of at most this many, 128 kB per complex
+# temporary, so memory stays bounded at any field and block size
+_CHUNK_TERMS = 1 << 13
+
 # B_2k / (2k)! and the derivative order j = 2k - 1 it multiplies, k = 2..4
 _EULER_MACLAURIN = ((-1.0 / 720.0, 3), (1.0 / 30240.0, 5),
                     (-1.0 / 1209600.0, 7))
+
+
+def _budget_slices(sizes: np.ndarray, budget: int) -> list[slice]:
+    """Consecutive slices of sizes, each summing to at most budget or
+    holding a single element."""
+    out, start, total = [], 0, 0
+    for i, size in enumerate(sizes.tolist()):
+        if i > start and total + size > budget:
+            out.append(slice(start, i))
+            start, total = i, 0
+        total += size
+    out.append(slice(start, len(sizes)))
+    return out
 
 
 def _weighted_log_sum(a, hi: int):
     """sum_{m=1}^{hi} m Log(m - a) in O(|a|), for a complex scalar or array a.
 
     Each element sums its first K - 1 terms directly, K = min(2|a| + 50,
-    hi): the heads of all elements lie end to end in one flat array, the
-    work and memory are the sum of their K, and each head is reduced on its
-    own (np.add.reduceat), so its value does not depend on the rest of the
+    hi): the heads lie end to end in flat arrays of at most _CHUNK_TERMS
+    terms (or one head), so the memory stays bounded where the work, the
+    sum of the K, grows as E^2/B; each head is reduced on its own
+    (np.add.reduceat), so its value does not depend on the rest of the
     array. The smooth rest m = K..hi is taken by
     Euler-Maclaurin (DLMF 2.10.1) on f(x) = x Log(x - a). With u = x - a:
     antiderivative u^2/2 Log u - u^2/4 + a (u Log u - u),
@@ -413,10 +433,15 @@ def _weighted_log_sum(a, hi: int):
     # heads run over m = 0..K-1: the m = 0 term is an exact zero, and it
     # keeps every head non-empty, as reduceat needs
     size = np.maximum(k, 1).reshape(-1)
-    start = np.cumsum(size) - size
-    m = np.arange(float(size.sum())) - np.repeat(start, size)
-    terms = m * np.log(m - np.repeat(a.reshape(-1), size))
-    head = np.add.reduceat(terms, start).reshape(a.shape)
+    flat = a.reshape(-1)
+    head = np.empty(flat.size, dtype=complex)
+    for part in _budget_slices(size, _CHUNK_TERMS):
+        n = size[part]
+        start = np.cumsum(n) - n
+        m = np.arange(float(n.sum())) - np.repeat(start, n)
+        terms = m * np.log(m - np.repeat(flat[part], n))
+        head[part] = np.add.reduceat(terms, start)
+    head = head.reshape(a.shape)
     x = np.array(np.broadcast_arrays(k, hi), dtype=float)
     u = x - a
     log_u = np.log(u)

@@ -1,7 +1,8 @@
 """Parameter sweeps with deterministic, reproducible tabular output.
 
 A sweep is described by a flat SweepSpec (JSON-serializable); rows are
-computed serially, one (B, Omega, A) column of energies at a time, and
+computed serially, one (B, A) block at a time: a static quantity's block
+is its E column, a dynamic quantity's its whole (E, Omega) grid. Rows are
 listed in lexicographic grid order (E, B, Omega, A), so CSV output is
 byte-identical across runs. Each quantity is one QUANTITIES
 entry: its evaluator, its CSV columns and the grids it needs.
@@ -26,9 +27,10 @@ from .vertex import vertex_correction_b0, vertex_correction_landau
 
 
 # ---------------------------------------------------------------------------
-# quantities: each evaluator maps an E column (a 1-D array) and its spectrum
-# (None at B = 0) to one dict of SweepRow fields per energy, calling the
-# physics through module globals.
+# quantities: each evaluator maps a block of points, an E array and an
+# Omega array of the same length (Omega None for the static quantities),
+# and its spectrum (None at B = 0) to one dict of SweepRow fields per
+# point, calling the physics through module globals.
 # ---------------------------------------------------------------------------
 
 def _number(value, kind=numbers.Real) -> bool:
@@ -87,18 +89,23 @@ def _static_hall(e, spectrum, Omega, params, fixed) -> list[dict]:
     return _static_rows(hall_static_numeric(e, params, spectrum))
 
 
+def _values(values) -> list[dict]:
+    return [{"value": v} for v in values.tolist()]
+
+
 def _dynamic_shear(e, spectrum, Omega, params, fixed) -> list[dict]:
     if spectrum is None:
-        return [{"value": shear_dynamic_b0(E, Omega, params)} for E in e]
-    return [{"value": shear_dynamic_bfield(E, Omega, params, spectrum,
+        return _values(shear_dynamic_b0(e, Omega, params))
+    # one point per call: a point's two g_n matrices (about 2 MB at 10 T,
+    # A = 20) would add up over a block
+    return [{"value": shear_dynamic_bfield(E, om, params, spectrum,
                                            fixed.get("broadening"))}
-            for E in e]
+            for E, om in zip(e, Omega)]
 
 
 def _dynamic_hall(e, spectrum, Omega, params, fixed) -> list[dict]:
     gamma = fixed.get("broadening", spectrum.hbar_omega_c / 50.0)
-    return [{"value": hall_dynamic(E, Omega, params, spectrum, gamma)}
-            for E in e]
+    return _values(hall_dynamic(e, Omega, params, spectrum, gamma))
 
 
 def _vertex_check(e, spectrum, Omega, params, fixed) -> list[dict]:
@@ -114,7 +121,7 @@ def _vertex_check(e, spectrum, Omega, params, fixed) -> list[dict]:
 
 
 class Quantity(NamedTuple):
-    evaluate: Callable[..., list]  # (E column, spectrum, Omega, params, fixed)
+    evaluate: Callable[..., list]  # (E, spectrum, Omega, params, fixed)
     value_label: str               # CSV header of the value column
     channels: tuple[str, ...] = ()  # CSV channel columns, in order
     dynamic: bool = False          # needs an Omega grid; others refuse one
@@ -196,6 +203,8 @@ class SweepSpec:
                 and all(map(_number, self.a_values))):
             raise ValueError("A must be a non-empty list of disorder values, "
                              f"got {self.a_values!r}")
+        # stored as floats, so that a config's 20 and --a 20 write one CSV
+        object.__setattr__(self, "a_values", tuple(map(float, self.a_values)))
         if self.omega_grid is not None and not q.dynamic:
             raise ValueError(
                 f"an Omega grid is only meaningful for dynamic quantities, "
@@ -274,11 +283,11 @@ def _make_params(A: float, fixed: dict) -> ModelParams:
 
 
 def _eval_point(spec: SweepSpec, e: np.ndarray, B: float | None,
-                Omega: float | None, A: float) -> list[SweepRow]:
-    """The rows of one (B, Omega, A) column over the energies e, in the
-    order of e. The column is evaluated in one call; when that raises
-    ConvergenceError, each energy is evaluated on its own, so only the
-    energies that fail are flagged."""
+                Omega: np.ndarray | None, A: float) -> list[SweepRow]:
+    """The rows of one (B, A) block over the points (e[i], Omega[i]), in
+    their order; Omega is None for a static quantity. The block is
+    evaluated in one call; when that raises ConvergenceError, each point is
+    evaluated on its own, so only the points that fail are flagged."""
     params = _make_params(A, spec.fixed)
     spectrum = build_spectrum(params, B) if B else None
     evaluate = QUANTITIES[spec.quantity].evaluate
@@ -288,23 +297,34 @@ def _eval_point(spec: SweepSpec, e: np.ndarray, B: float | None,
         fields = []
         for i in range(e.size):
             try:
-                fields += evaluate(e[i:i + 1], spectrum, Omega, params,
-                                   spec.fixed)
+                fields += evaluate(e[i:i + 1], spectrum,
+                                   None if Omega is None else Omega[i:i + 1],
+                                   params, spec.fixed)
             except ConvergenceError:
                 fields.append({"value": math.nan, "converged": False})
-    return [SweepRow(E, B, Omega, A, **f) for E, f in zip(e, fields)]
+    omegas = [None] * e.size if Omega is None else Omega.tolist()
+    return [SweepRow(E, B, O, A, **f) for E, O, f in zip(e, omegas, fields)]
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
-    """Evaluate the sweep grid one (B, Omega, A) column at a time and list
-    the rows in lexicographic (E, B, Omega, A) order; non-converged points
-    are flagged."""
+    """Evaluate the sweep grid one (B, A) block at a time and list the rows
+    in lexicographic (E, B, Omega, A) order; non-converged points are
+    flagged."""
     e_vals = np.array((spec.e_grid or GridSpec(0.0, 0.0, 1)).values())
     b_vals = spec.b_grid.values() if spec.b_grid else [None]
-    o_vals = spec.omega_grid.values() if spec.omega_grid else [None]
-    columns = [_eval_point(spec, e_vals, B, O, A) for B in b_vals
-               for O in o_vals for A in spec.a_values]
-    rows = [column[i] for i in range(e_vals.size) for column in columns]
+    if spec.omega_grid is None:
+        n_o, e, omega = 1, e_vals, None
+    else:
+        o_vals = spec.omega_grid.values()
+        n_o = len(o_vals)
+        e, omega = (g.ravel() for g in np.meshgrid(e_vals, o_vals,
+                                                   indexing="ij"))
+    blocks = [_eval_point(spec, e, B, omega, A) for B in b_vals
+              for A in spec.a_values]
+    # block rows run over (E, Omega), blocks over (B, A)
+    n_b, n_a = len(b_vals), len(spec.a_values)
+    rows = [blocks[b * n_a + a][i * n_o + o] for i in range(e_vals.size)
+            for b in range(n_b) for o in range(n_o) for a in range(n_a)]
     header = {"config": spec.to_config(), "code_version": __version__}
     return SweepResult(header=header, rows=rows)
 

@@ -5,7 +5,9 @@ calls the next (sweep._eval_point, kubo_static.solve_self_energy_landau,
 ...) and fails a traced pass when a workload's required call site records
 no call or an SCBA solve runs outside a traced span. A refactor that moves
 a solve off those call sites breaks the benchmark; this test makes it
-break the suite too. perfbench/ is only read: its tracer and workload
+break the suite too. It also pins the traced call counts of the dynamic
+quantities: one hall_dynamic and one B = 0 shear_dynamic_b0 call per
+(B, A) block of a sweep, so a relapse to per-point calls fails here. perfbench/ is only read: its tracer and workload
 modules are loaded from their files, and one traced pass of each
 workload's seed-0 sweeps runs in a temporary directory.
 """
@@ -38,6 +40,12 @@ PACKAGE = {"cli": cli, "sweep": sweep, "model": model,
            "scba": scba}
 
 
+def blocks(config: dict) -> int:
+    """(B, A) blocks of a sweep config: one call per dynamic quantity each."""
+    fields = config["B"]["count"] if isinstance(config["B"], dict) else 1
+    return fields * len(config["A"])
+
+
 @pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
 def test_traced_pass_meets_the_contract(workload, tmp_path, capsys):
     paths = workloads.write_configs(workload, 0, tmp_path)
@@ -50,3 +58,12 @@ def test_traced_pass_meets_the_contract(workload, tmp_path, capsys):
     capsys.readouterr()
     assert codes == [0] * len(paths)
     assert traced.check(workloads.WORKLOADS[workload].sites) == []
+    metrics, _, _ = tracer.layer_metrics(traced, 0)
+    configs = workloads.seeded_configs(workload, 0).values()
+    assert metrics["kubo_dynamic.hall.calls"] == sum(
+        blocks(c) for c in configs if c["quantity"] == "dynamic_hall")
+    assert metrics["kubo_dynamic.shear_b0.calls"] == sum(
+        blocks(c) for c in configs
+        if c["quantity"] == "dynamic_shear" and c["B"] is None)
+    if workload == "landau_10T":  # fig5's 348 points, 4 E x 87 Omega
+        assert metrics["kubo_dynamic.hall.calls"] == 1

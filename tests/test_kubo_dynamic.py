@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -298,6 +299,34 @@ class TestShearDynamicB0:
     def test_zero_frequency_rejected(self, params20):
         with pytest.raises(ValueError):
             shear_dynamic_b0(1.0, 0.0, params20)
+        with pytest.raises(ValueError):
+            shear_dynamic_b0([1.0, 0.5], [0.2, 0.0], params20)
+
+    @pytest.mark.parametrize("T", [0.0, 2e-3])
+    def test_block_matches_point_calls(self, T, monkeypatch):
+        # 30 points on both sides of E = 0 and of Omega = 0, solved in
+        # chunks of whole points of at most _CHUNK_NODES nodes each
+        params = ModelParams(disorder_A=20.0, temperature=T)
+        E, Omega = np.meshgrid([-0.3, -0.01, 0.0, 0.05, 1.0],
+                               [-0.4, -0.05, 0.02, 0.3, 1.2, 0.7],
+                               indexing="ij")
+        sizes = []
+        solve = kubo_dynamic.solve_self_energy_b0
+        monkeypatch.setattr(kubo_dynamic, "solve_self_energy_b0",
+                            lambda e, *args, **kwargs: sizes.append(e.size)
+                            or solve(e, *args, **kwargs))
+        block = shear_dynamic_b0(E, Omega, params, return_split=True)
+        # each node is solved at omega and omega + |Omega|
+        assert len(sizes) >= 2
+        assert max(sizes) <= 2 * kubo_dynamic._CHUNK_NODES
+        monkeypatch.undo()
+        points = np.array([[shear_dynamic_b0(e, om, params, return_split=True)
+                            for e, om in zip(row_e, row_om)]
+                           for row_e, row_om in zip(E, Omega)])
+        for got, want in zip(block, np.moveaxis(points, -1, 0)):
+            assert got.shape == E.shape
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        assert np.abs(block[0] / points[..., 0] - 1.0).max() <= 1e-13
 
     @pytest.mark.parametrize("E,om,A,T,frozen", [
         (0.0, 1.0, 20.0, 0.0, (0.039932914979615125, 0.039932914979615125)),
@@ -511,9 +540,8 @@ FIG5_OMEGA = np.linspace(0.02, 0.45, 87)
 
 
 def window_and_ladder(E_grid, Omega_grid, params, spectrum, gamma, reduced):
-    window = np.array([[hall_dynamic(E, om, params, spectrum, gamma,
-                                     reduced=reduced) for om in Omega_grid]
-                       for E in E_grid])
+    E, Omega = np.meshgrid(E_grid, Omega_grid, indexing="ij")
+    window = hall_dynamic(E, Omega, params, spectrum, gamma, reduced=reduced)
     ladder = np.array([[hall_dynamic_full_ladder(E, om, params, spectrum,
                                                  gamma, reduced)[0]
                         for om in Omega_grid] for E in E_grid])
@@ -525,22 +553,51 @@ class TestHallDynamicWindow:
     rounded once; the dropped pairs cancel exactly at T = 0 and to within
     e^-40 at T > 0."""
 
+    # each grid is one block call, summed in several chunks, at T = 0 and
+    # at k_B T = 1 meV
     @pytest.mark.parametrize("reduced", [False, True],
                              ids=["full", "reduced"])
-    def test_fig5_grid(self, params500, spectrum10_500, reduced):
-        window, ladder = window_and_ladder(
-            FIG5_E, FIG5_OMEGA[::2], params500, spectrum10_500,
-            spectrum10_500.hbar_omega_c / 50.0, reduced)
-        assert np.abs(window - ladder).max() <= 1e-12 * np.abs(ladder).max()
+    def test_fig5_grid(self, spectrum10_500, reduced):
+        for T in (0.0, 1e-3):
+            window, ladder = window_and_ladder(
+                FIG5_E, FIG5_OMEGA[::2],
+                ModelParams(disorder_A=500.0, temperature=T), spectrum10_500,
+                spectrum10_500.hbar_omega_c / 50.0, reduced)
+            assert (np.abs(window - ladder).max()
+                    <= 1e-12 * np.abs(ladder).max()), T
 
     @pytest.mark.parametrize("reduced", [False, True],
                              ids=["full", "reduced"])
     def test_one_tesla_grid(self, params500, reduced):
         spectrum = build_spectrum(params500, 1.0)
-        window, ladder = window_and_ladder(
-            (0.0, 0.02, 0.05), np.linspace(0.005, 0.08, 7), params500,
-            spectrum, spectrum.hbar_omega_c / 50.0, reduced)
-        assert np.abs(window - ladder).max() <= 1e-12 * np.abs(ladder).max()
+        for T in (0.0, 1e-3):
+            window, ladder = window_and_ladder(
+                (-0.05, 0.0, 0.05), (-0.08, -0.03, 0.005, 0.04, 0.08),
+                ModelParams(disorder_A=500.0, temperature=T), spectrum,
+                spectrum.hbar_omega_c / 50.0, reduced)
+            assert (np.abs(window - ladder).max()
+                    <= 1e-12 * np.abs(ladder).max()), T
+
+    def test_low_field_block_memory_is_bounded(self, params500):
+        # 0.01 T, 121 E x 10 Omega: 1.8e7 kink terms, about 150 MB as one
+        # flat (point x pair) array; a point holds up to 2.4e4 of them, so
+        # the chunks split the pairs too
+        spectrum = build_spectrum(params500, 0.01)
+        gamma = spectrum.hbar_omega_c / 50.0
+        E, Omega = np.meshgrid(np.linspace(-0.1, 0.1, 121),
+                               np.linspace(0.01, 0.1, 10), indexing="ij")
+        tracemalloc.start()
+        try:
+            block = hall_dynamic(E, Omega, params500, spectrum, gamma)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8e6
+        picks = [(0, 0), (60, 4), (120, 9), (37, 2)]
+        points = [hall_dynamic(E[i], Omega[i], params500, spectrum, gamma)
+                  for i in picks]
+        assert np.abs([block[i] for i in picks] - np.array(points)).max() \
+            <= 1e-12 * np.abs(block).max()
 
     @pytest.mark.parametrize("E_levels,Omega_levels", [
         (1.0, 1.0),                       # |E| + Omega = 2 hwc exactly

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -533,14 +534,32 @@ class TestMixedColumns:
         want = np.array([ladder_sum(x, spectrum) for x in z])
         assert got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("hi", [2, 60, 3_937])
+    @pytest.mark.parametrize("hi", [2, 60, 3_937, 3_938_000])
     def test_weighted_log_sum_column_matches_scalar_calls(self, hi):
-        # heads of K - 1 = 1 to 1,449 terms in one array
+        # heads of K - 1 = 1 to 13,849 terms, summed in slices of at most
+        # _CHUNK_TERMS terms or one head (several slices at the two
+        # largest hi)
         a = np.array([-0.37, 5.0 - 4.9j, 0.2 + 1e-15j, 40.0 + 3.0j,
-                      700.0 - 1.0j])
+                      700.0 - 1.0j, 6900.0 + 1e-3j, 3.5, 4000.0 - 2.0j])
         got = _weighted_log_sum(a, hi)
         want = np.array([_weighted_log_sum(x, hi) for x in a])
         assert got.tobytes() == want.tobytes()
+
+    def test_low_field_column_memory_is_bounded(self):
+        # at 0.01 T the heads of a 121-energy column over +-0.3 eV hold
+        # 7.5e5 terms (K ~ 2 E^2 / (hbar w_c)^2); one flat array of them
+        # took 30 MB
+        params = ModelParams(disorder_A=50.0)
+        spectrum = build_spectrum(params, 0.01)
+        energies = np.linspace(-0.3, 0.3, 121)
+        tracemalloc.start()
+        try:
+            column = hall_static_numeric(energies, params, spectrum)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8e6
+        assert np.all(np.isfinite(column.value))
 
 
 class TestParity:

@@ -131,6 +131,19 @@ class TestSerialization:
         assert svg.startswith("<svg")
         assert "polyline" in svg
 
+    def test_integer_a_writes_the_same_csv(self, tmp_path, capsys):
+        # a config's "A": [20] once wrote 20 where --a 20 wrote 20.0
+        config = tmp_path / "dos.json"
+        config.write_text(json.dumps({
+            "quantity": "dos", "E": {"start": 0.05, "stop": 0.1, "count": 2},
+            "A": [20]}))
+        assert main(["sweep", "--config", str(config)]) == 0
+        from_config = capsys.readouterr().out
+        assert main(["sweep", "--quantity", "dos", "--e", "0.05:0.1:2",
+                     "--a", "20"]) == 0
+        assert capsys.readouterr().out == from_config
+        assert '"A":[20.0]' in from_config and ",20.0," in from_config
+
     def test_values_match_direct_evaluation(self):
         from diracvisc import ModelParams, shear_b0_numeric
         res = run_sweep(tiny_spec())
@@ -256,6 +269,62 @@ class TestColumns:
         assert not trap.converged and math.isnan(trap.value)
         assert_rows_match_scalar_calls(rows[:2] + rows[3:], "static_shear",
                                        params, spectrum)
+
+
+class TestDynamicBlocks:
+    def test_one_call_per_block_and_rows_in_grid_order(self, monkeypatch):
+        calls = []
+        real = sweep.hall_dynamic
+
+        def record(E, Omega, *args, **kwargs):
+            calls.append(np.size(E))
+            return real(E, Omega, *args, **kwargs)
+
+        monkeypatch.setattr(sweep, "hall_dynamic", record)
+        spec = SweepSpec(quantity="dynamic_hall",
+                         e_grid=GridSpec(0.05, 0.13, 3),
+                         b_grid=GridSpec(5.0, 10.0, 2),
+                         omega_grid=GridSpec(-0.3, 0.3, 4),
+                         a_values=(50.0, 500.0))
+        rows = run_sweep(spec).rows
+        assert calls == [3 * 4] * (2 * 2)  # one call per (B, A) block
+        keys = [(r.E, r.B, r.Omega, r.A) for r in rows]
+        assert keys == sorted(keys) and len(set(keys)) == 48
+        want = []
+        for r in rows:
+            params = ModelParams(disorder_A=r.A)
+            spectrum = build_spectrum(params, r.B)
+            want.append(real(r.E, r.Omega, params, spectrum,
+                             spectrum.hbar_omega_c / 50.0))
+        got = np.array([r.value for r in rows])
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("quantity,name,B", [
+        ("dynamic_hall", "hall_dynamic", 10.0),
+        ("dynamic_shear", "shear_dynamic_b0", None)])
+    def test_failed_point_is_the_only_row_flagged(self, quantity, name, B,
+                                                  monkeypatch):
+        spec = SweepSpec(quantity=quantity, e_grid=GridSpec(0.0, 0.2, 3),
+                         b_grid=None if B is None else GridSpec(B, B, 1),
+                         omega_grid=GridSpec(-0.3, 0.3, 4), a_values=(50.0,))
+        want = run_sweep(spec).rows
+        bad = want[5]
+        real = getattr(sweep, name)
+
+        def failing(E, Omega, *args, **kwargs):
+            if np.any((E == bad.E) & (Omega == bad.Omega)):
+                raise ConvergenceError("injected", 1.0, 100, 0j)
+            return real(E, Omega, *args, **kwargs)
+
+        monkeypatch.setattr(sweep, name, failing)
+        rows = run_sweep(spec).rows
+        assert [r.converged for r in rows] == [r is not bad for r in want]
+        assert math.isnan(rows[5].value)
+        scale = max(abs(r.value) for r in want)
+        for r, w in zip(rows, want):
+            assert (r.E, r.Omega) == (w.E, w.Omega)
+            if w is not bad:
+                assert abs(r.value - w.value) <= 1e-12 * scale
 
 
 def full_ladder_fields(quantity, E, params, spectrum):
