@@ -22,8 +22,8 @@ from .kubo_static import (_hall_sums, _hall_sums_direct, hall_static_numeric,
                           shear_b0_analytic, shear_b0_numeric,
                           shear_bfield_numeric, shear_pair_sums,
                           shear_pair_sums_direct)
-from .kubo_dynamic import (_hall_chains, _hall_dynamic_terms, _hall_prefactor,
-                           hall_dynamic, static_limit_check)
+from .kubo_dynamic import (hall_dynamic, hall_dynamic_ladder_sum,
+                           static_limit_check)
 from .sweep import (QUANTITIES, GridSpec, SweepSpec, figure_preset,
                     result_to_csv, result_to_json, result_to_svg, run_sweep)
 from .vertex import vertex_correction_b0, vertex_correction_landau
@@ -181,18 +181,14 @@ def _validate_checks():
     spectrum = build_spectrum(ModelParams(disorder_A=fig5.a_values[0]),
                               fig5.b_grid.start)
     gamma = spectrum.hbar_omega_c / 50.0
-    chains = [c.ravel() for c in _hall_chains(spectrum.level_indices()[:-2],
-                                              spectrum.hbar_omega_c)]
     e, omega = (g.ravel() for g in np.meshgrid(
         fig5.e_grid.values(), fig5.omega_grid.values()[::6], indexing="ij"))
     window, full = [], []
     for T in (0.0, 1e-3):
         params = ModelParams(disorder_A=fig5.a_values[0], temperature=T)
         window.append(hall_dynamic(e, omega, params, spectrum, gamma))
-        full.append([_hall_prefactor(params, spectrum) / abs(om) * math.fsum(
-            _hall_dynamic_terms(np.array([E]), np.array([abs(om)]), chains,
-                                gamma, T, False)[0])
-            for E, om in zip(e, omega)])
+        full.append([hall_dynamic_ladder_sum(E, om, params, spectrum, gamma)
+                     for E, om in zip(e, omega)])
     window, full = np.array(window), np.array(full)
     dev = np.abs(window - full).max() / np.abs(full).max()
     yield ("dynamic Hall Fermi-window sum vs full ladder "

@@ -375,22 +375,31 @@ def hall_dynamic(E, Omega, params: ModelParams, spectrum: LandauSpectrum,
                      dtype=int)
     width = 8 * (top[order] + 1)  # terms of a point up to its own reach
     total = np.zeros(e.size)
-    start = 0
-    while start < e.size:
-        stop = start + 1
-        while (stop < e.size
-               and (stop + 1 - start) * width[stop] <= _CHUNK_TERMS):
-            stop += 1
-        pts = order[start:stop]
+    for chunk in _budget_slices(width, _CHUNK_TERMS, padded=True):
+        pts = order[chunk]
         pairs = top[pts[-1]] + 1
+        # a point longer than the budget is summed in runs of pairs
         step = max(_CHUNK_TERMS // (8 * pts.size), 1)
         for n0 in range(0, pairs, step):
             part = [c[n0:min(n0 + step, pairs)].ravel() for c in chains]
             total[pts] += _hall_dynamic_terms(e[pts], om[pts], part,
                                               broadening, T,
                                               reduced).sum(axis=1)
-        start = stop
     return _shaped(_hall_prefactor(params, spectrum) / om * total, shape)
+
+
+def hall_dynamic_ladder_sum(E: float, Omega: float, params: ModelParams,
+                            spectrum: LandauSpectrum, broadening: float, *,
+                            reduced: bool = False) -> float:
+    """hall_dynamic at one point over every pair of the ladder, the terms
+    rounded once (math.fsum): the reference its Fermi window is checked
+    against. Materializes the ladder."""
+    e, om, _ = _points(E, Omega)
+    chains = [c.ravel() for c in _hall_chains(spectrum.level_indices()[:-2],
+                                              spectrum.hbar_omega_c)]
+    terms = _hall_dynamic_terms(e, om, chains, _check_broadening(broadening),
+                                params.temperature, reduced)
+    return _hall_prefactor(params, spectrum) / om[0] * math.fsum(terms[0])
 
 
 def counterpart_pair_sum(n: int, e_fermi: float, Omega: float,

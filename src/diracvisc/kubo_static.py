@@ -400,15 +400,19 @@ _EULER_MACLAURIN = ((-1.0 / 720.0, 3), (1.0 / 30240.0, 5),
                     (-1.0 / 1209600.0, 7))
 
 
-def _budget_slices(sizes: np.ndarray, budget: int) -> list[slice]:
-    """Consecutive slices of sizes, each summing to at most budget or
-    holding a single element."""
-    out, start, total = [], 0, 0
+def _budget_slices(sizes: np.ndarray, budget: int, *,
+                   padded: bool = False) -> list[slice]:
+    """Consecutive slices of sizes, each costing at most budget or holding
+    a single element. A slice costs the sum of its sizes, or with
+    padded=True its length times its largest size (one row per element,
+    each row as long as the longest)."""
+    out, start, total, top = [], 0, 0, 0
     for i, size in enumerate(sizes.tolist()):
-        if i > start and total + size > budget:
+        total, top = total + size, max(top, size)
+        if i > start and (top * (i + 1 - start) if padded
+                          else total) > budget:
             out.append(slice(start, i))
-            start, total = i, 0
-        total += size
+            start, total, top = i, size, size
     out.append(slice(start, len(sizes)))
     return out
 

@@ -30,7 +30,8 @@ from .vertex import vertex_correction_b0, vertex_correction_landau
 # quantities: each evaluator maps a block of points, an E array and an
 # Omega array of the same length (Omega None for the static quantities),
 # and its spectrum (None at B = 0) to one dict of SweepRow fields per
-# point, calling the physics through module globals.
+# point, calling the physics through module globals. An evaluator that
+# calls the physics point by point flags its failed points itself (_each).
 # ---------------------------------------------------------------------------
 
 def _number(value, kind=numbers.Real) -> bool:
@@ -46,6 +47,18 @@ def _int_setting(fixed: dict, name: str, default: int) -> int:
     if not (_number(value) and value % 1 == 0):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _each(row, *columns) -> list[dict]:
+    """row(*point) for each point of the columns, in order; a point whose
+    evaluation raises ConvergenceError is flagged alone."""
+    rows = []
+    for point in zip(*columns):
+        try:
+            rows.append(row(*point))
+        except ConvergenceError:
+            rows.append({"value": math.nan, "converged": False})
+    return rows
 
 
 def _solve_sigma(e, spectrum, params):
@@ -64,14 +77,13 @@ def _static_rows(v) -> list[dict]:
 def _self_energy(e, spectrum, Omega, params, fixed) -> list[dict]:
     # one solve per energy: an array solve reports only its largest step
     # count, and the iterations channel counts each energy's own steps
-    rows = []
-    for E in e:
+    def row(E):
         sol = _solve_sigma(E, spectrum, params)
-        rows.append({"value": sol.sigma.imag,
-                     "channels": {"re_sigma": sol.sigma.real,
-                                  "residual": sol.residual,
-                                  "iterations": sol.iterations}})
-    return rows
+        return {"value": sol.sigma.imag,
+                "channels": {"re_sigma": sol.sigma.real,
+                             "residual": sol.residual,
+                             "iterations": sol.iterations}}
+    return _each(row, e)
 
 
 def _dos(e, spectrum, Omega, params, fixed) -> list[dict]:
@@ -98,9 +110,8 @@ def _dynamic_shear(e, spectrum, Omega, params, fixed) -> list[dict]:
         return _values(shear_dynamic_b0(e, Omega, params))
     # one point per call: a point's two g_n matrices (about 2 MB at 10 T,
     # A = 20) would add up over a block
-    return [{"value": shear_dynamic_bfield(E, om, params, spectrum,
-                                           fixed.get("broadening"))}
-            for E, om in zip(e, Omega)]
+    return _each(lambda E, om: {"value": shear_dynamic_bfield(
+        E, om, params, spectrum, fixed.get("broadening"))}, e, Omega)
 
 
 def _dynamic_hall(e, spectrum, Omega, params, fixed) -> list[dict]:
@@ -109,15 +120,14 @@ def _dynamic_hall(e, spectrum, Omega, params, fixed) -> list[dict]:
 
 
 def _vertex_check(e, spectrum, Omega, params, fixed) -> list[dict]:
-    rows = []
-    for E in e:
+    def row(E):
         ratio = vertex_correction_b0(E, params).ratio
         channels = {"ratio_momentum": ratio}
         if spectrum is not None:
             channels["ratio_landau"] = vertex_correction_landau(
                 E, params, spectrum).ratio
-        rows.append({"value": ratio, "channels": channels})
-    return rows
+        return {"value": ratio, "channels": channels}
+    return _each(row, e)
 
 
 class Quantity(NamedTuple):
@@ -286,22 +296,19 @@ def _eval_point(spec: SweepSpec, e: np.ndarray, B: float | None,
                 Omega: np.ndarray | None, A: float) -> list[SweepRow]:
     """The rows of one (B, A) block over the points (e[i], Omega[i]), in
     their order; Omega is None for a static quantity. The block is
-    evaluated in one call; when that raises ConvergenceError, each point is
-    evaluated on its own, so only the points that fail are flagged."""
+    evaluated in one call. An evaluator that loops over the points flags
+    a point that raises ConvergenceError itself; when an array evaluator
+    raises it, each point of the block is evaluated on its own, so only
+    the points that fail are flagged."""
     params = _make_params(A, spec.fixed)
     spectrum = build_spectrum(params, B) if B else None
     evaluate = QUANTITIES[spec.quantity].evaluate
     try:
         fields = evaluate(e, spectrum, Omega, params, spec.fixed)
     except ConvergenceError:
-        fields = []
-        for i in range(e.size):
-            try:
-                fields += evaluate(e[i:i + 1], spectrum,
-                                   None if Omega is None else Omega[i:i + 1],
-                                   params, spec.fixed)
-            except ConvergenceError:
-                fields.append({"value": math.nan, "converged": False})
+        fields = _each(lambda i: evaluate(
+            e[i:i + 1], spectrum, None if Omega is None else Omega[i:i + 1],
+            params, spec.fixed)[0], range(e.size))
     omegas = [None] * e.size if Omega is None else Omega.tolist()
     return [SweepRow(E, B, O, A, **f) for E, O, f in zip(e, omegas, fields)]
 

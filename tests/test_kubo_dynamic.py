@@ -572,11 +572,27 @@ class TestHallDynamicWindow:
         spectrum = build_spectrum(params500, 1.0)
         for T in (0.0, 1e-3):
             window, ladder = window_and_ladder(
-                (-0.05, 0.0, 0.05), (-0.08, -0.03, 0.005, 0.04, 0.08),
+                (-0.05, 0.0, 0.02, 0.05),
+                (-0.08, -0.03, *np.linspace(0.005, 0.08, 7)),
                 ModelParams(disorder_A=500.0, temperature=T), spectrum,
                 spectrum.hbar_omega_c / 50.0, reduced)
             assert (np.abs(window - ladder).max()
                     <= 1e-12 * np.abs(ladder).max()), T
+
+    @pytest.mark.parametrize("T", [0.0, 1e-3])
+    def test_ladder_sum_matches_the_oracle(self, T):
+        # the library's full-ladder reference (cli validate) against the
+        # pair-by-pair oracle above
+        params = ModelParams(disorder_A=500.0, temperature=T)
+        spectrum = build_spectrum(params, 10.0)
+        gamma = spectrum.hbar_omega_c / 50.0
+        for E, om, reduced in [(0.05, 0.02, False), (-0.13, 0.3, True),
+                               (0.22, -0.45, False), (0.0, 0.162, True)]:
+            ref, terms = hall_dynamic_full_ladder(E, om, params, spectrum,
+                                                  gamma, reduced)
+            v = kubo_dynamic.hall_dynamic_ladder_sum(
+                E, om, params, spectrum, gamma, reduced=reduced)
+            assert abs(v - ref) <= 1e-13 * np.abs(terms).max()
 
     def test_low_field_block_memory_is_bounded(self, params500):
         # 0.01 T, 121 E x 10 Omega: 1.8e7 kink terms, about 150 MB as one

@@ -561,6 +561,17 @@ class TestMixedColumns:
         assert peak <= 8e6
         assert np.all(np.isfinite(column.value))
 
+    @pytest.mark.parametrize("padded,want", [
+        # sums: 8+3 | 5+6+1 | 9+2 | 13
+        (False, [(0, 2), (2, 5), (5, 7), (7, 8)]),
+        # length x largest: 8 | 3+5 (10) | 6+1 (12) | 9 | 2 | 13
+        (True, [(0, 1), (1, 3), (3, 5), (5, 6), (6, 7), (7, 8)])])
+    def test_budget_slices(self, padded, want):
+        # every slice within the budget of 12, or a single element
+        slices = kubo_static._budget_slices(
+            np.array([8, 3, 5, 6, 1, 9, 2, 13]), 12, padded=padded)
+        assert [(s.start, s.stop) for s in slices] == want
+
 
 class TestParity:
     # E -> -E at 10 T: Im Sigma even, Re Sigma odd, eta_s even, eta_H odd;

@@ -299,25 +299,32 @@ class TestDynamicBlocks:
         got = np.array([r.value for r in rows])
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
-    @pytest.mark.parametrize("quantity,name,B", [
-        ("dynamic_hall", "hall_dynamic", 10.0),
-        ("dynamic_shear", "shear_dynamic_b0", None)])
+    # calls: a block evaluator fails once on the whole block of 12 points
+    # and then takes them one by one; the field shear takes one point per
+    # call and flags the failed one without repeating the others
+    @pytest.mark.parametrize("quantity,name,B,calls", [
+        ("dynamic_hall", "hall_dynamic", 10.0, 1 + 12),
+        ("dynamic_shear", "shear_dynamic_b0", None, 1 + 12),
+        ("dynamic_shear", "shear_dynamic_bfield", 10.0, 12)])
     def test_failed_point_is_the_only_row_flagged(self, quantity, name, B,
-                                                  monkeypatch):
+                                                  calls, monkeypatch):
         spec = SweepSpec(quantity=quantity, e_grid=GridSpec(0.0, 0.2, 3),
                          b_grid=None if B is None else GridSpec(B, B, 1),
                          omega_grid=GridSpec(-0.3, 0.3, 4), a_values=(50.0,))
         want = run_sweep(spec).rows
         bad = want[5]
         real = getattr(sweep, name)
+        seen = []
 
         def failing(E, Omega, *args, **kwargs):
+            seen.append(np.size(E))
             if np.any((E == bad.E) & (Omega == bad.Omega)):
                 raise ConvergenceError("injected", 1.0, 100, 0j)
             return real(E, Omega, *args, **kwargs)
 
         monkeypatch.setattr(sweep, name, failing)
         rows = run_sweep(spec).rows
+        assert len(seen) == calls
         assert [r.converged for r in rows] == [r is not bad for r in want]
         assert math.isnan(rows[5].value)
         scale = max(abs(r.value) for r in want)
