@@ -11,6 +11,7 @@ import json
 import math
 import sys
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -24,8 +25,9 @@ from .kubo_static import (_hall_sums, _hall_sums_direct, hall_static_numeric,
                           shear_pair_sums_direct)
 from .kubo_dynamic import (hall_dynamic, hall_dynamic_ladder_sum,
                            static_limit_check)
-from .sweep import (QUANTITIES, GridSpec, SweepSpec, figure_preset,
-                    result_to_csv, result_to_json, result_to_svg, run_sweep)
+from .sweep import (QUANTITIES, GridSpec, SweepSpec, _json_object,
+                    figure_preset, result_to_csv, result_to_json,
+                    result_to_svg, run_sweep)
 from .vertex import vertex_correction_b0, vertex_correction_landau
 
 PASS, FAIL, KNOWN = "PASS", "FAIL", "KNOWN-DEVIATION"
@@ -48,7 +50,9 @@ def _spec_from_args(args) -> SweepSpec:
     cfg = {}
     if args.config:
         with open(args.config) as fh:
-            cfg = json.load(fh)
+            cfg = _json_object(json.load(fh), "a config file")
+    fixed, output = (_json_object(cfg.get(key, {}), key)
+                     for key in ("fixed", "output"))
     if args.quantity:
         cfg["quantity"] = args.quantity
     for key, raw in (("E", args.e), ("B", args.b), ("Omega", args.omega)):
@@ -58,17 +62,22 @@ def _spec_from_args(args) -> SweepSpec:
     if args.a:
         cfg["A"] = [float(x) for x in args.a.split(",") if x]
     if args.fixed:
-        fixed = cfg.get("fixed") or {}
-        fixed.update(json.loads(args.fixed))
-        cfg["fixed"] = fixed
+        fixed.update(_json_object(json.loads(args.fixed), "--fixed"))
     if args.output:
-        cfg.setdefault("output", {})["path"] = args.output
+        output["path"] = args.output
     if args.format:
-        cfg.setdefault("output", {})["format"] = args.format
-    return SweepSpec.from_config(cfg)
+        output["format"] = args.format
+    return SweepSpec.from_config({**cfg, "fixed": fixed, "output": output})
 
 
-def _write_result(result, spec: SweepSpec, svg: bool) -> None:
+def _run(spec: SweepSpec, svg: bool) -> int:
+    """Run spec and write its rows; with svg also a plot beside the output
+    file, at its path with the suffix .svg (checked before the sweep)."""
+    if svg and (not spec.output_path
+                or Path(spec.output_path).suffix == ".svg"):
+        raise ValueError("--svg needs an --output file whose suffix is not "
+                         ".svg: the SVG is written beside it")
+    result = run_sweep(spec)
     text = (result_to_csv(result) if spec.output_format == "csv"
             else result_to_json(result))
     if spec.output_path:
@@ -76,27 +85,21 @@ def _write_result(result, spec: SweepSpec, svg: bool) -> None:
             fh.write(text)
         print(f"wrote {spec.output_path} ({len(result.rows)} rows)")
         if svg:
-            svg_path = spec.output_path.rsplit(".", 1)[0] + ".svg"
-            with open(svg_path, "w") as fh:
-                fh.write(result_to_svg(result))
+            svg_path = Path(spec.output_path).with_suffix(".svg")
+            svg_path.write_text(result_to_svg(result))
             print(f"wrote {svg_path}")
     else:
         sys.stdout.write(text)
+    return 0
 
 
 def _cmd_sweep(args) -> int:
-    spec = _spec_from_args(args)
-    result = run_sweep(spec)
-    _write_result(result, spec, args.svg)
-    return 0
+    return _run(_spec_from_args(args), args.svg)
 
 
 def _cmd_figure(args) -> int:
-    spec = replace(figure_preset(args.name), output_path=args.output,
-                   output_format=args.format or "csv")
-    result = run_sweep(spec)
-    _write_result(result, spec, args.svg)
-    return 0
+    return _run(replace(figure_preset(args.name), output_path=args.output,
+                        output_format=args.format or "csv"), args.svg)
 
 
 def _cmd_solve_sigma(args) -> int:

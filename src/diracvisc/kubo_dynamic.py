@@ -9,8 +9,8 @@ factors f(omega) - f(omega + Omega). The dynamic Hall kink sum runs over
 the level pairs within 40 k_B T of its Fermi window at every T.
 
 shear_dynamic_b0 and hall_dynamic take a block of (E, Omega) points (two
-arrays of one shape) in one call, in chunks of bounded memory;
-shear_dynamic_bfield takes one point per call.
+arrays of one shape) in one call, in chunks of bounded memory, and reduce
+each point on its own; shear_dynamic_bfield takes one point per call.
 """
 from __future__ import annotations
 
@@ -310,35 +310,23 @@ def _hall_prefactor(params: ModelParams, spectrum: LandauSpectrum) -> float:
         8.0 * math.pi * spectrum.l_B ** 2)
 
 
-def _hall_dynamic_terms(e: np.ndarray, om: np.ndarray, chains,
-                        broadening: float, temperature: float,
-                        reduced: bool) -> np.ndarray:
-    """The kink terms of hall_dynamic without its prefactor, one row per
-    point (e_i, |Omega_i| = om_i) of the 1-D arrays e and om, one column
-    per term of the flat chain arrays (E_a, E_b, weight). The kink factors
-    depend on Omega alone, so they are computed once per distinct Omega and
-    shared by its energies; only the Fermi factors are taken point by point.
-    """
-    ea, eb, w = chains
+def _hall_dynamic_terms(e, om, ea, eb, w, broadening: float,
+                        temperature: float, reduced: bool) -> np.ndarray:
+    """The kink terms of hall_dynamic without its prefactor, element by
+    element over the broadcast arrays of the energy e, the frequency
+    om = |Omega|, and the chain terms (E_a, E_b, weight) = (ea, eb, w)."""
     g2 = broadening * broadening
-    # the distinct Omegas by a dict, not np.unique: numpy's sort code adds
-    # about 0.4 MB of resident pages to a sweep process that sorts nothing
-    # else
-    first = {}
-    inv = np.array([first.setdefault(o, len(first)) for o in om.tolist()])
-    om_u = np.array(list(first))
-    x = om_u[:, None] - eb + ea
-    kink = (w * x / (x * x + g2))[inv]
-    mu, om = e[:, None], om[:, None]
 
     def f(x):
-        return _fermi(x, mu, temperature)
+        return _fermi(x, e, temperature)
+
+    def kink(x):
+        return w * x / (x * x + g2)
 
     if reduced:
-        return (f(eb) - f(ea)) * kink
-    x = om_u[:, None] + eb - ea
-    return (2.0 * (f(ea + om) - f(ea)) * kink
-            + (f(eb + om) - f(ea - om)) * (w * x / (x * x + g2))[inv])
+        return (f(eb) - f(ea)) * kink(om - eb + ea)
+    return (2.0 * (f(ea + om) - f(ea)) * kink(om - eb + ea)
+            + (f(eb + om) - f(ea - om)) * kink(om + eb - ea))
 
 
 def hall_dynamic(E, Omega, params: ModelParams, spectrum: LandauSpectrum,
@@ -361,30 +349,29 @@ def hall_dynamic(E, Omega, params: ModelParams, spectrum: LandauSpectrum,
 
     E and Omega are floats, or arrays of one shape whose values come back
     in that shape. A block builds its level pairs once, up to its largest
-    reach. Its points, in order of reach, are summed in chunks of at most
-    _CHUNK_TERMS terms, every point of a chunk up to the chunk's largest
-    reach (the pairs past a point's own reach cancel as above).
+    reach. Each point's 8 terms per pair, up to its own reach, lie end to
+    end in flat arrays of at most _CHUNK_TERMS / 2 terms (or one point), and
+    each point is reduced on its own (np.add.reduceat), so a point's value
+    does not depend on the rest of the block.
     """
     e, om, shape = _points(E, Omega)
     _check_broadening(broadening)
     T = params.temperature
     top = _window_top(np.abs(e) + om + _FERMI_REACH * T, spectrum)
-    chains = _hall_chains(np.arange(top.max() + 1), spectrum.hbar_omega_c)
-    # sorted(), not np.argsort, for the reason given in _hall_dynamic_terms
-    order = np.array(sorted(range(e.size), key=top.tolist().__getitem__),
-                     dtype=int)
-    width = 8 * (top[order] + 1)  # terms of a point up to its own reach
-    total = np.zeros(e.size)
-    for chunk in _budget_slices(width, _CHUNK_TERMS, padded=True):
-        pts = order[chunk]
-        pairs = top[pts[-1]] + 1
-        # a point longer than the budget is summed in runs of pairs
-        step = max(_CHUNK_TERMS // (8 * pts.size), 1)
-        for n0 in range(0, pairs, step):
-            part = [c[n0:min(n0 + step, pairs)].ravel() for c in chains]
-            total[pts] += _hall_dynamic_terms(e[pts], om[pts], part,
-                                              broadening, T,
-                                              reduced).sum(axis=1)
+    ea, eb, w = (c.ravel() for c in _hall_chains(np.arange(top.max() + 1),
+                                                 spectrum.hbar_omega_c))
+    size = 8 * (top + 1)
+    total = np.empty(e.size)
+    # half the budget of the complex ladder heads: a chunk holds about a
+    # dozen real arrays of its length at once (inputs, kinks, Fermi factors)
+    for part in _budget_slices(size, _CHUNK_TERMS // 2):
+        n = size[part]
+        start = np.cumsum(n) - n
+        j = np.arange(n.sum()) - np.repeat(start, n)
+        terms = _hall_dynamic_terms(np.repeat(e[part], n),
+                                    np.repeat(om[part], n), ea[j], eb[j],
+                                    w[j], broadening, T, reduced)
+        total[part] = np.add.reduceat(terms, start)
     return _shaped(_hall_prefactor(params, spectrum) / om * total, shape)
 
 
@@ -395,11 +382,11 @@ def hall_dynamic_ladder_sum(E: float, Omega: float, params: ModelParams,
     rounded once (math.fsum): the reference its Fermi window is checked
     against. Materializes the ladder."""
     e, om, _ = _points(E, Omega)
-    chains = [c.ravel() for c in _hall_chains(spectrum.level_indices()[:-2],
-                                              spectrum.hbar_omega_c)]
-    terms = _hall_dynamic_terms(e, om, chains, _check_broadening(broadening),
+    chains = (c.ravel() for c in _hall_chains(spectrum.level_indices()[:-2],
+                                              spectrum.hbar_omega_c))
+    terms = _hall_dynamic_terms(e, om, *chains, _check_broadening(broadening),
                                 params.temperature, reduced)
-    return _hall_prefactor(params, spectrum) / om[0] * math.fsum(terms[0])
+    return _hall_prefactor(params, spectrum) / om[0] * math.fsum(terms)
 
 
 def counterpart_pair_sum(n: int, e_fermi: float, Omega: float,
@@ -409,11 +396,10 @@ def counterpart_pair_sum(n: int, e_fermi: float, Omega: float,
     interband pair (n,-) -> (n+2,+) and (n,+) -> (n+2,-) alone, both
     directions (diagnostic for the cancellation test)."""
     # the (+,-) and (-,+) chains, both directions
-    chains = [c[:, [1, 2, 5, 6]].ravel()
-              for c in _hall_chains(np.array([n]), spectrum.hbar_omega_c)]
+    chains = (c[:, [1, 2, 5, 6]].ravel()
+              for c in _hall_chains(np.array([n]), spectrum.hbar_omega_c))
     om = abs(Omega)
-    terms = _hall_dynamic_terms(np.array([e_fermi]), np.array([om]), chains,
-                                broadening, 0.0, True)
+    terms = _hall_dynamic_terms(e_fermi, om, *chains, broadening, 0.0, True)
     return _hall_prefactor(params, spectrum) / om * float(np.sum(terms))
 
 

@@ -389,10 +389,10 @@ def _hall_sums_direct(z: complex,
     return sum_i, sum_surface.imag, sum_log
 
 
-# most terms a Landau ladder sum over a column or block holds at once: the
-# static Hall heads here and the dynamic Hall kink terms (kubo_dynamic)
-# are summed in slices of at most this many, 128 kB per complex
-# temporary, so memory stays bounded at any field and block size
+# most terms a Landau ladder sum over a column or block holds at once (the
+# static Hall heads here, 128 kB per complex temporary; the dynamic Hall
+# kink terms of kubo_dynamic take half as many), so memory stays bounded
+# at any field and block size
 _CHUNK_TERMS = 1 << 13
 
 # B_2k / (2k)! and the derivative order j = 2k - 1 it multiplies, k = 2..4
@@ -400,19 +400,15 @@ _EULER_MACLAURIN = ((-1.0 / 720.0, 3), (1.0 / 30240.0, 5),
                     (-1.0 / 1209600.0, 7))
 
 
-def _budget_slices(sizes: np.ndarray, budget: int, *,
-                   padded: bool = False) -> list[slice]:
-    """Consecutive slices of sizes, each costing at most budget or holding
-    a single element. A slice costs the sum of its sizes, or with
-    padded=True its length times its largest size (one row per element,
-    each row as long as the longest)."""
-    out, start, total, top = [], 0, 0, 0
+def _budget_slices(sizes: np.ndarray, budget: int) -> list[slice]:
+    """Consecutive slices of sizes, each summing to at most budget or
+    holding a single element."""
+    out, start, total = [], 0, 0
     for i, size in enumerate(sizes.tolist()):
-        total, top = total + size, max(top, size)
-        if i > start and (top * (i + 1 - start) if padded
-                          else total) > budget:
+        total += size
+        if i > start and total > budget:
             out.append(slice(start, i))
-            start, total, top = i, size, size
+            start, total = i, size
     out.append(slice(start, len(sizes)))
     return out
 

@@ -38,9 +38,9 @@ class SelfEnergySolution:
     energy: float          # eV (an array for array input)
     sigma: complex         # retarded Sigma(E), eV
     residual: float        # |Sigma_out - Sigma_in| / max(|Sigma_out|, floor)
-    iterations: int        # Newton steps; for array input, the most any
-                           # element took, plus the most any branch
-                           # re-solve took
+    iterations: int        # the largest entry of steps
+    steps: int             # Newton steps per element (an array for array
+                           # input), a branch re-solve included
 
 
 def _log_branch(z, cutoff: float):
@@ -61,14 +61,15 @@ def _iterate(e: np.ndarray, seed: np.ndarray, fmap, tol: float,
     the energies that take a Newton step pay for it. Each energy stops at
     the first iterate whose residual |F - Sigma|/|F| is <= tol and keeps
     F(Sigma) as its root. F and the Newton iterates are reflected to the
-    retarded branch (Im <= 0). Returns the sigma and residual arrays and
-    the most steps any energy took; raises ConvergenceError when an energy
-    is still open after max_iter steps.
+    retarded branch (Im <= 0). Returns the sigma, residual and step-count
+    arrays; raises ConvergenceError when an energy is still open after
+    max_iter steps.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     sigma = np.empty(e.shape, dtype=complex)
     residual = np.empty(e.shape)
+    steps = np.empty(e.shape, dtype=int)
     idx = np.arange(e.size)     # the energies still iterating
     s = seed
     for it in range(1, max_iter + 1):
@@ -76,10 +77,10 @@ def _iterate(e: np.ndarray, seed: np.ndarray, fmap, tol: float,
         out = np.where(out.imag > 0, out.conjugate(), out)
         res = np.abs(out - s) / np.maximum(np.abs(out), _RESIDUAL_FLOOR)
         done = res <= tol
-        sigma[idx[done]] = out[done]
-        residual[idx[done]] = res[done]
+        stop = idx[done]
+        sigma[stop], residual[stop], steps[stop] = out[done], res[done], it
         if done.all():
-            return sigma, residual, it
+            return sigma, residual, steps
         if it == max_iter:
             break
         left = ~done
@@ -93,11 +94,13 @@ def _iterate(e: np.ndarray, seed: np.ndarray, fmap, tol: float,
 
 
 def _solution(E, e: np.ndarray, sigma: np.ndarray, residual: np.ndarray,
-              iterations: int) -> SelfEnergySolution:
+              steps: np.ndarray) -> SelfEnergySolution:
     """Scalars for scalar E, arrays otherwise."""
+    iterations = int(steps.max())
     if np.ndim(E) == 0:
-        return SelfEnergySolution(E, sigma[0], residual[0], iterations)
-    return SelfEnergySolution(e, sigma, residual, iterations)
+        return SelfEnergySolution(E, sigma[0], residual[0], iterations,
+                                  iterations)
+    return SelfEnergySolution(e, sigma, residual, iterations, steps)
 
 
 def solve_self_energy_b0(E, params: ModelParams, *,
@@ -240,15 +243,15 @@ def solve_self_energy_landau(E, params: ModelParams, spectrum: LandauSpectrum,
 
     seed = -1j * np.maximum(max(params.cutoff_Ec * math.exp(-A / 2.0), width),
                             math.pi * np.abs(e) / A)
-    sigma, residual, iterations = _iterate(e, seed, fmap, tol, max_iter)
+    sigma, residual, steps = _iterate(e, seed, fmap, tol, max_iter)
     real = np.flatnonzero(_on_real_axis(sigma))
     if real.size:
         s2, r2, again = _iterate(e[real], sigma[real].real - 1j * width, fmap,
                                  tol, max_iter)
         off = ~_on_real_axis(s2)
         sigma[real[off]], residual[real[off]] = s2[off], r2[off]
-        iterations += again
-    return _solution(E, e, sigma, residual, iterations)
+        steps[real] += again
+    return _solution(E, e, sigma, residual, steps)
 
 
 def _on_real_axis(sigma: np.ndarray) -> np.ndarray:

@@ -40,6 +40,13 @@ def _number(value, kind=numbers.Real) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
+def _json_object(value, name: str) -> dict:
+    """A copy of value, a JSON object; anything else is refused by name."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be a JSON object, got {value!r}")
+    return dict(value)
+
+
 def _int_setting(fixed: dict, name: str, default: int) -> int:
     """fixed[name] as an int; a fractional or non-numeric value is refused
     rather than truncated."""
@@ -75,15 +82,12 @@ def _static_rows(v) -> list[dict]:
 
 
 def _self_energy(e, spectrum, Omega, params, fixed) -> list[dict]:
-    # one solve per energy: an array solve reports only its largest step
-    # count, and the iterations channel counts each energy's own steps
-    def row(E):
-        sol = _solve_sigma(E, spectrum, params)
-        return {"value": sol.sigma.imag,
-                "channels": {"re_sigma": sol.sigma.real,
-                             "residual": sol.residual,
-                             "iterations": sol.iterations}}
-    return _each(row, e)
+    sol = _solve_sigma(e, spectrum, params)
+    return [{"value": s.imag,
+             "channels": {"re_sigma": s.real, "residual": r,
+                          "iterations": k}}
+            for s, r, k in zip(sol.sigma.tolist(), sol.residual.tolist(),
+                               sol.steps.tolist())]
 
 
 def _dos(e, spectrum, Omega, params, fixed) -> list[dict]:
@@ -205,7 +209,8 @@ class SweepSpec:
     output_format: str = "csv"
 
     def __post_init__(self):
-        q = QUANTITIES.get(self.quantity)
+        q = (QUANTITIES.get(self.quantity)
+             if isinstance(self.quantity, str) else None)
         if q is None:
             raise ValueError(f"unknown quantity {self.quantity!r}; "
                              f"valid: {', '.join(QUANTITIES)}")
@@ -230,6 +235,9 @@ class SweepSpec:
         if self.b_grid is not None and min(self.b_grid.values()) < 0.0:
             raise ValueError("B must be >= 0; the B grid holds a negative "
                              "field")
+        if not isinstance(self.output_path, (str, type(None))):
+            raise ValueError(f"output path must be a string, got "
+                             f"{self.output_path!r}")
         if self.output_format not in ("csv", "json"):
             raise ValueError(f"unknown output format {self.output_format!r}")
         _int_setting(self.fixed, "degeneracy", 4)
@@ -253,16 +261,17 @@ class SweepSpec:
 
     @staticmethod
     def from_config(cfg: dict) -> "SweepSpec":
-        out = cfg.get("output") or {}
+        cfg = _json_object(cfg, "a config")
+        out = _json_object(cfg.get("output", {}), "output")
         a_values = cfg.get("A", ())
         return SweepSpec(
-            quantity=cfg["quantity"],
+            quantity=cfg.get("quantity"),
             e_grid=_as_grid(cfg.get("E"), "E"),
             b_grid=_as_grid(cfg.get("B"), "B"),
             omega_grid=_as_grid(cfg.get("Omega"), "Omega"),
             a_values=(tuple(a_values) if isinstance(a_values, list)
                       else a_values),
-            fixed=dict(cfg.get("fixed") or {}),
+            fixed=_json_object(cfg.get("fixed", {}), "fixed"),
             output_path=out.get("path"),
             output_format=out.get("format", "csv"))
 

@@ -594,10 +594,33 @@ class TestHallDynamicWindow:
                 E, om, params, spectrum, gamma, reduced=reduced)
             assert abs(v - ref) <= 1e-13 * np.abs(terms).max()
 
+    # a block gives its per-point calls to the bit: each point's terms are
+    # reduced on their own, whatever else its chunk holds. At 0.01 T a
+    # point holds up to 2.4e4 terms, more than one chunk's budget, and is
+    # summed alone
+    @pytest.mark.parametrize("reduced", [False, True],
+                             ids=["full", "reduced"])
+    @pytest.mark.parametrize("B,E_grid,Omega_grid,T", [
+        (10.0, FIG5_E, FIG5_OMEGA, 0.0),
+        (10.0, FIG5_E, FIG5_OMEGA, 1e-3),
+        (0.01, np.linspace(-0.1, 0.1, 5), (-0.1, 0.01, 0.05), 0.0)])
+    def test_block_equals_point_calls(self, B, E_grid, Omega_grid, T,
+                                      reduced):
+        params = ModelParams(disorder_A=500.0, temperature=T)
+        spectrum = build_spectrum(params, B)
+        gamma = spectrum.hbar_omega_c / 50.0
+        E, Omega = np.meshgrid(E_grid, Omega_grid, indexing="ij")
+        block = hall_dynamic(E, Omega, params, spectrum, gamma,
+                             reduced=reduced)
+        points = np.array([hall_dynamic(e, om, params, spectrum, gamma,
+                                        reduced=reduced)
+                           for e, om in zip(E.ravel(), Omega.ravel())])
+        assert block.ravel().tobytes() == points.tobytes()
+
     def test_low_field_block_memory_is_bounded(self, params500):
         # 0.01 T, 121 E x 10 Omega: 1.8e7 kink terms, about 150 MB as one
-        # flat (point x pair) array; a point holds up to 2.4e4 of them, so
-        # the chunks split the pairs too
+        # flat (point x pair) array; the chunks hold at most 4,096 terms or
+        # one point's terms (up to 2.4e4)
         spectrum = build_spectrum(params500, 0.01)
         gamma = spectrum.hbar_omega_c / 50.0
         E, Omega = np.meshgrid(np.linspace(-0.1, 0.1, 121),

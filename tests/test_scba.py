@@ -105,7 +105,9 @@ class TestB0ArraySolve:
                                                  abs=1e-300)
             assert sol.residual[i] == pytest.approx(one.residual, rel=1e-6,
                                                     abs=1e-16)
-            assert one.iterations <= sol.iterations
+            assert one.iterations == one.steps == sol.steps[i]
+        assert sol.iterations == sol.steps.max()
+        assert isinstance(sol.iterations, int)
 
     def test_scalar_input_gives_scalars(self, params20):
         sol = solve_self_energy_b0(0.7, params20)
@@ -386,7 +388,9 @@ class TestLandauArraySolve:
             assert np.ndim(one.sigma) == 0 and isinstance(one.iterations, int)
             assert sol.sigma[i] == pytest.approx(one.sigma, rel=1e-12,
                                                  abs=1e-300)
-            assert one.iterations <= sol.iterations
+            assert one.iterations == one.steps == sol.steps[i]
+        assert sol.iterations == sol.steps.max()
+        assert isinstance(sol.iterations, int)
 
     @pytest.mark.parametrize("row", range(3))
     def test_window_rows_match_damped_solver(self, row, monkeypatch):

@@ -254,6 +254,43 @@ class TestColumns:
         assert calls == [spec.e_grid.count] * len(spec.a_values)
         assert len(rows) == spec.e_grid.count * len(spec.a_values)
 
+    # a self_energy column is one solve whose CSV is byte-identical to
+    # per-energy scalar solves: at B = 0 and 10 T, with the branch re-solve
+    # of A = 50, E = +-0.21 among them; a column that fails (the 1 T trap)
+    # is retried energy by energy and only the trap row is flagged
+    @pytest.mark.parametrize("b_grid,a_values,e_grid,calls", [
+        (GridSpec(0.0, 10.0, 2), (20.0, 50.0, 500.0),
+         GridSpec(-0.21, 0.21, 15), [15] * 6),
+        (GridSpec(1.0, 1.0, 1), (500.0,), GridSpec(0.0, 2.0 * NEWTON_TRAP, 5),
+         [5] + [1] * 5)])
+    def test_self_energy_column_is_one_solve(self, b_grid, a_values, e_grid,
+                                             calls, monkeypatch):
+        def per_energy(e, spectrum, Omega, params, fixed):
+            def row(E):
+                sol = sweep._solve_sigma(E, spectrum, params)
+                return {"value": sol.sigma.imag,
+                        "channels": {"re_sigma": sol.sigma.real,
+                                     "residual": sol.residual,
+                                     "iterations": sol.iterations}}
+            return sweep._each(row, e)
+
+        spec = SweepSpec(quantity="self_energy", e_grid=e_grid, b_grid=b_grid,
+                         a_values=a_values)
+        sizes = []
+        for name in ("solve_self_energy_b0", "solve_self_energy_landau"):
+            def record(E, *args, _solve=getattr(sweep, name), **kwargs):
+                sizes.append(np.size(E))
+                return _solve(E, *args, **kwargs)
+            monkeypatch.setattr(sweep, name, record)
+        result = run_sweep(spec)
+        assert sizes == calls
+        assert [r.converged for r in result.rows] == [
+            r.E != NEWTON_TRAP for r in result.rows]
+        monkeypatch.setitem(QUANTITIES, "self_energy",
+                            QUANTITIES["self_energy"]._replace(
+                                evaluate=per_energy))
+        assert result_to_csv(result) == result_to_csv(run_sweep(spec))
+
     def test_failed_energy_is_the_only_row_flagged(self):
         spec = SweepSpec(quantity="static_shear",
                          e_grid=GridSpec(0.0, 2.0 * NEWTON_TRAP, 5),
@@ -297,7 +334,7 @@ class TestDynamicBlocks:
             want.append(real(r.E, r.Omega, params, spectrum,
                              spectrum.hbar_omega_c / 50.0))
         got = np.array([r.value for r in rows])
-        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        assert got.tobytes() == np.array(want).tobytes()
 
     # calls: a block evaluator fails once on the whole block of 12 points
     # and then takes them one by one; the field shear takes one point per
@@ -557,6 +594,10 @@ class TestCli:
         ("E", "0.1", "E"),
         ("E", {"start": "x", "stop": 1, "count": 2}, "start"),
         ("E", {"start": 0.1, "stop": 1, "count": 2.5}, "count"),
+        ("fixed", [1], "fixed"),
+        ("output", "x.csv", "output"),
+        ("output", {"path": 3}, "path"),
+        ("quantity", [], "quantity"),
     ])
     def test_malformed_config_is_a_usage_error(self, tmp_path, capsys, key,
                                                raw, named):
@@ -570,6 +611,60 @@ class TestCli:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("usage error:") and named in err
+
+    @pytest.mark.parametrize("text,named", [
+        ("[]", "config"),
+        ('{"E": 1.5, "A": [20]}', "quantity")], ids=["list", "no_quantity"])
+    def test_bad_config_shape_is_a_usage_error(self, text, named, tmp_path,
+                                               capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        rc = main(["sweep", "--config", str(path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("usage error:") and named in err
+
+    @pytest.mark.parametrize("raw", ["[1,2]", "null", "3"])
+    def test_fixed_that_is_not_an_object_is_a_usage_error(self, raw, capsys):
+        rc = main(["sweep", "--quantity", "dos", "--e", "1.5", "--a", "20",
+                   "--fixed", raw])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("usage error:") and "--fixed" in err
+
+    def test_svg_beside_an_output_in_a_dotted_directory(self, tmp_path,
+                                                        capsys):
+        # the SVG path was once cut at the directory's dot: run.svg beside
+        # run.d
+        out = tmp_path / "run.d" / "out"
+        out.parent.mkdir()
+        rc = main(["sweep", "--quantity", "dos", "--e", "1.5", "--a", "20",
+                   "--output", str(out), "--svg"])
+        assert rc == 0
+        assert out.read_text().startswith("# diracvisc")
+        assert (out.parent / "out.svg").read_text().startswith("<svg")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.d"]
+
+    # an x.svg output was once overwritten by the SVG, and --svg without
+    # --output was ignored; both are refused before any row is evaluated
+    @pytest.mark.parametrize("command", [
+        ["sweep", "--quantity", "dos", "--e", "1.5", "--a", "20"],
+        ["figure", "fig1"]], ids=["sweep", "figure"])
+    @pytest.mark.parametrize("output", [[], ["--output", "x.svg"]],
+                             ids=["no_output", "svg_output"])
+    def test_svg_needs_a_separate_output_file(self, command, output,
+                                              tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        calls = []
+        real = sweep._eval_point
+        monkeypatch.setattr(sweep, "_eval_point",
+                            lambda *a: calls.append(a) or real(*a))
+        rc = main([*command, *output, "--svg"])
+        captured = capsys.readouterr()
+        assert rc == 2 and calls == [] and captured.out == ""
+        assert captured.err.startswith("usage error:")
+        assert "--svg" in captured.err
+        assert list(tmp_path.iterdir()) == []
 
     def test_dirac_point_shear_at_weak_disorder(self, capsys):
         # z^2 underflows at A >= 750; the row once read nan, converged
