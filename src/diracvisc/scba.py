@@ -60,10 +60,10 @@ def _iterate(e: np.ndarray, seed: np.ndarray, fmap, tol: float,
     function that gives the slope h'(s) on a boolean mask of them, so only
     the energies that take a Newton step pay for it. Each energy stops at
     the first iterate whose residual |F - Sigma|/|F| is <= tol and keeps
-    F(Sigma) as its root. F and the Newton iterates are reflected to the
-    retarded branch (Im <= 0). Returns the sigma, residual and step-count
-    arrays; raises ConvergenceError when an energy is still open after
-    max_iter steps.
+    F(Sigma) as its root; an energy still open after max_iter steps keeps
+    its last F(Sigma) and residual. F and the Newton iterates are reflected
+    to the retarded branch (Im <= 0). Returns the sigma, residual and
+    step-count arrays.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
@@ -76,26 +76,28 @@ def _iterate(e: np.ndarray, seed: np.ndarray, fmap, tol: float,
         out, slope_at = fmap(e[idx], s)
         out = np.where(out.imag > 0, out.conjugate(), out)
         res = np.abs(out - s) / np.maximum(np.abs(out), _RESIDUAL_FLOOR)
-        done = res <= tol
+        done = (res <= tol) | (it == max_iter)
         stop = idx[done]
         sigma[stop], residual[stop], steps[stop] = out[done], res[done], it
         if done.all():
-            return sigma, residual, steps
-        if it == max_iter:
             break
         left = ~done
         slope = slope_at(left)
         idx, s, out = idx[left], s[left], out[left]
         s = s - (s - out) / slope
         s = np.where(s.imag > 0, s.conjugate(), s)
-    worst = np.argmax(res)
-    raise ConvergenceError("SCBA Newton solve did not converge", res[worst],
-                           max_iter, out[worst])
+    return sigma, residual, steps
 
 
 def _solution(E, e: np.ndarray, sigma: np.ndarray, residual: np.ndarray,
-              steps: np.ndarray) -> SelfEnergySolution:
-    """Scalars for scalar E, arrays otherwise."""
+              steps: np.ndarray, tol: float) -> SelfEnergySolution:
+    """Scalars for scalar E, arrays otherwise; raises ConvergenceError with
+    the worst residual when any energy is still open."""
+    if not (residual <= tol).all():
+        worst = np.argmax(residual)
+        raise ConvergenceError("SCBA Newton solve did not converge",
+                               residual[worst], int(steps[worst]),
+                               sigma[worst])
     iterations = int(steps.max())
     if np.ndim(E) == 0:
         return SelfEnergySolution(E, sigma[0], residual[0], iterations,
@@ -129,7 +131,7 @@ def solve_self_energy_b0(E, params: ModelParams, *,
 
     seed = -1j * np.maximum(max(Ec * math.exp(-A / 2.0), 1e-300),
                             math.pi * np.abs(e) / A)
-    return _solution(E, e, *_iterate(e, seed, fmap, tol, max_iter))
+    return _solution(E, e, *_iterate(e, seed, fmap, tol, max_iter), tol)
 
 
 def _psi(x):
@@ -221,9 +223,11 @@ def solve_self_energy_landau(E, params: ModelParams, spectrum: LandauSpectrum,
     h = 1e-7 |Sigma|, and starts from the larger of the B = 0 Dirac-point
     width, the level width hbar w_c/sqrt(2A) and pi|E|/A on the imaginary
     axis. The equation can have more than one root: an energy whose root
-    lands on the real axis (|Im Sigma| <= 1e-9 |Sigma|) is solved again
-    from Re Sigma - i hbar w_c/sqrt(2A). The new root replaces it if it lies
-    off the real axis; otherwise the real root is a spectral gap and stands.
+    lands on the real axis (|Im Sigma| <= 1e-9 |Sigma|), or that is still
+    open after max_iter steps, is solved again from
+    Re Sigma - i hbar w_c/sqrt(2A). When both solves converge on the real
+    axis the first root is a spectral gap and stands; otherwise the
+    re-solve's outcome replaces it. steps counts both solves.
     """
     A = params.disorder_A
     scale = spectrum.hbar_omega_c ** 2 / (2.0 * A)
@@ -244,14 +248,14 @@ def solve_self_energy_landau(E, params: ModelParams, spectrum: LandauSpectrum,
     seed = -1j * np.maximum(max(params.cutoff_Ec * math.exp(-A / 2.0), width),
                             math.pi * np.abs(e) / A)
     sigma, residual, steps = _iterate(e, seed, fmap, tol, max_iter)
-    real = np.flatnonzero(_on_real_axis(sigma))
-    if real.size:
-        s2, r2, again = _iterate(e[real], sigma[real].real - 1j * width, fmap,
-                                 tol, max_iter)
-        off = ~_on_real_axis(s2)
-        sigma[real[off]], residual[real[off]] = s2[off], r2[off]
-        steps[real] += again
-    return _solution(E, e, sigma, residual, steps)
+    again = np.flatnonzero(_on_real_axis(sigma) | ~(residual <= tol))
+    if again.size:
+        s2, r2, n2 = _iterate(e[again], sigma[again].real - 1j * width, fmap,
+                              tol, max_iter)
+        gap = (residual[again] <= tol) & (r2 <= tol) & _on_real_axis(s2)
+        sigma[again[~gap]], residual[again[~gap]] = s2[~gap], r2[~gap]
+        steps[again] += n2
+    return _solution(E, e, sigma, residual, steps, tol)
 
 
 def _on_real_axis(sigma: np.ndarray) -> np.ndarray:

@@ -30,8 +30,7 @@ from .vertex import vertex_correction_b0, vertex_correction_landau
 # quantities: each evaluator maps a block of points, an E array and an
 # Omega array of the same length (Omega None for the static quantities),
 # and its spectrum (None at B = 0) to one dict of SweepRow fields per
-# point, calling the physics through module globals. An evaluator that
-# calls the physics point by point flags its failed points itself (_each).
+# point, calling the physics through module globals.
 # ---------------------------------------------------------------------------
 
 def _number(value, kind=numbers.Real) -> bool:
@@ -54,18 +53,6 @@ def _int_setting(fixed: dict, name: str, default: int) -> int:
     if not (_number(value) and value % 1 == 0):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
-
-
-def _each(row, *columns) -> list[dict]:
-    """row(*point) for each point of the columns, in order; a point whose
-    evaluation raises ConvergenceError is flagged alone."""
-    rows = []
-    for point in zip(*columns):
-        try:
-            rows.append(row(*point))
-        except ConvergenceError:
-            rows.append({"value": math.nan, "converged": False})
-    return rows
 
 
 def _solve_sigma(e, spectrum, params):
@@ -114,8 +101,9 @@ def _dynamic_shear(e, spectrum, Omega, params, fixed) -> list[dict]:
         return _values(shear_dynamic_b0(e, Omega, params))
     # one point per call: a point's two g_n matrices (about 2 MB at 10 T,
     # A = 20) would add up over a block
-    return _each(lambda E, om: {"value": shear_dynamic_bfield(
-        E, om, params, spectrum, fixed.get("broadening"))}, e, Omega)
+    return [{"value": shear_dynamic_bfield(E, om, params, spectrum,
+                                           fixed.get("broadening"))}
+            for E, om in zip(e, Omega)]
 
 
 def _dynamic_hall(e, spectrum, Omega, params, fixed) -> list[dict]:
@@ -124,14 +112,15 @@ def _dynamic_hall(e, spectrum, Omega, params, fixed) -> list[dict]:
 
 
 def _vertex_check(e, spectrum, Omega, params, fixed) -> list[dict]:
-    def row(E):
+    rows = []
+    for E in e:
         ratio = vertex_correction_b0(E, params).ratio
         channels = {"ratio_momentum": ratio}
         if spectrum is not None:
             channels["ratio_landau"] = vertex_correction_landau(
                 E, params, spectrum).ratio
-        return {"value": ratio, "channels": channels}
-    return _each(row, e)
+        rows.append({"value": ratio, "channels": channels})
+    return rows
 
 
 class Quantity(NamedTuple):
@@ -172,6 +161,8 @@ class GridSpec:
                                  "not finite")
         if not _number(self.count, numbers.Integral):
             raise ValueError(f"grid count {self.count!r} is not an integer")
+        if self.scale not in ("linear", "log"):
+            raise ValueError(f"unknown grid scale {self.scale!r}")
 
     def values(self) -> list[float]:
         if self.count < 1:
@@ -180,9 +171,7 @@ class GridSpec:
             return [self.start]
         if self.scale == "linear":
             return list(np.linspace(self.start, self.stop, self.count))
-        if self.scale == "log":
-            return list(np.geomspace(self.start, self.stop, self.count))
-        raise ValueError(f"unknown grid scale {self.scale!r}")
+        return list(np.geomspace(self.start, self.stop, self.count))
 
 
 def _as_grid(raw, name: str) -> GridSpec | None:
@@ -305,19 +294,22 @@ def _eval_point(spec: SweepSpec, e: np.ndarray, B: float | None,
                 Omega: np.ndarray | None, A: float) -> list[SweepRow]:
     """The rows of one (B, A) block over the points (e[i], Omega[i]), in
     their order; Omega is None for a static quantity. The block is
-    evaluated in one call. An evaluator that loops over the points flags
-    a point that raises ConvergenceError itself; when an array evaluator
-    raises it, each point of the block is evaluated on its own, so only
-    the points that fail are flagged."""
+    evaluated in one call. When that call raises ConvergenceError, each
+    point of the block is evaluated on its own, so only the points that
+    fail are flagged."""
     params = _make_params(A, spec.fixed)
     spectrum = build_spectrum(params, B) if B else None
     evaluate = QUANTITIES[spec.quantity].evaluate
     try:
         fields = evaluate(e, spectrum, Omega, params, spec.fixed)
     except ConvergenceError:
-        fields = _each(lambda i: evaluate(
-            e[i:i + 1], spectrum, None if Omega is None else Omega[i:i + 1],
-            params, spec.fixed)[0], range(e.size))
+        fields = []
+        for i in range(e.size):
+            om = None if Omega is None else Omega[i:i + 1]
+            try:
+                fields += evaluate(e[i:i + 1], spectrum, om, params, spec.fixed)
+            except ConvergenceError:
+                fields.append({"value": math.nan, "converged": False})
     omegas = [None] * e.size if Omega is None else Omega.tolist()
     return [SweepRow(E, B, O, A, **f) for E, O, f in zip(e, omegas, fields)]
 

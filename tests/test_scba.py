@@ -124,6 +124,17 @@ class TestB0ArraySolve:
             assert -s.imag == pytest.approx(gamma_root_b0(E, params),
                                             rel=1e-9)
 
+    @pytest.mark.xfail(strict=True, raises=ConvergenceError,
+                       reason="Newton from the imaginary-axis seed diverges "
+                              "at strong disorder (|Sigma| doubles each "
+                              "step, past 1e23 eV), though a root "
+                              "gamma = 5.807 eV is bracketed")
+    def test_strong_disorder_root_is_found(self):
+        params = ModelParams(disorder_A=1.2)
+        sol = solve_self_energy_b0(5.4, params, drop_real_part=True)
+        assert -sol.sigma.imag == pytest.approx(gamma_root_b0(5.4, params),
+                                                rel=1e-9)
+
     @pytest.mark.parametrize("A", [3.0, 10.0, 20.0, 35.0, 500.0])
     def test_full_complex_root_reinserts(self, A):
         params = ModelParams(disorder_A=A)
@@ -460,6 +471,27 @@ class TestLandauArraySolve:
             assert s == pytest.approx(
                 damped_landau_sigma(E, params50, spectrum10_50), rel=1e-8)
 
+    def test_unconfirmed_real_root_raises(self, params50, spectrum10_50,
+                                          monkeypatch):
+        # the real roots at E = +-0.21 stand only when the re-solve
+        # converges; a re-solve that stays open fails the solve
+        iterate = scba._iterate
+        passes = []
+
+        def resolve_stays_open(e, seed, *args):
+            sigma, residual, steps = iterate(e, seed, *args)
+            passes.append(e.copy())
+            if len(passes) == 2:
+                residual = np.full(e.shape, 0.5)
+            return sigma, residual, steps
+
+        monkeypatch.setattr(scba, "_iterate", resolve_stays_open)
+        with pytest.raises(ConvergenceError) as exc:
+            solve_self_energy_landau(np.array([-0.21, 0.1, 0.21]), params50,
+                                     spectrum10_50)
+        np.testing.assert_array_equal(passes[1], [-0.21, 0.21])
+        assert exc.value.residual == 0.5
+
     @pytest.mark.parametrize("A", [20.0, 50.0, 500.0])
     def test_parity_and_reinsertion(self, A):
         params = ModelParams(disorder_A=A)
@@ -490,7 +522,8 @@ class TestLandauArraySolve:
             solve_self_energy_landau(np.array([0.05, 0.1, 0.2]), params50,
                                      spectrum10_50, max_iter=2)
         assert exc.value.residual > 0
-        assert exc.value.iterations == 2
+        # the open energies are solved again, and both passes count
+        assert exc.value.iterations == 4
 
     def test_max_iter_must_be_positive(self, params50, spectrum10_50):
         with pytest.raises(ValueError, match="max_iter"):
@@ -499,15 +532,26 @@ class TestLandauArraySolve:
     # a Gauss node of dynamic_shear at 1 T, A = 500, E = 0.13, Omega = 0.1
     TRAP_E = 0.1268914167697149
 
-    @pytest.mark.xfail(strict=True, raises=ConvergenceError,
-                       reason="the cold-seed Newton iterate falls onto the "
-                              "real axis (Im Sigma ~ -1e-71) and cycles at "
-                              "residual 0.34 for any max_iter")
     def test_real_axis_trap_at_one_tesla(self):
+        # the cold-seed iterate falls onto the real axis (Im Sigma ~ -1e-71)
+        # and cycles at residual 0.34; the stalled energy takes the branch
+        # re-solve, which converges
         params = ModelParams(disorder_A=500.0)
         spectrum = build_spectrum(params, 1.0)
         sol = solve_self_energy_landau(self.TRAP_E, params, spectrum)
         assert sol.sigma.imag < -5e-4
+        assert sol.sigma == pytest.approx(
+            damped_landau_sigma(self.TRAP_E, params, spectrum), rel=1e-8)
+
+    def test_one_tesla_dynamic_shear_grid_converges(self):
+        # at 7 of these 16 points a window node stalls on the real axis
+        params = ModelParams(disorder_A=500.0)
+        spectrum = build_spectrum(params, 1.0)
+        for E in (0.0, 0.1, 0.13, -0.21):
+            for Omega in (0.05, 0.1, 0.2, 0.313):
+                eta = kubo_dynamic.shear_dynamic_bfield(E, Omega, params,
+                                                        spectrum)
+                assert math.isfinite(eta)
 
     def test_trap_neighbours_converge_off_axis(self):
         params = ModelParams(disorder_A=500.0)

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,8 @@ from diracvisc import (ConvergenceError, GridSpec, ModelParams, SweepSpec,
                        build_spectrum, figure_preset, hall_static_numeric,
                        parse_csv_config, result_to_csv, result_to_json,
                        result_to_svg, run_sweep, shear_b0_numeric,
-                       shear_bfield_numeric, solve_self_energy_landau)
+                       shear_bfield_numeric, solve_self_energy_b0,
+                       solve_self_energy_landau)
 from diracvisc import cli, kubo_static, sweep
 from diracvisc.cli import main
 from diracvisc.kubo_static import (_hall_sums, shear_pair_sums,
@@ -204,9 +206,11 @@ COLUMNS = [
     ("static_shear", None, (10.0, 15.0, 20.0, 35.0), GridSpec(-2.0, 2.0, 81)),
     ("static_shear", 0.1, (15.0,), GridSpec(-0.15, 0.15, 61)),
 ]
-# a Gauss node of a 1 T, A = 500 window where the Landau Newton solve
-# cycles on the real axis and raises ConvergenceError
+# a Gauss node of a 1 T, A = 500 window where the cold-seed Landau Newton
+# solve cycles on the real axis, until the branch re-solve takes it
 NEWTON_TRAP = 0.1268914167697149
+# B = 0, A = 1.2: Newton diverges at E = 5.4 and raises ConvergenceError
+DIVERGING = dict(e_grid=GridSpec(5.2, 5.4, 3), a_values=(1.2,))
 
 
 def scalar_kubo(quantity, E, params, spectrum):
@@ -256,23 +260,27 @@ class TestColumns:
 
     # a self_energy column is one solve whose CSV is byte-identical to
     # per-energy scalar solves: at B = 0 and 10 T, with the branch re-solve
-    # of A = 50, E = +-0.21 among them; a column that fails (the 1 T trap)
-    # is retried energy by energy and only the trap row is flagged
-    @pytest.mark.parametrize("b_grid,a_values,e_grid,calls", [
+    # of A = 50, E = +-0.21 among them, and at the 1 T trap; a column that
+    # fails (B = 0, A = 1.2) is retried energy by energy and only the
+    # failed row is flagged
+    @pytest.mark.parametrize("b_grid,a_values,e_grid,calls,failed", [
         (GridSpec(0.0, 10.0, 2), (20.0, 50.0, 500.0),
-         GridSpec(-0.21, 0.21, 15), [15] * 6),
+         GridSpec(-0.21, 0.21, 15), [15] * 6, None),
         (GridSpec(1.0, 1.0, 1), (500.0,), GridSpec(0.0, 2.0 * NEWTON_TRAP, 5),
-         [5] + [1] * 5)])
+         [5], None),
+        (None, DIVERGING["a_values"], DIVERGING["e_grid"], [3, 1, 1, 1],
+         5.4)])
     def test_self_energy_column_is_one_solve(self, b_grid, a_values, e_grid,
-                                             calls, monkeypatch):
+                                             calls, failed, monkeypatch):
         def per_energy(e, spectrum, Omega, params, fixed):
-            def row(E):
+            rows = []
+            for E in e:
                 sol = sweep._solve_sigma(E, spectrum, params)
-                return {"value": sol.sigma.imag,
-                        "channels": {"re_sigma": sol.sigma.real,
-                                     "residual": sol.residual,
-                                     "iterations": sol.iterations}}
-            return sweep._each(row, e)
+                rows.append({"value": sol.sigma.imag,
+                             "channels": {"re_sigma": sol.sigma.real,
+                                          "residual": sol.residual,
+                                          "iterations": sol.iterations}})
+            return rows
 
         spec = SweepSpec(quantity="self_energy", e_grid=e_grid, b_grid=b_grid,
                          a_values=a_values)
@@ -285,27 +293,24 @@ class TestColumns:
         result = run_sweep(spec)
         assert sizes == calls
         assert [r.converged for r in result.rows] == [
-            r.E != NEWTON_TRAP for r in result.rows]
+            r.E != failed for r in result.rows]
         monkeypatch.setitem(QUANTITIES, "self_energy",
                             QUANTITIES["self_energy"]._replace(
                                 evaluate=per_energy))
         assert result_to_csv(result) == result_to_csv(run_sweep(spec))
 
     def test_failed_energy_is_the_only_row_flagged(self):
-        spec = SweepSpec(quantity="static_shear",
-                         e_grid=GridSpec(0.0, 2.0 * NEWTON_TRAP, 5),
-                         b_grid=GridSpec(1.0, 1.0, 1), a_values=(500.0,))
-        params = ModelParams(disorder_A=500.0)
-        spectrum = build_spectrum(params, 1.0)
         with pytest.raises(ConvergenceError):
-            solve_self_energy_landau(NEWTON_TRAP, params, spectrum)
-        rows = run_sweep(spec).rows
-        assert [r.E == NEWTON_TRAP for r in rows] == [False, False, True,
-                                                      False, False]
-        trap = rows[2]
-        assert not trap.converged and math.isnan(trap.value)
-        assert_rows_match_scalar_calls(rows[:2] + rows[3:], "static_shear",
-                                       params, spectrum)
+            solve_self_energy_b0(5.4, ModelParams(disorder_A=1.2))
+        for quantity in ("self_energy", "dos", "static_shear",
+                         "vertex_check"):
+            spec = SweepSpec(quantity=quantity, **DIVERGING)
+            rows = run_sweep(spec).rows
+            assert rows[2].E == 5.4 and math.isnan(rows[2].value)
+            assert [r.converged for r in rows] == [True, True, False]
+            for r in rows[:2]:
+                one = run_sweep(replace(spec, e_grid=GridSpec(r.E, r.E, 1)))
+                assert one.rows == [r]
 
 
 class TestDynamicBlocks:
@@ -338,11 +343,11 @@ class TestDynamicBlocks:
 
     # calls: a block evaluator fails once on the whole block of 12 points
     # and then takes them one by one; the field shear takes one point per
-    # call and flags the failed one without repeating the others
+    # call, so its block fails at the 6th point before the 12 retries
     @pytest.mark.parametrize("quantity,name,B,calls", [
         ("dynamic_hall", "hall_dynamic", 10.0, 1 + 12),
         ("dynamic_shear", "shear_dynamic_b0", None, 1 + 12),
-        ("dynamic_shear", "shear_dynamic_bfield", 10.0, 12)])
+        ("dynamic_shear", "shear_dynamic_bfield", 10.0, 6 + 12)])
     def test_failed_point_is_the_only_row_flagged(self, quantity, name, B,
                                                   calls, monkeypatch):
         spec = SweepSpec(quantity=quantity, e_grid=GridSpec(0.0, 0.2, 3),
@@ -598,6 +603,7 @@ class TestCli:
         ("output", "x.csv", "output"),
         ("output", {"path": 3}, "path"),
         ("quantity", [], "quantity"),
+        ("E", {"start": 1.5, "stop": 1.5, "count": 1, "scale": []}, "scale"),
     ])
     def test_malformed_config_is_a_usage_error(self, tmp_path, capsys, key,
                                                raw, named):
@@ -832,6 +838,21 @@ class TestCli:
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "False"
+
+    def test_validate_command_passes(self, capsys):
+        assert main(["validate"]) == 0
+        out = capsys.readouterr().out
+        assert "validation passed" in out
+        assert f"[{cli.FAIL:>15}]" not in out
+
+    @pytest.mark.xfail(strict=True, reason="z = E - Sigma lies past the "
+                       "ladder's end, so the level-by-level sums are asked "
+                       "for 787,617 levels and the in-band row is refused as "
+                       "a usage error (static_shear and static_hall too)")
+    def test_low_field_row_past_the_ladder_end_runs(self, capsys):
+        rc = main(["sweep", "--quantity", "self_energy", "--e", "7.1",
+                   "--b", "0.05", "--a", "15"])
+        assert rc == 0, capsys.readouterr().err
 
     def test_validate_landau_scba_reinsertion(self):
         name, status, detail = next(
