@@ -7,6 +7,7 @@ failure), 2 usage or I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -129,7 +130,7 @@ def _cmd_vertex_check(args) -> int:
           f"|correction| = {rep.norm_correction:.3e} eV, ratio = {rep.ratio:.3e}")
     if args.B:
         spectrum = build_spectrum(params, args.B)
-        rep_l = vertex_correction_landau(args.E, params, spectrum)
+        rep_l = vertex_correction_landau(spectrum)
         print(f"landau basis:   |bare| = {rep_l.norm_bare:.6e} eV, "
               f"|correction| = {rep_l.norm_correction:.3e} eV, "
               f"ratio = {rep_l.ratio:.3e}")
@@ -262,7 +263,7 @@ def _validate_checks():
     params = ModelParams(disorder_A=20.0)
     rep = vertex_correction_b0(1.0, params)
     spectrum = build_spectrum(params, 10.0)
-    rep_l = vertex_correction_landau(1.0, params, spectrum)
+    rep_l = vertex_correction_landau(spectrum)
     yield ("vertex correction nullity",
            PASS if rep.ratio <= 1e-8 and rep_l.ratio == 0.0 else FAIL,
            f"momentum {rep.ratio:.2e}, landau {rep_l.ratio:.2e}")
@@ -286,6 +287,7 @@ def _cmd_validate(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="diracvisc",

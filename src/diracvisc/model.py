@@ -172,18 +172,24 @@ XY = "XY"
 XX_MINUS_YY = "XX_MINUS_YY"
 
 
-def stress_kspace(k: float, theta: float, which: str,
+def stress_kspace(k: float, theta: float | np.ndarray, which: str,
                   params: ModelParams) -> np.ndarray:
     """Momentum-basis stress tensor as a 2x2 matrix in the chiral basis.
 
     T_xy        = (hbar v_f k / 2) (sigma_z sin 2theta - sigma_y cos 2theta)
     T_xx - T_yy =  hbar v_f k      (sigma_z cos 2theta + sigma_y sin 2theta)
+
+    An array theta gives the matrices stacked on the last axes,
+    shape (2, 2) + theta.shape.
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     e = params.hbar_vf * k
+    sin, cos = np.sin(2 * theta), np.cos(2 * theta)
     if which == XY:
-        return 0.5 * e * (_SIGMA_Z * math.sin(2 * theta) - _SIGMA_Y * math.cos(2 * theta))
+        return 0.5 * e * (np.multiply.outer(_SIGMA_Z, sin)
+                          - np.multiply.outer(_SIGMA_Y, cos))
     if which == XX_MINUS_YY:
-        return e * (_SIGMA_Z * math.cos(2 * theta) + _SIGMA_Y * math.sin(2 * theta))
+        return e * (np.multiply.outer(_SIGMA_Z, cos)
+                    + np.multiply.outer(_SIGMA_Y, sin))
     raise ValueError(f"which must be {XY!r} or {XX_MINUS_YY!r}, got {which!r}")

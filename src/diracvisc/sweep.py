@@ -112,14 +112,14 @@ def _dynamic_hall(e, spectrum, Omega, params, fixed) -> list[dict]:
 
 
 def _vertex_check(e, spectrum, Omega, params, fixed) -> list[dict]:
+    # the Landau check depends on the spectrum only: one per (B, A) block
+    landau = ({} if spectrum is None else
+              {"ratio_landau": vertex_correction_landau(spectrum).ratio})
     rows = []
     for E in e:
         ratio = vertex_correction_b0(E, params).ratio
-        channels = {"ratio_momentum": ratio}
-        if spectrum is not None:
-            channels["ratio_landau"] = vertex_correction_landau(
-                E, params, spectrum).ratio
-        rows.append({"value": ratio, "channels": channels})
+        rows.append({"value": ratio,
+                     "channels": {"ratio_momentum": ratio, **landau}})
     return rows
 
 

@@ -181,6 +181,15 @@ class TestStressKspace:
             ev = np.sort(np.linalg.eigvalsh(stress_kspace(k, theta, XY, params20)))
             assert np.allclose(ev, ref, atol=1e-12)
 
+    @pytest.mark.parametrize("which", [XY, XX_MINUS_YY])
+    def test_array_theta_stacks_the_scalar_calls(self, params20, which):
+        theta = np.linspace(0.0, 2.0 * math.pi, 13)
+        stacked = np.stack([stress_kspace(0.9, t, which, params20)
+                            for t in theta], axis=-1)
+        t = stress_kspace(0.9, theta, which, params20)
+        assert t.shape == (2, 2, 13)
+        np.testing.assert_array_equal(t, stacked)
+
     def test_negative_k_rejected(self, params20):
         with pytest.raises(ValueError):
             stress_kspace(-1.0, 0.0, XY, params20)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -16,7 +17,7 @@ from diracvisc import (ConvergenceError, GridSpec, ModelParams, SweepSpec,
                        result_to_svg, run_sweep, shear_b0_numeric,
                        shear_bfield_numeric, solve_self_energy_b0,
                        solve_self_energy_landau)
-from diracvisc import cli, kubo_static, sweep
+from diracvisc import cli, kubo_static, scba, sweep
 from diracvisc.cli import main
 from diracvisc.kubo_static import (_hall_sums, shear_pair_sums,
                                    shear_pair_sums_direct)
@@ -838,6 +839,30 @@ class TestCli:
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "False"
+
+    def test_vertex_check_needs_no_landau_solve(self, monkeypatch, capsys):
+        # the momentum check still solves the B = 0 SCBA; the Landau check
+        # must not call the Landau SCBA map at all
+        def no_solve(*args):
+            raise ConvergenceError("no Landau SCBA solve expected", 1.0, 0, 0j)
+
+        monkeypatch.setattr(scba, "landau_green_sum", no_solve)
+        assert main(["vertex-check", "--B", "10"]) == 0
+        assert "landau basis" in capsys.readouterr().out
+
+    def test_parser_is_built_once(self, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        cli.build_parser.cache_clear()
+        for _ in range(2):
+            assert main(["solve-sigma", "--E", "0.1", "--A", "20"]) == 0
+        assert built.count("diracvisc") == 1
 
     def test_validate_command_passes(self, capsys):
         assert main(["validate"]) == 0

@@ -1,7 +1,7 @@
 import pytest
 
-from diracvisc import (ModelParams, build_spectrum, vertex_correction_b0,
-                       vertex_correction_landau)
+from diracvisc import (ConvergenceError, ModelParams, build_spectrum, scba,
+                       vertex_correction_b0, vertex_correction_landau)
 
 
 class TestMomentumBasis:
@@ -33,28 +33,29 @@ class TestMomentumBasis:
 
 
 class TestLandauBasis:
-    def test_structural_zero(self, params20, spectrum10_20):
-        rep = vertex_correction_landau(1.0, params20, spectrum10_20)
+    def test_structural_zero(self, spectrum10_20):
+        rep = vertex_correction_landau(spectrum10_20)
         assert rep.basis == "landau"
+        assert rep.norm_bare > 0
         assert rep.norm_correction == 0.0
         assert rep.ratio == 0.0
 
-    def test_independent_of_disorder(self, spectrum10_20):
+    def test_independent_of_disorder(self):
         for A in (5.0, 50.0, 500.0):
             params = ModelParams(disorder_A=A)
             spectrum = build_spectrum(params, 10.0)
-            rep = vertex_correction_landau(0.3, params, spectrum)
+            rep = vertex_correction_landau(spectrum)
             assert rep.ratio == 0.0
 
-    def test_independent_of_window(self, params20, spectrum10_20):
-        for nw in (10, 20, 30):
-            rep = vertex_correction_landau(0.5, params20, spectrum10_20,
-                                           n_window=nw)
+    def test_grid(self, params20):
+        # short ladders too, where the window stops at N_c
+        for B in (0.5, 1.0, 10.0, 5000.0):
+            rep = vertex_correction_landau(build_spectrum(params20, B))
             assert rep.ratio == 0.0
 
-    def test_grid(self, spectrum10_20):
-        for A in (10.0, 100.0):
-            params = ModelParams(disorder_A=A)
-            for E in (0.1, 0.5, 1.0):
-                rep = vertex_correction_landau(E, params, spectrum10_20)
-                assert rep.ratio == 0.0
+    def test_makes_no_scba_solve(self, spectrum10_20, monkeypatch):
+        def no_solve(*args):
+            raise ConvergenceError("no SCBA solve expected", 1.0, 0, 0j)
+
+        monkeypatch.setattr(scba, "_iterate", no_solve)
+        assert vertex_correction_landau(spectrum10_20).ratio == 0.0
