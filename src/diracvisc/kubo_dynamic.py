@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .model import LandauSpectrum, ModelParams
 from .kubo_static import (_CHUNK_TERMS, _b0_prefactor, _budget_slices,
@@ -36,7 +35,7 @@ HOLE_HOLE = "hole_hole"
 _B0_RULE = np.polynomial.legendre.leggauss(24)
 _BFIELD_RULE = np.polynomial.legendre.leggauss(16)
 # reach of the dynamic Hall sum past its Fermi window, in k_B T
-_FERMI_REACH = 40.0  # expit(40) rounds to 1.0; expit(-40) < 4.3e-18
+_FERMI_REACH = 40.0  # _fermi reads exactly 1.0 at 40, below 4.3e-18 at -40
 # most window nodes one SCBA solve and _k_kernel call of a B = 0 block
 # takes: each node holds about 0.5 kB of temporaries (it is solved at omega
 # and omega + Omega), so a chunk stays near 1 MB
@@ -203,9 +202,13 @@ def shear_dynamic_b0(E, Omega, params: ModelParams, *,
 
 
 def _fermi(x: np.ndarray | float, mu: float, temperature: float):
+    """1 / (1 + exp((x - mu)/T)) from e = exp(-|t|), t = (mu - x)/T, as
+    1/(1 + e) or e/(1 + e), so it never overflows; a step at T <= 0."""
     if temperature <= 0:
         return np.where(np.asarray(x) <= mu, 1.0, 0.0)
-    return expit((mu - np.asarray(x)) / temperature)
+    t = (mu - np.asarray(x)) / temperature
+    e = np.exp(-np.abs(t))
+    return np.where(t >= 0, 1.0, e) / (1.0 + e)
 
 
 def shear_dynamic_b0_eh_limit(Omega: float, params: ModelParams) -> float:

@@ -229,8 +229,8 @@ def shear_pair_sums_direct(z: complex,
 def _pair_sum(zr: complex, zs: complex, W: float, hi: int) -> complex:
     """sum_{n=0}^{hi} (n+1) g_n(zr) g_{n+2}(zs) by partial fractions in n."""
     a, b = zr * zr / W, zs * zs / W
-    fractions = ((a + 1.0) * pole_sum(a, 0, hi)
-                 - (b - 1.0) * pole_sum(b - 2.0, 0, hi))
+    s_a, s_b = pole_sum(np.array((a, b - 2.0)), 0, hi)
+    fractions = (a + 1.0) * s_a - (b - 1.0) * s_b
     return fractions * zr * zs / (W * W * (b - 2.0 - a))
 
 
@@ -472,8 +472,8 @@ def _hall_sums(z, spectrum: LandauSpectrum):
     def closed(z, a):
         W, n = spectrum.hbar_omega_c ** 2, spectrum.n_cutoff
         sum_i = 8.0 * _pair_sum(z, z.conjugate(), W, n - 2).imag
-        surface = (2.0 * a / W) * ((a + 1.0) * pole_sum(a, 0, n - 2)
-                                   + (a - 1.0) * pole_sum(a - 2.0, 0, n - 2)
+        s_a, s_a2 = pole_sum(np.array((a, a - 2.0)), 0, n - 2)
+        surface = (2.0 * a / W) * ((a + 1.0) * s_a + (a - 1.0) * s_a2
                                    - 2.0 * (n - 1))
         logs = (np.log(-a) + 4.0 * _weighted_log_sum(a, n - 2)
                 - (n - 2) ** 2 * np.log(n - 1 - a)

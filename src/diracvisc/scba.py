@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import digamma, lambertw
 
 from .model import LandauSpectrum, ModelParams
 
@@ -56,14 +55,13 @@ def _iterate(e: np.ndarray, seed: np.ndarray, fmap, tol: float,
              max_iter: int):
     """Newton's method on h(Sigma) = Sigma - F(Sigma), one root per energy.
 
-    fmap(e, s) returns F(s) at the iterates s of the energies e, and a
-    function that gives the slope h'(s) on a boolean mask of them, so only
-    the energies that take a Newton step pay for it. Each energy stops at
-    the first iterate whose residual |F - Sigma|/|F| is <= tol and keeps
-    F(Sigma) as its root; an energy still open after max_iter steps keeps
-    its last F(Sigma) and residual. F and the Newton iterates are reflected
-    to the retarded branch (Im <= 0). Returns the sigma, residual and
-    step-count arrays.
+    fmap(e, s) returns F(s) and the slope h'(s) at the iterates s of the
+    energies e; an energy that stops leaves its slope unused. Each energy
+    stops at the first iterate whose residual |F - Sigma|/|F| is <= tol and
+    keeps F(Sigma) as its root; an energy still open after max_iter steps
+    keeps its last F(Sigma) and residual. F and the Newton iterates are
+    reflected to the retarded branch (Im <= 0). Returns the sigma, residual
+    and step-count arrays.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
@@ -73,7 +71,7 @@ def _iterate(e: np.ndarray, seed: np.ndarray, fmap, tol: float,
     idx = np.arange(e.size)     # the energies still iterating
     s = seed
     for it in range(1, max_iter + 1):
-        out, slope_at = fmap(e[idx], s)
+        out, slope = fmap(e[idx], s)
         out = np.where(out.imag > 0, out.conjugate(), out)
         res = np.abs(out - s) / np.maximum(np.abs(out), _RESIDUAL_FLOOR)
         done = (res <= tol) | (it == max_iter)
@@ -82,9 +80,8 @@ def _iterate(e: np.ndarray, seed: np.ndarray, fmap, tol: float,
         if done.all():
             break
         left = ~done
-        slope = slope_at(left)
         idx, s, out = idx[left], s[left], out[left]
-        s = s - (s - out) / slope
+        s = s - (s - out) / slope[left]
         s = np.where(s.imag > 0, s.conjugate(), s)
     return sigma, residual, steps
 
@@ -127,29 +124,61 @@ def solve_self_energy_b0(E, params: ModelParams, *,
         out = -(z / A) * log
         if drop_real_part:
             out, log = 1j * out.imag, log.real
-        return out, lambda keep: 1.0 - (log[keep] - 2.0) / A
+        return out, 1.0 - (log - 2.0) / A
 
     seed = -1j * np.maximum(max(Ec * math.exp(-A / 2.0), 1e-300),
                             math.pi * np.abs(e) / A)
     return _solution(E, e, *_iterate(e, seed, fmap, tol, max_iter), tol)
 
 
+# psi(w) ~ ln w - 1/2w - sum_k (B_2k / 2k) w^(-2k) (DLMF 5.11.2), the
+# B_2k / 2k from k = 7 down to k = 1
+_PSI_SERIES = (1.0 / 12.0, -691.0 / 32760.0, 1.0 / 132.0, -1.0 / 240.0,
+               1.0 / 252.0, -1.0 / 120.0, 1.0 / 12.0)
+# sum_{k<10} 1/(y + k) = (2y + 9) sum_{k<5} 1/(y (y + 9) + k (9 - k))
+_PSI_PAIRS = np.array([0.0, 8.0, 14.0, 18.0, 20.0])
+
+
 def _psi(x):
-    """digamma(x) for a complex array. Near its roots at -0.50 and 1.46,
-    where scipy's complex digamma takes a slow series (about 10 us an
-    element, against 0.4 us elsewhere), it is taken as
-    psi(x + 4) - sum_{k<4} 1/(x + k) (DLMF 5.5.2)."""
+    """digamma(x) for a complex array, nan at the poles 0, -1, -2, ...
+
+    Re x < 1/2 is reflected, psi(x) = psi(1 - x) - pi cot(pi x) (DLMF 5.5.4),
+    with x reduced exactly by the nearest multiple m of 1/2:
+    cot(pi x) = cot(pi r), or -tan(pi r) for half-integer m, r = x - m.
+    Then psi(y) = psi(y + 10) - sum_{k<10} 1/(y + k) (DLMF 5.5.2), the ten
+    poles summed in pairs, and psi(y + 10) by its asymptotic series through
+    B_14, whose first dropped term is below 1e-16 for |y + 10| >= 10.5. The
+    pairs are subtracted from ln(y + 10) before the small terms, so near
+    the roots at -0.504 and 1.462 the error stays below 1e-15.
+    """
     x = np.asarray(x, dtype=complex)
-    near = (-1.6 < x.real) & (x.real < 2.0) & (abs(x.imag) < 1.0)
-    out = digamma(np.where(near, x + 4.0, x), out=np.empty_like(x))
-    y = x[near]
-    out[near] -= 1.0 / y + 1.0 / (y + 1.0) + 1.0 / (y + 2.0) + 1.0 / (y + 3.0)
-    return out
+    flip = x.real < 0.5
+    y = np.where(flip, 1.0 - x, x)
+    w = y + 10.0
+    yy = y * (y + 9.0)
+    pairs = (2.0 * y + 9.0)[..., None] / (yy[..., None] + _PSI_PAIRS)
+    u = 1.0 / (w * w)
+    series = _PSI_SERIES[0] * u
+    for c in _PSI_SERIES[1:]:
+        series += c
+        series *= u
+    # ln(y + 10) minus the pairs, largest first: each rounding falls on a
+    # smaller running value
+    big = np.concatenate((np.log(w)[..., None], pairs), axis=-1)
+    out = np.subtract.reduce(big, axis=-1) - (0.5 / w + series)
+    twice = np.rint(2.0 * x.real)
+    t = np.tan(np.pi * (x - 0.5 * twice))
+    # at a pole 1/t is inf + nan j, and psi comes out nan
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cot = np.where(twice % 2.0 == 0.0, 1.0 / t, -t)
+        return np.where(flip, out - np.pi * cot, out)
 
 
 def pole_sum(c: complex, lo: int, hi: int) -> complex:
-    """sum_{n=lo}^{hi} 1/(c - n) = psi(lo - c) - psi(hi + 1 - c) (DLMF 5.5.2)."""
-    return _psi(lo - c) - _psi(hi + 1 - c)
+    """sum_{n=lo}^{hi} 1/(c - n) = psi(lo - c) - psi(hi + 1 - c) (DLMF 5.5.2),
+    both digammas in one call."""
+    lo_psi, hi_psi = _psi(np.array((lo - c, hi + 1 - c)))
+    return lo_psi - hi_psi
 
 
 def ladder_sums(z, spectrum: LandauSpectrum, closed, direct):
@@ -219,15 +248,16 @@ def solve_self_energy_landau(E, params: ModelParams, spectrum: LandauSpectrum,
     The sum runs over physical levels (n = 0 once) via
     g_n = z / (z^2 - n (hbar w_c)^2) with weights (1, 2, 2, ...), and is
     evaluated by landau_green_sum. Newton's method (_iterate) takes its slope
-    from one more ladder sum, dF/dSigma ~ (F(Sigma + h) - F(Sigma))/h with
-    h = 1e-7 |Sigma|, and starts from the larger of the B = 0 Dirac-point
-    width, the level width hbar w_c/sqrt(2A) and pi|E|/A on the imaginary
-    axis. The equation can have more than one root: an energy whose root
-    lands on the real axis (|Im Sigma| <= 1e-9 |Sigma|), or that is still
-    open after max_iter steps, is solved again from
-    Re Sigma - i hbar w_c/sqrt(2A). When both solves converge on the real
-    axis the first root is a spectral gap and stands; otherwise the
-    re-solve's outcome replaces it. steps counts both solves.
+    dF/dSigma ~ (F(Sigma + h) - F(Sigma))/h, h = 1e-7 |Sigma|, from the same
+    ladder call, one on [z, z - h] per step, and starts from the larger of
+    the B = 0 Dirac-point width, the level width hbar w_c/sqrt(2A) and
+    pi|E|/A on the imaginary axis. The equation can have more than one
+    root: an energy whose root lands on the real axis
+    (|Im Sigma| <= 1e-9 |Sigma|), or that is still open after max_iter
+    steps, is solved again from Re Sigma - i hbar w_c/sqrt(2A). When both
+    solves converge on the real axis the first root is a spectral gap and
+    stands; otherwise the re-solve's outcome replaces it. steps counts both
+    solves.
     """
     A = params.disorder_A
     scale = spectrum.hbar_omega_c ** 2 / (2.0 * A)
@@ -236,14 +266,10 @@ def solve_self_energy_landau(E, params: ModelParams, spectrum: LandauSpectrum,
 
     def fmap(e, s):
         z = e - s
-        out = scale * landau_green_sum(z, spectrum)
-
-        def slope_at(keep):
-            h = _FD_STEP * np.maximum(np.abs(s[keep]), _RESIDUAL_FLOOR)
-            out_h = scale * landau_green_sum(z[keep] - h, spectrum)
-            return 1.0 - (out_h - out[keep]) / h
-
-        return out, slope_at
+        h = _FD_STEP * np.maximum(np.abs(s), _RESIDUAL_FLOOR)
+        f = scale * landau_green_sum(np.concatenate((z, z - h)), spectrum)
+        out = f[:z.size]
+        return out, 1.0 - (f[z.size:] - out) / h
 
     seed = -1j * np.maximum(max(params.cutoff_Ec * math.exp(-A / 2.0), width),
                             math.pi * np.abs(e) / A)
@@ -313,6 +339,7 @@ def self_energy_dirac_point_bfield(params: ModelParams,
                                    spectrum: LandauSpectrum) -> complex:
     """Lambert-W closed form for Im Sigma(E=0) in a field:
     Im Sigma = -hbar w_c / sqrt(W[(hbar w_c / Ec)^2 e^A])."""
+    from scipy.special import lambertw  # slow to import; oracle only
     hwc = spectrum.hbar_omega_c
     x = (hwc / params.cutoff_Ec) ** 2 * math.exp(params.disorder_A)
     w = lambertw(x).real

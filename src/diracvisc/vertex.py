@@ -65,18 +65,20 @@ def vertex_correction_b0(E: float, params: ModelParams,
     edges = sorted({0.0, k_c, *[p for p in (0.5 * pole, pole, 2.0 * pole)
                                 if 0.0 < p < k_c]})
     xs, ws = np.polynomial.legendre.leggauss(_RADIAL_NODES)
-    corr = np.zeros((2, 2), dtype=complex)
-    ni_v0_sq = 4.0 * math.pi * vf ** 2 / params.disorder_A
+    a, b = np.array(edges[:-1])[:, None], np.array(edges[1:])[:, None]
+    kp = (0.5 * (a + b) + 0.5 * (b - a) * xs).ravel()
+    wk = (0.5 * (b - a) * ws).ravel()
     zR = E - sigma
     zA = E - sigma.conjugate()
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        for kp, wk in zip(mid + half * xs, half * ws):
-            gR = np.array([1.0 / (zR - vf * kp), 1.0 / (zR + vf * kp)])
-            gA = np.array([1.0 / (zA - vf * kp), 1.0 / (zA + vf * kp)])
-            t = stress_kspace(kp, theta, XY, params)
-            inner = np.einsum("ijm,j,jkm,k,klm->ilm", u, gR, t, gA, u_dag)
-            corr += wk * kp * inner.sum(axis=2)
+    gR = 1.0 / (zR - vf * np.array([kp, -kp]))
+    gA = 1.0 / (zA - vf * np.array([kp, -kp]))
+    # stress_kspace is linear in k: T(k', theta) = k' T(1, theta), so with
+    # the radial measure k' dk' the radial nodes sum to one 2x2 matrix of
+    # G^R_j G^A_k weighted by wk k'^2
+    radial = (gR * (wk * kp * kp)) @ gA.T
+    t = stress_kspace(1.0, theta, XY, params)
+    corr = np.einsum("ijm,jk,jkm,klm->il", u, radial, t, u_dag)
+    ni_v0_sq = 4.0 * math.pi * vf ** 2 / params.disorder_A
     corr *= ni_v0_sq * (2.0 * math.pi / angular_nodes) / (2.0 * math.pi) ** 2
 
     bare = stress_kspace(k_on, 0.0, XY, params)

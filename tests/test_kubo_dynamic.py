@@ -714,6 +714,23 @@ class TestHallDynamicWindow:
 class TestFiniteTemperature:
     TEMPERATURES = (2e-3, 1e-3, 5e-4)  # k_B T in eV
 
+    @pytest.mark.parametrize("T", TEMPERATURES)
+    def test_fermi_factor_matches_expit(self, T):
+        x = 0.13 - np.linspace(-60.0, 60.0, 4801) * T
+        want = expit((0.13 - x) / T)
+        got = _fermi(x, 0.13, T)
+        assert np.all(np.abs(got - want) <= 1e-15 * want)
+
+    def test_fermi_factor_at_its_reach_and_far_out(self):
+        # _FERMI_REACH rests on these two values
+        T = 1e-3
+        reach = kubo_dynamic._FERMI_REACH
+        assert _fermi(-reach * T, 0.0, T) == 1.0
+        assert 0.0 < _fermi(reach * T, 0.0, T) < 4.3e-18
+        # exp(-1e5) underflows to 0 without a RuntimeWarning
+        far = _fermi(np.array([-1e5, 1e5]) * T, 0.0, T)
+        np.testing.assert_array_equal(far, [1.0, 0.0])
+
     def test_b0_close_to_zero_temperature(self):
         ref = shear_dynamic_b0(1.0, 0.3, ModelParams(disorder_A=20.0))
         for T in self.TEMPERATURES:

@@ -1,10 +1,13 @@
 import json
 import math
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from diracvisc import (ConvergenceError, ModelParams, SweepSpec,
@@ -306,12 +309,94 @@ class TestLandauGreenSum:
         assert got == pytest.approx(direct_green_sum(z, spectrum), rel=1e-11)
 
 
-# near the poles at 0 and -1 and the roots at -0.50 and 1.46, where
-# scipy's digamma is slow and pole_sum shifts the argument by 4
+# near the poles at 0 and -1 and the roots at -0.50 and 1.46, where the
+# shift by 10 cancels ln(x + 10) against the ten poles it sums
 NEAR_DIGAMMA_ROOTS = [1e-3 + 1e-3j, -1e-3 + 0.01j, 0.3 - 0.2j, -1.0 + 1e-4j,
                       -1.002 + 1e-3j, -0.999 - 0.01j, -0.5 + 0.2j, 0.6,
                       1.46 + 0.05j, 1.4616 + 0.02j, 1.5 - 0.3j, 1.43,
                       -1.5 + 0.9j, 1.9 + 0.9j]
+
+
+def mp_psi(x):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        return complex(mpmath.digamma(mpmath.mpc(x.real, x.imag)))
+
+
+def psi_family(name):
+    """40 fixed arguments of one family _psi is checked on."""
+    rng = np.random.default_rng(sum(map(ord, name)))
+    u = rng.uniform(size=(2, 40))
+    if name == "|x| < 3":
+        return 3.0 * np.sqrt(u[0]) * np.exp(2j * math.pi * u[1])
+    if name == "-a, |a| < 50":
+        return -(100.0 * u[0] - 50.0 + 1j * (2e-3 * u[1] - 1e-3))
+    if name in ("+-a, a ~ 4e3", "+-a, a ~ 3.9e5"):
+        a0 = 3938.0 if "4e3" in name else 393790.0
+        a = a0 + 60.0 * u[0] - 30.0 + 1j * (10.0 * u[1] - 5.0)
+        return np.where(np.arange(40) % 2 == 0, a, -a)
+    if name == "real negative":
+        return -50.0 * u[0] + 0j
+    if name == "Re x = 1/2":
+        return 0.5 + 1j * (100.0 * u[1] - 50.0)
+    if name == "|Im x| <= 1e3":
+        return 40.0 * u[0] - 20.0 + 1j * np.copysign(
+            10.0 ** (3.0 * u[1]), u[1] - 0.5)
+    raise KeyError(name)
+
+
+class TestPsi:
+    @pytest.mark.parametrize("family", [
+        "|x| < 3", "-a, |a| < 50", "+-a, a ~ 4e3", "+-a, a ~ 3.9e5",
+        "real negative", "Re x = 1/2", "|Im x| <= 1e3"])
+    def test_meets_mpmath(self, family):
+        x = psi_family(family)
+        got = scba._psi(x)
+        for xi, gi in zip(x, got):
+            want = mp_psi(xi)
+            # for Re x < 1/2 the reflection adds psi(1 - x) and pi cot(pi x),
+            # which cancel near the roots on the negative axis: rounding is
+            # relative to their size there (scipy's digamma too)
+            scale = abs(want) if xi.real >= 0.5 else max(
+                abs(want), abs(mp_psi(1.0 - xi)))
+            assert abs(gi - want) <= 1e-14 * scale, xi
+
+    @pytest.mark.parametrize("root", [-0.5040830082644554,
+                                      1.4616321449683622])
+    def test_absolute_error_near_its_roots(self, root):
+        d = np.linspace(-1e-3, 1e-3, 201)
+        x = np.concatenate((root + d, root + 1j * d, root + d * (1 + 1j),
+                            root + d * (1 - 1j)))
+        for xi, got in zip(x, scba._psi(x)):
+            assert abs(got - mp_psi(xi)) <= 1e-15, xi
+
+    @settings(max_examples=300, deadline=None)
+    @given(re=st.integers(-60 * 1024, 60 * 1024),
+           im=st.floats(-50.0, 50.0))
+    def test_recurrence_and_reflection(self, re, im):
+        # Re x on a 1/1024 grid, so x + 1 and 1 - x are exact
+        x = complex(re / 1024.0, im)
+        assume(not (im == 0.0 and re <= 0 and re % 1024 == 0))
+        assume(not (im == 0.0 and re >= 1024 and re % 1024 == 0))
+        p, p_up, p_flip = scba._psi(np.array([x, x + 1.0, 1.0 - x]))
+        size = abs(p) + abs(p_up) + abs(p_flip)
+        assert abs(p_up - p - 1.0 / x) <= 1e-14 * (size + abs(1.0 / x))
+        mpmath = pytest.importorskip("mpmath")
+        # mpmath.cot loses digits near the real axis, and sin(pi x) near
+        # the poles unless x is first reduced by its nearest integer
+        with mpmath.workdps(40):
+            pi_r = mpmath.pi * (mpmath.mpc(x) - round(x.real))
+            cot = complex(mpmath.pi * mpmath.cos(pi_r) / mpmath.sin(pi_r))
+        assert abs(p_flip - p - cot) <= 1e-14 * (size + abs(cot))
+
+    def test_poles_are_nan_without_a_warning(self):
+        poles = -np.arange(6.0) + 0j
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = scba._psi(np.concatenate((poles, poles + 1e-9j)))
+            scalar = scba._psi(-3.0 + 0j)
+        assert np.isnan(got[:6]).all() and np.isnan(scalar)
+        assert np.isfinite(got[6:]).all()
 
 
 class TestPoleSum:

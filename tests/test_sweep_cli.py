@@ -840,6 +840,32 @@ class TestCli:
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "False"
 
+    def test_runtime_loads_no_scipy(self, tmp_path):
+        # scipy is a test dependency: neither the import nor a Landau
+        # figure, a digamma-summed column or a T > 0 Fermi block loads it
+        src = str(Path(diracvisc.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        runs = [["figure", "fig3"],
+                ["sweep", "--quantity", "static_shear", "--e=-0.3:0.3:7",
+                 "--b", "10", "--a", "50"],
+                ["sweep", "--quantity", "dynamic_hall", "--e", "0:0.2:3",
+                 "--b", "10", "--omega", "0.05:0.2:2", "--a", "500",
+                 "--fixed", '{"temperature": 0.001}']]
+        runs = [argv + ["--output", str(tmp_path / f"{i}.csv")]
+                for i, argv in enumerate(runs)]
+        code = ("import json, sys\n"
+                "from diracvisc.cli import main\n"
+                "def scipy(): return [m for m in sys.modules "
+                "if m.startswith('scipy')]\n"
+                "seen = [[0, scipy()]]\n"
+                f"for argv in {runs!r}:\n"
+                "    seen.append([main(argv), scipy()])\n"
+                "print(json.dumps(seen))\n")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert json.loads(out.stdout.splitlines()[-1]) == [[0, []]] * 4
+
     def test_vertex_check_needs_no_landau_solve(self, monkeypatch, capsys):
         # the momentum check still solves the B = 0 SCBA; the Landau check
         # must not call the Landau SCBA map at all

@@ -27,7 +27,7 @@ class TestMomentumBasis:
 
     def test_grid_of_energies_and_disorders(self):
         for A in (10.0, 20.0, 35.0):
-            for E in (0.3, 1.0, 1.8):
+            for E in (0.2, 0.3, 1.0, 1.8, 2.0):
                 rep = vertex_correction_b0(E, ModelParams(disorder_A=A))
                 assert rep.ratio <= 1e-8
 
