@@ -234,14 +234,22 @@ def _pair_sum(zr: complex, zs: complex, W: float, hi: int) -> complex:
     return fractions * zr * zs / (W * W * (b - 2.0 - a))
 
 
+# the closed pair and Hall sums are taken up to |a| = _PAIR_REACH N_c,
+# |z| <= sqrt(2) E_c or so; farther out RR loses digits like
+# (|a| / N_c)^2 and keeps ~5 at 900 N_c
+_PAIR_REACH = 2.0
+
+
 def shear_pair_sums(z, spectrum: LandauSpectrum):
     """The sums of shear_pair_sums_direct in O(1) by partial fractions, for
-    a complex scalar or array z, through scba.ladder_sums."""
+    a complex scalar or array z, through scba.ladder_sums up to
+    |a| = _PAIR_REACH N_c. A ladder of N_c < 2 holds no (n, n + 2) pair,
+    and pole_sum over its empty range is exactly 0."""
     def closed(z, a):
         W, hi = spectrum.hbar_omega_c ** 2, spectrum.n_cutoff - 2
         return _pair_sum(z, z.conjugate(), W, hi), _pair_sum(z, z, W, hi)
 
-    return ladder_sums(z, spectrum, closed, shear_pair_sums_direct)
+    return ladder_sums(z, spectrum, closed, _PAIR_REACH)
 
 
 def detect_regime(E: float, params: ModelParams, spectrum: LandauSpectrum,
@@ -455,8 +463,10 @@ def _weighted_log_sum(a, hi: int):
 
 
 def _hall_sums(z, spectrum: LandauSpectrum):
-    """The sums of _hall_sums_direct in O(|a|), a = z^2 / (hbar w_c)^2, for
-    a complex scalar or array z, through scba.ladder_sums.
+    """The sums of _hall_sums_direct in O(min(|a|, N_c)),
+    a = z^2 / (hbar w_c)^2, for a complex scalar or array z, through
+    scba.ladder_sums up to |a| = _PAIR_REACH N_c. A ladder of N_c < 2 holds
+    no (n, n + 2) pair, and its sums are exact zeros.
 
     With W = (hbar w_c)^2, N = N_c and S(c) = pole_sum(c, 0, N - 2):
     - I: the band sums factor into g_n, giving 8 Im _pair_sum(z, conj z).
@@ -471,6 +481,8 @@ def _hall_sums(z, spectrum: LandauSpectrum):
     """
     def closed(z, a):
         W, n = spectrum.hbar_omega_c ** 2, spectrum.n_cutoff
+        if n < 2:
+            return np.zeros((3, z.size))
         sum_i = 8.0 * _pair_sum(z, z.conjugate(), W, n - 2).imag
         s_a, s_a2 = pole_sum(np.array((a, a - 2.0)), 0, n - 2)
         surface = (2.0 * a / W) * ((a + 1.0) * s_a + (a - 1.0) * s_a2
@@ -480,7 +492,7 @@ def _hall_sums(z, spectrum: LandauSpectrum):
                 - (n - 1) ** 2 * np.log(n - a))
         return sum_i, surface.imag, 2.0 / W * logs.imag
 
-    return ladder_sums(z, spectrum, closed, _hall_sums_direct)
+    return ladder_sums(z, spectrum, closed, _PAIR_REACH)
 
 
 def hall_static_numeric(E, params: ModelParams,
@@ -493,10 +505,11 @@ def hall_static_numeric(E, params: ModelParams,
     antiderivatives of (1 - dSigma/dw) G^n, leaving closed expressions in
     z(E) = E - Sigma(E); the deep sea cancels pairwise. The sums over the
     four (s, s') level chains are taken in closed form by _hall_sums, in
-    O(|z|^2 / (hbar w_c)^2) time whatever N_c, so a ladder is materialized
-    only when it ends below the energy. Inside gaps Im Sigma is held at
-    -_GAP_FLOOR to keep G retarded. E is a float or a 1-D array; an array
-    is solved in one SCBA call and summed in one _hall_sums call.
+    O(min(|z|^2 / (hbar w_c)^2, N_c)) time without materializing the
+    ladder; |E - Sigma| past sqrt(2) E_c or so is refused. Inside gaps
+    Im Sigma is held at -_GAP_FLOOR to keep G retarded. E is a float or a
+    1-D array; an array is solved in one SCBA call and summed in one
+    _hall_sums call.
     """
     _require_zero_temperature(params)
     e, s = _column(E, sigma, lambda: solve_self_energy_landau(

@@ -17,8 +17,8 @@ HBAR_OVER_E = 6.582119569e-16
 
 DEFAULT_HBAR_VF = 0.6582   # eV nm
 DEFAULT_CUTOFF = 7.2       # eV, band cutoff
-# Longest ladder a level-by-level sum materializes: just above the 393,809
-# levels of B = 0.1 T at the default cutoff.
+# Longest ladder a level-by-level oracle materializes: just above the
+# 393,809 levels of B = 0.1 T at the default cutoff.
 MAX_MATERIALIZED_LEVELS = 400_000
 
 
@@ -73,7 +73,8 @@ class LandauSpectrum:
     n_cutoff: int
 
     def level_indices(self) -> np.ndarray:
-        """n = 0..N_c, for a sum that materializes the ladder level by level.
+        """n = 0..N_c, for the level-by-level oracles (the *_direct sums,
+        validate and the tests); no runtime sum materializes the ladder.
 
         Raises ValueError past MAX_MATERIALIZED_LEVELS rather than cut the
         ladder short.

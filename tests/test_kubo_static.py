@@ -23,7 +23,7 @@ from diracvisc.kubo_static import (_hall_sums, _hall_sums_direct, _k_kernel,
                                    _k_kernel_quad, _radial, _t_integral,
                                    _weighted_log_sum,
                                    hall_fermi_sea_quadrature,
-                                   shear_pair_sums, shear_pair_sums_direct)
+                                   shear_pair_sums)
 from diracvisc.scba import landau_green_sum
 from test_scba import ladder_cases, solved_z
 
@@ -386,16 +386,15 @@ class TestShearPairSums:
         assert ra.real - rr.real == pytest.approx(
             ref_ra.real - ref_rr.real, rel=1e-11, abs=1e-11 * abs(ref_ra))
 
-    def test_short_ladder_falls_back_to_direct_sum(self):
+    def test_far_past_the_ladder_end_is_refused(self):
         # |z^2 / W| = 900 N_c: the partial-fraction digammas would keep
-        # only ~5 digits of RR here
+        # only ~5 digits of RR here; one such element refuses its column
         spectrum = small_spectrum(n_cutoff=4)
         z = complex(60.0 * spectrum.hbar_omega_c, 0.01)
         assert abs(z * z) / spectrum.hbar_omega_c ** 2 > 800 * spectrum.n_cutoff
-        got = shear_pair_sums(z, spectrum)
-        assert got == shear_pair_sums_direct(z, spectrum)
-        for c, ref in zip(got, direct_pair_sums(z, spectrum)):
-            assert c == pytest.approx(ref, rel=1e-11)
+        for column in (z, np.array([0.3 * spectrum.hbar_omega_c, z])):
+            with pytest.raises(ValueError, match=r"sqrt\(2\) E_c"):
+                shear_pair_sums(column, spectrum)
 
 
 # ---------------------------------------------------------------------------
@@ -490,20 +489,24 @@ class TestHallSums:
             assert got.real == pytest.approx(ref.real, rel=1e-13)
             assert got.imag == pytest.approx(ref.imag, rel=1e-12, abs=0.0)
 
-    def test_short_ladder_falls_back_to_level_loop(self, params50,
-                                                   monkeypatch):
-        # |z^2 / W| > N_c: past the ladder's end, summed level by level
+    def test_far_past_the_ladder_end_is_refused(self, params50):
+        # |z^2 / W| = 900 N_c, past the closed sums' reach of 2 N_c
         spectrum = small_spectrum(n_cutoff=4)
         z = complex(60.0 * spectrum.hbar_omega_c, 0.01)
-        assert abs(z * z) / spectrum.hbar_omega_c ** 2 > spectrum.n_cutoff
-        assert _hall_sums(z, spectrum) == _hall_sums_direct(z, spectrum)
-        E, sigma = z.real, complex(0.0, -z.imag)
-        assert (hall_static_numeric(E, params50, spectrum, sigma=sigma)
-                == hall_by_loop(monkeypatch, E, params50, spectrum,
-                                sigma=sigma))
-        # a ladder with no (n, n + 2) pair has empty sums
-        z = complex(0.3 * spectrum.hbar_omega_c, 0.01)
-        assert _hall_sums(z, small_spectrum(n_cutoff=1)) == (0.0, 0.0, 0.0)
+        assert abs(z * z) / spectrum.hbar_omega_c ** 2 > 800 * spectrum.n_cutoff
+        with pytest.raises(ValueError, match=r"sqrt\(2\) E_c"):
+            _hall_sums(z, spectrum)
+        with pytest.raises(ValueError, match=r"sqrt\(2\) E_c"):
+            hall_static_numeric(z.real, params50, spectrum,
+                                sigma=complex(0.0, -z.imag))
+
+    def test_ladder_without_a_pair_has_empty_sums(self):
+        # N_c < 2 holds no (n, n + 2) pair: exact zeros, no warning
+        spectrum = small_spectrum(n_cutoff=1)
+        for z in spectrum.hbar_omega_c * np.array([0.3 + 0.01j, 1.0j,
+                                                   1.2 + 0.05j]):
+            assert _hall_sums(z, spectrum) == (0.0, 0.0, 0.0)
+            assert shear_pair_sums(z, spectrum) == (0.0, 0.0)
 
     def test_no_level_is_materialized(self, params50, spectrum10_50,
                                       monkeypatch):
@@ -515,21 +518,86 @@ class TestHallSums:
         assert hall_static_numeric(0.12, params50, spectrum10_50) == expected
 
 
+# z = sqrt(rho N_c) hbar w_c e^(i theta) past the ladder's end, one phase per
+# ratio rho: Newton iterates at low field (arg z ~ 0.2), strong-disorder
+# roots (0.8 to 1.5) and a negative energy
+PAST_END = [(1.01, 0.2), (1.3, 0.8), (1.7, 1.5), (1.99, math.pi - 0.8)]
+# the largest deviation from the 30-digit level sums over PAST_END at
+# N_c = 14, 400 and 3,939, rounded up; RR loses digits like (|a| / N_c)^2,
+# and the I channel is measured against 8 |S_RA|, as it cancels toward 0
+PAST_END_TOL = {"green": 6e-15, "RA": 4e-14, "RR": 2.5e-11, "I": 4e-14,
+                "surface": 8e-14, "log": 4e-14}
+
+
+def mp_ladder_sums(z, spectrum):
+    """Reference: the SCBA ladder sum, S_RA, S_RR and the (I, surface, log)
+    sums of _hall_sums_direct, level by level in 30-digit mpmath; I as
+    8 Im S_RA, the chains summed over their band indices."""
+    mpmath = pytest.importorskip("mpmath")
+    n_c = spectrum.n_cutoff
+    with mpmath.workdps(30):
+        hwc = mpmath.mpf(spectrum.hbar_omega_c)
+        zc = mpmath.mpc(z.real, z.imag)
+        g = [zc / (zc * zc - n * hwc * hwc) for n in range(n_c + 1)]
+        green = 2 * mpmath.fsum(g) - g[0]
+        ra = mpmath.fsum((n + 1) * g[n] * g[n + 2].conjugate()
+                         for n in range(n_c - 1))
+        rr = mpmath.fsum((n + 1) * g[n] * g[n + 2] for n in range(n_c - 1))
+        # E_{m,s}, Im 1/(z - E) and Im Log(z - E) of every level and band
+        level = {}
+        for m in range(n_c + 1):
+            for s in (1, -1):
+                e = s * hwc * mpmath.sqrt(m)
+                d = zc.real - e
+                level[m, s] = (e, -zc.imag / (d * d + zc.imag ** 2),
+                               mpmath.atan2(zc.imag, d))
+        surface, logs = [], []
+        for n in range(n_c - 1):
+            for s in (1, -1):
+                ea, ga, la = level[n, s]
+                for sp in (1, -1):
+                    eb, gb, lb = level[n + 2, sp]
+                    delta = eb - ea
+                    surface.append((n + 1) * (ga + gb) / delta)
+                    logs.append((n + 1) * 2 / delta ** 2 * (la - lb))
+        return (complex(green), complex(ra), complex(rr),
+                float(8 * ra.imag), float(mpmath.fsum(surface)),
+                float(mpmath.fsum(logs)))
+
+
+class TestPastTheLadderEnd:
+    @pytest.mark.parametrize("rho,theta", PAST_END)
+    @pytest.mark.parametrize("n_cutoff", [14, 400, 3_939])
+    def test_closed_sums_meet_mpmath(self, n_cutoff, rho, theta):
+        spectrum = small_spectrum(n_cutoff=n_cutoff)
+        z = (spectrum.hbar_omega_c * math.sqrt(rho * n_cutoff)
+             * complex(math.cos(theta), math.sin(theta)))
+        green, ra, rr, sum_i, surface, log = mp_ladder_sums(z, spectrum)
+        got = dict(zip(("green", "RA", "RR", "I", "surface", "log"),
+                       (landau_green_sum(z, spectrum),
+                        *shear_pair_sums(z, spectrum),
+                        *_hall_sums(z, spectrum))))
+        want = {"green": green, "RA": ra, "RR": rr, "I": sum_i,
+                "surface": surface, "log": log}
+        scale = dict(want, I=8.0 * abs(ra))
+        for key, tol in PAST_END_TOL.items():
+            assert abs(got[key] - want[key]) <= tol * abs(scale[key]), key
+
+
 class TestMixedColumns:
-    # near elements (|a| <= N_c, closed forms) and far ones (|a| > N_c,
-    # level by level) in one array: each sum must give exactly what its
-    # element-by-element calls give, and on a ladder of N_c < 2 every
-    # element is summed level by level
+    # near elements (|a| <= N_c) and just-past-end ones (N_c < |a| <= 2 N_c,
+    # reflected digammas) in one array: each sum must give exactly what its
+    # element-by-element calls give, on a ladder of N_c < 2 too
     @pytest.mark.parametrize("n_cutoff", [4, 1])
     @pytest.mark.parametrize("ladder_sum",
                              [landau_green_sum, shear_pair_sums, _hall_sums])
     def test_column_matches_element_calls(self, n_cutoff, ladder_sum):
         spectrum = small_spectrum(n_cutoff=n_cutoff)
-        z = spectrum.hbar_omega_c * np.array(
-            [0.3 + 0.01j, 60.0 + 0.01j, -1.2 + 0.05j, 3.0 + 0.2j,
-             0.7 + 1e-15j, -2.5 + 1e-3j])
-        a = np.abs(z * z) / spectrum.hbar_omega_c ** 2
-        assert (a <= 4).sum() == 3 and (a > 4).sum() == 3
+        z = spectrum.hbar_omega_c * math.sqrt(n_cutoff) * np.array(
+            [0.15 + 0.005j, 1.25 + 0.005j, -0.6 + 0.025j, 1.35 + 0.1j,
+             0.35 + 5e-16j, -1.1 + 5e-4j])
+        a = np.abs(z * z) / spectrum.hbar_omega_c ** 2 / n_cutoff
+        assert (a <= 1).sum() == 3 and ((1 < a) & (a <= 2)).sum() == 3
         got = np.array(ladder_sum(z, spectrum)).T
         want = np.array([ladder_sum(x, spectrum) for x in z])
         assert got.tobytes() == want.tobytes()

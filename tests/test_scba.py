@@ -17,7 +17,7 @@ from diracvisc import (ConvergenceError, ModelParams, SweepSpec,
                        self_energy_separated, solve_self_energy_b0,
                        solve_self_energy_landau)
 from diracvisc import kubo_dynamic, scba
-from diracvisc.scba import landau_green_sum, landau_green_sum_direct
+from diracvisc.scba import landau_green_sum
 
 # Sigma frozen from the damped fixed-point solver the batched Newton solve
 # replaced: the three landau_window benchmark rows (B = 10 T, E = 0.1), a
@@ -298,14 +298,13 @@ class TestLandauGreenSum:
         assert landau_green_sum(z, spectrum) == pytest.approx(
             direct_green_sum(z, spectrum), rel=1e-11)
 
-    def test_short_ladder_falls_back_to_direct_sum(self):
-        # |z^2 / W| = 900 N_c: past the ladder's end, summed level by level
+    def test_far_past_the_ladder_end_meets_direct_sum(self):
+        # |z^2 / W| = 900 N_c: the reflected digammas still hold (6.7e-13)
         spectrum = replace(build_spectrum(ModelParams(disorder_A=20.0), 10.0),
                            n_cutoff=4)
         z = complex(60.0 * spectrum.hbar_omega_c, 0.01)
         assert abs(z * z) / spectrum.hbar_omega_c ** 2 > 800 * spectrum.n_cutoff
         got = landau_green_sum(z, spectrum)
-        assert got == landau_green_sum_direct(z, spectrum)
         assert got == pytest.approx(direct_green_sum(z, spectrum), rel=1e-11)
 
 
@@ -374,10 +373,12 @@ class TestPsi:
     @given(re=st.integers(-60 * 1024, 60 * 1024),
            im=st.floats(-50.0, 50.0))
     def test_recurrence_and_reflection(self, re, im):
-        # Re x on a 1/1024 grid, so x + 1 and 1 - x are exact
+        # Re x on a 1/1024 grid, so x + 1 and 1 - x are exact; at an
+        # integer one of x, x + 1 and 1 - x is a pole, and within 1e-300
+        # of it psi and 1/x pass the float range
         x = complex(re / 1024.0, im)
-        assume(not (im == 0.0 and re <= 0 and re % 1024 == 0))
-        assume(not (im == 0.0 and re >= 1024 and re % 1024 == 0))
+        assume(not (abs(im) < 1e-300 and re <= 0 and re % 1024 == 0))
+        assume(not (abs(im) < 1e-300 and re >= 1024 and re % 1024 == 0))
         p, p_up, p_flip = scba._psi(np.array([x, x + 1.0, 1.0 - x]))
         size = abs(p) + abs(p_up) + abs(p_flip)
         assert abs(p_up - p - 1.0 / x) <= 1e-14 * (size + abs(1.0 / x))
@@ -409,6 +410,25 @@ class TestPoleSum:
             assert abs(got - want) <= 1e-13 * abs(want)
         far = complex(mpmath.digamma(10.0 - 2.0j))
         assert abs(scba._psi(column)[2] - far) <= 1e-13 * abs(far)
+
+    @pytest.mark.parametrize("n_cutoff", [14, 3_939, 787_617])
+    def test_past_the_last_pole_meets_mpmath(self, n_cutoff):
+        # Re c > hi + 1/2: both digamma arguments are reflected to 1 - x
+        mpmath = pytest.importorskip("mpmath")
+        c = n_cutoff * np.array([1.0, 1.04 + 1e-3j, 1.3 - 0.4j, 1.7 + 0.05j,
+                                 1.99 + 1.2j, -1.5 + 2.0j, 900.0 + 1.0j])
+        c[0] += 0.5 + 1e-9 + 1e-3j      # just past the last pole, N_c
+        c = np.append(c, n_cutoff + 0.75)   # on the real axis
+        assert (c.real > n_cutoff + 0.5).sum() == c.size - 1
+        got = scba.pole_sum(c, 0, n_cutoff)
+        with mpmath.workdps(40):
+            for ci, gi in zip(c, got):
+                x = mpmath.mpc(ci.real, ci.imag)
+                want = complex(mpmath.digamma(-x)
+                               - mpmath.digamma(n_cutoff + 1 - x))
+                # measured: 6.6e-15 up to 2 N_c, 5.5e-12 at 900 N_c
+                tol = 1e-14 if abs(ci) <= 2 * n_cutoff else 6e-12
+                assert abs(gi - want) <= tol * abs(want), ci
 
     def test_pole_sum_matches_direct_sum(self):
         c = np.array([0.4 - 0.05j, -0.46 + 0.1j, 1.2 + 0.3j, 37.5 - 0.2j])

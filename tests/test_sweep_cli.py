@@ -17,7 +17,7 @@ from diracvisc import (ConvergenceError, GridSpec, ModelParams, SweepSpec,
                        result_to_svg, run_sweep, shear_b0_numeric,
                        shear_bfield_numeric, solve_self_energy_b0,
                        solve_self_energy_landau)
-from diracvisc import cli, kubo_static, scba, sweep
+from diracvisc import cli, kubo_static, model, scba, sweep
 from diracvisc.cli import main
 from diracvisc.kubo_static import (_hall_sums, shear_pair_sums,
                                    shear_pair_sums_direct)
@@ -26,6 +26,21 @@ from diracvisc.scba import landau_green_sum_direct
 from diracvisc.sweep import QUANTITIES
 from test_kubo_static import collapsed_log_sum, small_spectrum
 from test_scba import solved_z
+
+
+def exact_cutoff_root(E, params, seed):
+    """Reference: the root of Sigma = -(z/A) Log(1 - E_c^2/z^2),
+    z = E - Sigma, the B = 0 equation with the cutoff kept exactly, which
+    the Landau SCBA meets as B -> 0; 30-digit mpmath from seed."""
+    mpmath = pytest.importorskip("mpmath")
+    A, Ec = params.disorder_A, params.cutoff_Ec
+    with mpmath.workdps(30):
+        def residual(s):
+            z = E - s
+            return s + z / A * mpmath.log(1 - Ec * Ec / (z * z))
+
+        return complex(mpmath.findroot(residual,
+                                       mpmath.mpc(seed.real, seed.imag)))
 
 
 def tiny_spec(**overrides):
@@ -896,14 +911,49 @@ class TestCli:
         assert "validation passed" in out
         assert f"[{cli.FAIL:>15}]" not in out
 
-    @pytest.mark.xfail(strict=True, reason="z = E - Sigma lies past the "
-                       "ladder's end, so the level-by-level sums are asked "
-                       "for 787,617 levels and the in-band row is refused as "
-                       "a usage error (static_shear and static_hall too)")
-    def test_low_field_row_past_the_ladder_end_runs(self, capsys):
-        rc = main(["sweep", "--quantity", "self_energy", "--e", "7.1",
-                   "--b", "0.05", "--a", "15"])
-        assert rc == 0, capsys.readouterr().err
+    @pytest.mark.parametrize("B", [0.05, 0.01])
+    @pytest.mark.parametrize("quantity",
+                             ["self_energy", "static_shear", "static_hall"])
+    def test_low_field_row_past_the_ladder_end_runs(self, quantity, B,
+                                                    capsys):
+        # the Newton iterates of E = 7.1 eV, A = 15 pass the ladder's end
+        # (787,617 and 3,938,085 levels); the root meets the B -> 0 limit,
+        # 8.7e-7 (0.05 T) and 3.3e-7 (0.01 T) off
+        rc = main(["sweep", "--quantity", quantity, "--e", "7.1",
+                   "--b", str(B), "--a", "15"])
+        out, err = capsys.readouterr()
+        assert rc == 0, err
+        row = out.splitlines()[-1].split(",")
+        assert row[-1] == "true"
+        if quantity == "self_energy":
+            sigma = complex(float(row[5]), float(row[4]))
+            want = exact_cutoff_root(7.1, ModelParams(disorder_A=15.0), sigma)
+            assert abs(sigma - want) <= 1e-6 * abs(want)
+
+    def test_past_the_pair_sums_reach_is_refused(self, capsys):
+        # 10 T, A = 0.3: the root lies at |a| = 2.9 N_c, past the 2 N_c
+        # reach of the closed pair sums; the SCBA sum has no such limit
+        args = ["--e", "1", "--b", "10", "--a", "0.3"]
+        for quantity in ("static_shear", "static_hall"):
+            assert main(["sweep", "--quantity", quantity, *args]) == 2
+            assert "sqrt(2) E_c" in capsys.readouterr().err
+        assert main(["sweep", "--quantity", "self_energy", *args]) == 0
+        assert capsys.readouterr().out.endswith(",true\n")
+
+    @pytest.mark.parametrize("quantity", [
+        "self_energy", "dos", "static_shear", "static_hall", "dynamic_shear",
+        "dynamic_hall"])
+    def test_no_row_materializes_the_ladder(self, quantity, monkeypatch,
+                                            capsys):
+        # 10 T, A = 1, E = 7.1 eV: the root lies at |a| = 1.07 N_c, past
+        # the ladder's end; a 10-level cap stops any level-by-level sum
+        monkeypatch.setattr(model, "MAX_MATERIALIZED_LEVELS", 10)
+        omega = ["--omega", "0.05"] if quantity.startswith("dynamic") else []
+        rc = main(["sweep", "--quantity", quantity, "--e", "7.1", "--b", "10",
+                   "--a", "1", *omega])
+        out, err = capsys.readouterr()
+        assert rc == 0, err
+        assert out.endswith(",true\n")
 
     def test_validate_landau_scba_reinsertion(self):
         name, status, detail = next(
