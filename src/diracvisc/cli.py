@@ -18,14 +18,12 @@ import numpy as np
 
 from . import __version__
 from .model import ModelParams, build_spectrum, check_in_band
-from .scba import (ConvergenceError, landau_green_sum, landau_green_sum_direct,
-                   solve_self_energy_b0, solve_self_energy_landau)
-from .kubo_static import (_hall_sums, _hall_sums_direct, hall_static_numeric,
-                          shear_b0_analytic, shear_b0_numeric,
-                          shear_bfield_numeric, shear_pair_sums,
-                          shear_pair_sums_direct)
-from .kubo_dynamic import (hall_dynamic, hall_dynamic_ladder_sum,
-                           static_limit_check)
+from .scba import (ConvergenceError, landau_green_sum, solve_self_energy_b0,
+                   solve_self_energy_landau)
+from .kubo_static import (_hall_sums, hall_static_numeric, shear_b0_analytic,
+                          shear_b0_numeric, shear_bfield_numeric,
+                          shear_pair_sums)
+from .kubo_dynamic import hall_dynamic, static_limit_check
 from .sweep import (QUANTITIES, GridSpec, SweepSpec, _json_object,
                     figure_preset, result_to_csv, result_to_json,
                     result_to_svg, run_sweep)
@@ -139,6 +137,8 @@ def _cmd_vertex_check(args) -> int:
 
 def _validate_checks():
     """Condensed oracle-equivalence suite; yields (name, status, detail)."""
+    from .oracles import (hall_dynamic_ladder_sum, hall_sums_direct,
+                          landau_green_sum_direct, shear_pair_sums_direct)
     # B = 0 closed-form equivalence away from the Dirac point
     for A in (10.0, 20.0, 35.0):
         params = ModelParams(disorder_A=A)
@@ -169,7 +169,7 @@ def _validate_checks():
     # maximum: where Im*Im products cancel (E = 0, gaps) a sum is rounding
     # noise, with no relative error to speak of
     hall = np.array(_hall_sums(z, spectrum)).T
-    hall_direct = np.array([_hall_sums_direct(x, spectrum) for x in z])
+    hall_direct = np.array([hall_sums_direct(x, spectrum) for x in z])
     worst_hall = (np.abs(hall - hall_direct).max(axis=0)
                   / np.abs(hall_direct).max(axis=0)).max()
     yield ("Landau ladder closed forms vs direct sums (B=10 T, A=20)",

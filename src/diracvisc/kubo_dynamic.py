@@ -355,10 +355,13 @@ def hall_dynamic(E, Omega, params: ModelParams, spectrum: LandauSpectrum,
     reach. Each point's 8 terms per pair, up to its own reach, lie end to
     end in flat arrays of at most _CHUNK_TERMS / 2 terms (or one point), and
     each point is reduced on its own (np.add.reduceat), so a point's value
-    does not depend on the rest of the block.
+    does not depend on the rest of the block. A ladder of N_c < 2 holds no
+    (n, n + 2) pair, and its sums are exact zeros.
     """
     e, om, shape = _points(E, Omega)
     _check_broadening(broadening)
+    if spectrum.n_cutoff < 2:
+        return _shaped(np.zeros(e.size), shape)
     T = params.temperature
     top = _window_top(np.abs(e) + om + _FERMI_REACH * T, spectrum)
     ea, eb, w = (c.ravel() for c in _hall_chains(np.arange(top.max() + 1),
@@ -376,34 +379,6 @@ def hall_dynamic(E, Omega, params: ModelParams, spectrum: LandauSpectrum,
                                     w[j], broadening, T, reduced)
         total[part] = np.add.reduceat(terms, start)
     return _shaped(_hall_prefactor(params, spectrum) / om * total, shape)
-
-
-def hall_dynamic_ladder_sum(E: float, Omega: float, params: ModelParams,
-                            spectrum: LandauSpectrum, broadening: float, *,
-                            reduced: bool = False) -> float:
-    """hall_dynamic at one point over every pair of the ladder, the terms
-    rounded once (math.fsum): the reference its Fermi window is checked
-    against. Materializes the ladder."""
-    e, om, _ = _points(E, Omega)
-    chains = (c.ravel() for c in _hall_chains(spectrum.level_indices()[:-2],
-                                              spectrum.hbar_omega_c))
-    terms = _hall_dynamic_terms(e, om, *chains, _check_broadening(broadening),
-                                params.temperature, reduced)
-    return _hall_prefactor(params, spectrum) / om[0] * math.fsum(terms)
-
-
-def counterpart_pair_sum(n: int, e_fermi: float, Omega: float,
-                         params: ModelParams, spectrum: LandauSpectrum,
-                         broadening: float) -> float:
-    """Zero-temperature reduced-form contribution of the mutually-cancelling
-    interband pair (n,-) -> (n+2,+) and (n,+) -> (n+2,-) alone, both
-    directions (diagnostic for the cancellation test)."""
-    # the (+,-) and (-,+) chains, both directions
-    chains = (c[:, [1, 2, 5, 6]].ravel()
-              for c in _hall_chains(np.array([n]), spectrum.hbar_omega_c))
-    om = abs(Omega)
-    terms = _hall_dynamic_terms(e_fermi, om, *chains, broadening, 0.0, True)
-    return _hall_prefactor(params, spectrum) / om * float(np.sum(terms))
 
 
 @dataclass(frozen=True)

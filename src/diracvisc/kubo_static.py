@@ -9,14 +9,13 @@ All viscosities are in hbar/nm^2 and include the spin-valley degeneracy.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .model import LandauSpectrum, ModelParams, effective_cyclotron
-from .scba import (SelfEnergySolution, dos, ladder_sums, level_width,
-                   pole_sum, relaxation_time, solve_self_energy_b0,
+from .scba import (SelfEnergySolution, dos, ladder_sums, pole_sum,
+                   relaxation_time, solve_self_energy_b0,
                    solve_self_energy_landau)
 
 SEPARATED = "separated"
@@ -64,7 +63,6 @@ def _t_integral(z1, z2, T):
 
 
 _TINY_Z = 1e-70  # |z| below which _radial integrates in u = t / |z|^2
-_QUAD_EPSREL = 1e-9  # relative tolerance of _k_kernel_quad
 
 
 def _radial(integral, z1, z2, T: float):
@@ -95,39 +93,6 @@ def _k_kernel(z1, z2, params: ModelParams):
     """z1 z2 * int_0^{Ec} du u^3 / ((z1^2-u^2)(z2^2-u^2)), u = hbar v_f k,
     element-wise over arrays."""
     return _radial(_t_integral, z1, z2, params.cutoff_Ec ** 2)
-
-
-def _pole_points(z: complex, T: float) -> list[float]:
-    pts = set()
-    tr, ti = (z * z).real, abs((z * z).imag)
-    mag = abs(z) ** 2
-    for p in (tr - 10 * ti, tr - ti, tr, tr + ti, tr + 10 * ti,
-              0.1 * mag, mag, 10 * mag):
-        if 1e-300 < p < T:
-            pts.add(p)
-    return sorted(pts)
-
-
-def _k_kernel_quad(z1: complex, z2: complex, params: ModelParams) -> complex:
-    """Adaptive Gauss-Kronrod evaluation of _k_kernel (validation route)."""
-    from scipy.integrate import quad  # slow to import; only this route uses it
-
-    def integral(z1, z2, T):
-        a, b = z1 * z1, z2 * z2
-        pts = sorted(set(_pole_points(z1, T) + _pole_points(z2, T)))
-
-        def f(t):
-            return t / ((a - t) * (b - t))
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            re, _ = quad(lambda t: f(t).real, 0.0, T, points=pts, limit=500,
-                         epsabs=0.0, epsrel=_QUAD_EPSREL)
-            im, _ = quad(lambda t: f(t).imag, 0.0, T, points=pts, limit=500,
-                         epsabs=0.0, epsrel=_QUAD_EPSREL)
-        return re + 1j * im
-
-    return _radial(integral, z1, z2, params.cutoff_Ec ** 2)
 
 
 def _require_zero_temperature(params: ModelParams) -> None:
@@ -180,8 +145,8 @@ def shear_b0_numeric(E, params: ModelParams, *,
                      sigma: SelfEnergySolution | complex | None = None
                      ) -> ViscosityValue:
     """Static shear viscosity at B = 0 from the radial Kubo integral, taken
-    with its closed antiderivative (_k_kernel; _k_kernel_quad is the
-    adaptive-quadrature check of it). E is a float or a 1-D array; an
+    with its closed antiderivative (_k_kernel; oracles.k_kernel_quad is
+    the adaptive-quadrature check of it). E is a float or a 1-D array; an
     array is solved in one SCBA call."""
     _require_zero_temperature(params)
     e, s = _column(E, sigma, lambda: solve_self_energy_b0(
@@ -208,22 +173,12 @@ def shear_b0_analytic(E: float, params: ModelParams) -> float:
 # Landau-level sums, B != 0
 # ---------------------------------------------------------------------------
 
-def _g_array(z, spectrum: LandauSpectrum, hi: int | None = None):
-    """g_n = z / (z^2 - n (hbar w_c)^2), n = 0..hi (by default N_c), along
-    the last axis: one row per element of an array z; n = 0 counted once."""
-    n = spectrum.level_indices() if hi is None else np.arange(hi + 1)
+def _g_array(z, spectrum: LandauSpectrum, hi: int):
+    """g_n = z / (z^2 - n (hbar w_c)^2), n = 0..hi, along the last axis:
+    one row per element of an array z; n = 0 counted once."""
+    n = np.arange(hi + 1)
     z = np.expand_dims(z, -1)
     return z / (z * z - n * spectrum.hbar_omega_c ** 2)
-
-
-def shear_pair_sums_direct(z: complex,
-                           spectrum: LandauSpectrum) -> tuple[complex, complex]:
-    """(S_RA, S_RR) = sum_{n=0}^{N_c-2} (n+1) g_n(z) g_{n+2}(z_s) with
-    z_s = conj(z) (RA) or z (RR), summed level by level."""
-    g = _g_array(z, spectrum)
-    w = np.arange(spectrum.n_cutoff - 1) + 1.0
-    return (np.sum(w * g[:-2] * np.conjugate(g[2:])),
-            np.sum(w * g[:-2] * g[2:]))
 
 
 def _pair_sum(zr: complex, zs: complex, W: float, hi: int) -> complex:
@@ -241,10 +196,10 @@ _PAIR_REACH = 2.0
 
 
 def shear_pair_sums(z, spectrum: LandauSpectrum):
-    """The sums of shear_pair_sums_direct in O(1) by partial fractions, for
-    a complex scalar or array z, through scba.ladder_sums up to
-    |a| = _PAIR_REACH N_c. A ladder of N_c < 2 holds no (n, n + 2) pair,
-    and pole_sum over its empty range is exactly 0."""
+    """The sums of oracles.shear_pair_sums_direct in O(1) by partial
+    fractions, for a complex scalar or array z, through scba.ladder_sums
+    up to |a| = _PAIR_REACH N_c. A ladder of N_c < 2 holds no (n, n + 2)
+    pair, and pole_sum over its empty range is exactly 0."""
     def closed(z, a):
         W, hi = spectrum.hbar_omega_c ** 2, spectrum.n_cutoff - 2
         return _pair_sum(z, z.conjugate(), W, hi), _pair_sum(z, z, W, hi)
@@ -366,37 +321,6 @@ def shear_bfield_analytic(E: float, params: ModelParams,
 _GAP_FLOOR = 1e-15  # minimal |Im Sigma| used inside gaps to keep G retarded
 
 
-def _pair_energies(spectrum: LandauSpectrum):
-    """(E_a, E_b, n+1) arrays for the four (s, s') chains of the |dn| = 2
-    pairs (n, n + 2) of the whole ladder."""
-    hwc = spectrum.hbar_omega_c
-    n = spectrum.level_indices()[:-2]
-    out = []
-    for s in (1.0, -1.0):
-        for sp in (1.0, -1.0):
-            out.append((s * hwc * np.sqrt(n), sp * hwc * np.sqrt(n + 2),
-                        n + 1.0))
-    return out
-
-
-def _hall_sums_direct(z: complex,
-                      spectrum: LandauSpectrum) -> tuple[float, float, float]:
-    """(I, Im surface, log) sums of hall_static_numeric, summed level by
-    level over the four (s, s') chains."""
-    sum_i = 0.0
-    sum_surface = 0.0 + 0.0j
-    sum_log = 0.0
-    for Ea, Eb, w in _pair_energies(spectrum):
-        Ga = 1.0 / (z - Ea)
-        Gb = 1.0 / (z - Eb)
-        sum_i += 2.0 * np.sum(w * (Ga.imag * Gb.real - Ga.real * Gb.imag))
-        delta = Eb - Ea
-        sum_surface += np.sum(w * (Ga + Gb) / delta)
-        sum_log += np.sum(w * (2.0 / delta ** 2)
-                          * (np.log(z - Ea) - np.log(z - Eb)).imag)
-    return sum_i, sum_surface.imag, sum_log
-
-
 # most terms a Landau ladder sum over a column or block holds at once (the
 # static Hall heads here, 128 kB per complex temporary; the dynamic Hall
 # kink terms of kubo_dynamic take half as many), so memory stays bounded
@@ -463,7 +387,7 @@ def _weighted_log_sum(a, hi: int):
 
 
 def _hall_sums(z, spectrum: LandauSpectrum):
-    """The sums of _hall_sums_direct in O(min(|a|, N_c)),
+    """The sums of oracles.hall_sums_direct in O(min(|a|, N_c)),
     a = z^2 / (hbar w_c)^2, for a complex scalar or array z, through
     scba.ladder_sums up to |a| = _PAIR_REACH N_c. A ladder of N_c < 2 holds
     no (n, n + 2) pair, and its sums are exact zeros.
@@ -525,58 +449,6 @@ def hall_static_numeric(E, params: ModelParams,
     return _viscosity(E, eta_i + eta_ii,
                       {"RA": eta_i, "RR": np.zeros(e.size), "II": eta_ii},
                       *_regimes(e, params, spectrum, s))
-
-
-# hall_fermi_sea_quadrature's grid: uniform from 8 eV below the ladder up
-# to E, plus 160 nodes within 10 level widths of every level
-_SEA_COARSE_NODES = 4000
-_SEA_LEVEL_NODES = 160
-_SEA_PAD_WIDTHS = 10.0
-_SEA_BOTTOM_PAD = 8.0
-_SEA_SOLVER_TOL = 1e-9
-
-
-def hall_fermi_sea_quadrature(E: float, params: ModelParams,
-                              spectrum: LandauSpectrum) -> float:
-    """Fermi-sea (II) channel by direct quadrature (validation route).
-
-    Solves Sigma(w) in one array call (tolerance _SEA_SOLVER_TOL) on a
-    composite grid (refined around every Landau level) and integrates
-    i (hbar w_c)^2/(8 pi^2 l_B^2) sum (n+1) Delta (1 - Sigma') G_a^2 G_b^2
-    as a trapezoid sum along the path z(w) = w - Sigma(w), using
-    (1 - dSigma/dw) dw = dz; this stays accurate across the sqrt-edges of
-    the solved self-energy where dSigma/dw diverges. Intended for small
-    test spectra in regimes without interior spectral gaps (the solved
-    real-axis branch is ambiguous inside gaps).
-    """
-    hwc = spectrum.hbar_omega_c
-    gamma = level_width(params, spectrum)
-    bottom = -hwc * math.sqrt(spectrum.n_cutoff) - _SEA_BOTTOM_PAD
-    grid = [np.linspace(bottom, E, _SEA_COARSE_NODES)]
-    for n in spectrum.level_indices():
-        for sgn in (1, -1):
-            en = sgn * hwc * math.sqrt(n)
-            lo = max(bottom, en - _SEA_PAD_WIDTHS * gamma)
-            hi = min(E, en + _SEA_PAD_WIDTHS * gamma)
-            if hi > lo:
-                grid.append(np.linspace(lo, hi, _SEA_LEVEL_NODES))
-    om = np.unique(np.concatenate(grid))
-    min_step = 1e-4 * gamma / _SEA_LEVEL_NODES
-    keep = np.concatenate(([True], np.diff(om) > min_step))
-    om = om[keep]
-
-    z = om - solve_self_energy_landau(om, params, spectrum,
-                                      tol=_SEA_SOLVER_TOL).sigma
-    integrand = np.zeros(om.size, dtype=complex)
-    for Ea, Eb, w in _pair_energies(spectrum):
-        Ga = 1.0 / (z[:, None] - Ea[None, :])
-        Gb = 1.0 / (z[:, None] - Eb[None, :])
-        delta = (Eb - Ea)[None, :]
-        integrand += np.sum(w[None, :] * delta * Ga ** 2 * Gb ** 2, axis=1)
-    total = np.sum(0.5 * (integrand[1:] + integrand[:-1]) * np.diff(z))
-    W = hwc ** 2
-    scale = params.degeneracy / 4.0
-    return scale * W / (8.0 * math.pi ** 2 * spectrum.l_B ** 2) * (1j * total).real
 
 
 def hall_static_analytic(E: float, params: ModelParams,

@@ -17,9 +17,6 @@ HBAR_OVER_E = 6.582119569e-16
 
 DEFAULT_HBAR_VF = 0.6582   # eV nm
 DEFAULT_CUTOFF = 7.2       # eV, band cutoff
-# Longest ladder a level-by-level oracle materializes: just above the
-# 393,809 levels of B = 0.1 T at the default cutoff.
-MAX_MATERIALIZED_LEVELS = 400_000
 
 
 @dataclass(frozen=True)
@@ -71,20 +68,6 @@ class LandauSpectrum:
     l_B: float              # nm
     hbar_omega_c: float     # eV
     n_cutoff: int
-
-    def level_indices(self) -> np.ndarray:
-        """n = 0..N_c, for the level-by-level oracles (the *_direct sums,
-        validate and the tests); no runtime sum materializes the ladder.
-
-        Raises ValueError past MAX_MATERIALIZED_LEVELS rather than cut the
-        ladder short.
-        """
-        if self.n_cutoff > MAX_MATERIALIZED_LEVELS:
-            raise ValueError(
-                f"B = {self.b_field:g} T needs N_c = {self.n_cutoff} Landau "
-                f"levels; level-by-level sums stop at "
-                f"{MAX_MATERIALIZED_LEVELS}")
-        return np.arange(self.n_cutoff + 1)
 
 
 def check_in_band(E: float, cutoff_Ec: float) -> None:

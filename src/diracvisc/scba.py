@@ -214,18 +214,9 @@ def ladder_sums(z, spectrum: LandauSpectrum, closed, reach: float = math.inf):
     return tuple(out) if out.ndim > np.ndim(z) else out
 
 
-def landau_green_sum_direct(z: complex, spectrum: LandauSpectrum) -> complex:
-    """sum_{n=0}^{N_c} w_n z / (z^2 - n (hbar w_c)^2), weights (1, 2, 2, ...),
-    summed level by level."""
-    en2 = spectrum.level_indices() * spectrum.hbar_omega_c ** 2
-    weights = np.full(en2.shape, 2.0)
-    weights[0] = 1.0
-    return np.sum(weights * z / (z * z - en2))
-
-
 def landau_green_sum(z, spectrum: LandauSpectrum):
-    """The ladder sum of landau_green_sum_direct in O(1), for a complex
-    scalar or array z, through ladder_sums at every |a|.
+    """The ladder sum of oracles.landau_green_sum_direct in O(1), for a
+    complex scalar or array z, through ladder_sums at every |a|.
 
     With W = (hbar w_c)^2 and a = z^2/W it equals (z/W)[2 S(a) - 1/a],
     S = pole_sum over n = 0..N_c. Past the ladder's end, |a| > N_c, where
@@ -344,12 +335,19 @@ def self_energy_overlapped(E: float, params: ModelParams,
 def self_energy_dirac_point_bfield(params: ModelParams,
                                    spectrum: LandauSpectrum) -> complex:
     """Lambert-W closed form for Im Sigma(E=0) in a field:
-    Im Sigma = -hbar w_c / sqrt(W[(hbar w_c / Ec)^2 e^A])."""
-    from scipy.special import lambertw  # slow to import; oracle only
+    Im Sigma = -hbar w_c / sqrt(W(x)), x = (hbar w_c / Ec)^2 e^A, with
+    W = e^u and e^u + u = ln x solved without e^A (it overflows past
+    A ~ 709). Newton steps from u = ln max(ln x, 1), right of the root of
+    this convex increasing map, fall monotonically until one fails to."""
     hwc = spectrum.hbar_omega_c
-    x = (hwc / params.cutoff_Ec) ** 2 * math.exp(params.disorder_A)
-    w = lambertw(x).real
-    return -1j * hwc / math.sqrt(w)
+    log_x = 2.0 * math.log(hwc / params.cutoff_Ec) + params.disorder_A
+    u = math.log(max(log_x, 1.0))
+    while True:
+        e_u = math.exp(u)
+        step = u - (e_u + u - log_x) / (e_u + 1.0)
+        if not step < u:
+            return -1j * hwc * math.exp(-0.5 * u)
+        u = step
 
 
 def dos(E: float, sigma: complex, params: ModelParams,

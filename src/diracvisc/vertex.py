@@ -20,11 +20,12 @@ import numpy as np
 from .model import (XY, LandauSpectrum, ModelParams, stress_element_xy,
                     stress_kspace)
 from .scba import solve_self_energy_b0
+from .kubo_dynamic import _panel_nodes
 
 MOMENTUM = "momentum"
 LANDAU = "landau"
 
-_RADIAL_NODES = 48  # Gauss-Legendre nodes per radial panel
+_RADIAL_RULE = np.polynomial.legendre.leggauss(48)  # per radial panel
 _N_WINDOW = 30      # the Landau check runs over n''' <= _N_WINDOW + 2
 
 
@@ -64,10 +65,7 @@ def vertex_correction_b0(E: float, params: ModelParams,
     pole = abs((E - sigma).real) / vf
     edges = sorted({0.0, k_c, *[p for p in (0.5 * pole, pole, 2.0 * pole)
                                 if 0.0 < p < k_c]})
-    xs, ws = np.polynomial.legendre.leggauss(_RADIAL_NODES)
-    a, b = np.array(edges[:-1])[:, None], np.array(edges[1:])[:, None]
-    kp = (0.5 * (a + b) + 0.5 * (b - a) * xs).ravel()
-    wk = (0.5 * (b - a) * ws).ravel()
+    kp, wk = _panel_nodes(edges[:-1], edges[1:], _RADIAL_RULE)
     zR = E - sigma
     zA = E - sigma.conjugate()
     gR = 1.0 / (zR - vf * np.array([kp, -kp]))

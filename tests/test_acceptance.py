@@ -19,7 +19,7 @@ from diracvisc import (GridSpec, ModelParams, SweepSpec, build_spectrum,
                        static_limit_check,
                        transition_table, vertex_correction_b0,
                        vertex_correction_landau)
-from diracvisc.kubo_dynamic import counterpart_pair_sum
+from diracvisc.oracles import counterpart_pair_sum
 
 
 def report(num: int, name: str, ok: bool, detail: str) -> None:

@@ -15,9 +15,10 @@ from diracvisc import (ELECTRON_ELECTRON, ELECTRON_HOLE, HOLE_HOLE,
                        shear_dynamic_b0_ee_limit, shear_dynamic_b0_eh_limit,
                        shear_dynamic_bfield, static_limit_check,
                        build_spectrum, transition_table)
-from diracvisc import kubo_dynamic, model
-from diracvisc.kubo_dynamic import _fermi, counterpart_pair_sum
-from diracvisc.kubo_static import _k_kernel, _pair_energies
+from diracvisc import kubo_dynamic, oracles
+from diracvisc.kubo_dynamic import _fermi
+from diracvisc.kubo_static import _k_kernel
+from diracvisc.oracles import counterpart_pair_sum, levels, pair_energies
 from diracvisc.scba import solve_self_energy_b0, solve_self_energy_landau
 
 
@@ -33,7 +34,7 @@ def hall_dynamic_full_ladder(E, Omega, params, spectrum, broadening,
         return _fermi(x, E, params.temperature)
 
     terms = []
-    for Ea, Eb, w in _pair_energies(spectrum):
+    for Ea, Eb, w in pair_energies(spectrum):
         for ea, eb, sgn in ((Ea, Eb, 1.0), (Eb, Ea, -1.0)):
             x = om - eb + ea
             kink = x / (x * x + g2)
@@ -67,7 +68,7 @@ def shear_dynamic_bfield_four_chains(E, Omega, params, spectrum,
     n_top = min(int((level_window / spectrum.hbar_omega_c) ** 2),
                 spectrum.n_cutoff - 2)
     pairs = [(Ea[:n_top + 1], Eb[:n_top + 1], w[:n_top + 1])
-             for Ea, Eb, w in _pair_energies(spectrum)]
+             for Ea, Eb, w in pair_energies(spectrum)]
 
     bks = []
     for Ea, Eb, _ in pairs:
@@ -138,7 +139,7 @@ def transition_table_full_ladder(e_fermi, spectrum, omega_max):
     """transition_table's loop over every pair (n, n + 2) of the ladder."""
     hwc = spectrum.hbar_omega_c
     out = []
-    for n in spectrum.level_indices()[:-2].tolist():
+    for n in levels(spectrum)[:-2].tolist():
         lo_states = [(n, 1)] if n == 0 else [(n, 1), (n, -1)]
         for a in lo_states:
             ea = a[1] * hwc * math.sqrt(a[0])
@@ -590,7 +591,7 @@ class TestHallDynamicWindow:
                                (0.22, -0.45, False), (0.0, 0.162, True)]:
             ref, terms = hall_dynamic_full_ladder(E, om, params, spectrum,
                                                   gamma, reduced)
-            v = kubo_dynamic.hall_dynamic_ladder_sum(
+            v = oracles.hall_dynamic_ladder_sum(
                 E, om, params, spectrum, gamma, reduced=reduced)
             assert abs(v - ref) <= 1e-13 * np.abs(terms).max()
 
@@ -685,9 +686,9 @@ class TestHallDynamicWindow:
         hot = ModelParams(disorder_A=500.0, temperature=1e-3)
         expected = [hall_dynamic(0.13, 0.2, p, spectrum10_500, gamma)
                     for p in (params500, hot)]
-        monkeypatch.setattr(model, "MAX_MATERIALIZED_LEVELS", 10)
+        monkeypatch.setattr(oracles, "MAX_MATERIALIZED_LEVELS", 10)
         with pytest.raises(ValueError, match="stop at 10"):
-            spectrum10_500.level_indices()
+            levels(spectrum10_500)
         assert [hall_dynamic(0.13, 0.2, p, spectrum10_500, gamma)
                 for p in (params500, hot)] == expected
 

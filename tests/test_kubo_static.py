@@ -12,18 +12,19 @@ from hypothesis import strategies as st
 
 import diracvisc
 from diracvisc import (LandauSpectrum, ModelParams, OVERLAPPED, SEPARATED,
-                       build_spectrum, detect_regime, hall_static_analytic,
+                       build_spectrum, detect_regime, hall_dynamic,
+                       hall_static_analytic,
                        hall_static_numeric, landau_energy, magnetic_length,
                        shear_b0_analytic, shear_b0_numeric,
                        shear_bfield_analytic, shear_bfield_dirac_limit,
                        shear_bfield_numeric, solve_self_energy_b0,
                        solve_self_energy_landau, stress_element_xx_minus_yy, stress_element_xy)
-from diracvisc import kubo_static, model
-from diracvisc.kubo_static import (_hall_sums, _hall_sums_direct, _k_kernel,
-                                   _k_kernel_quad, _radial, _t_integral,
-                                   _weighted_log_sum,
-                                   hall_fermi_sea_quadrature,
+from diracvisc import kubo_static, oracles
+from diracvisc.kubo_static import (_hall_sums, _k_kernel, _radial,
+                                   _t_integral, _weighted_log_sum,
                                    shear_pair_sums)
+from diracvisc.oracles import (hall_fermi_sea_quadrature, hall_sums_direct,
+                               k_kernel_quad)
 from diracvisc.scba import landau_green_sum
 from test_scba import ladder_cases, solved_z
 
@@ -37,12 +38,12 @@ def small_spectrum(b_field=10.0, n_cutoff=40, hbar_vf=0.6582):
 
 def shear_b0_quad_channels(E, params):
     """The RA and RR channels of shear_b0_numeric with the radial integral
-    taken by adaptive quadrature (_k_kernel_quad)."""
+    taken by adaptive quadrature (k_kernel_quad)."""
     s = solve_self_energy_b0(E, params, drop_real_part=True).sigma
     zR, zA = E - s, E - s.conjugate()
     pref = kubo_static._b0_prefactor(params)
-    return (pref * _k_kernel_quad(zR, zA, params).real,
-            pref * _k_kernel_quad(zR, zR, params).real)
+    return (pref * k_kernel_quad(zR, zA, params).real,
+            pref * k_kernel_quad(zR, zR, params).real)
 
 
 def physical_levels(spectrum):
@@ -74,8 +75,8 @@ class TestShearB0:
         from diracvisc import solve_self_energy_b0
         s = solve_self_energy_b0(1.2, params20, drop_real_part=True).sigma
         zR, zA = 1.2 - s, 1.2 - s.conjugate()
-        k_rr = _k_kernel_quad(zR, zR, params20)
-        k_aa = _k_kernel_quad(zA, zA, params20)
+        k_rr = k_kernel_quad(zR, zR, params20)
+        k_aa = k_kernel_quad(zA, zA, params20)
         assert k_aa.real == pytest.approx(k_rr.real, rel=1e-8)
 
     def test_array_kernel_equals_scalar_calls(self, params20):
@@ -200,16 +201,16 @@ class TestWeakDisorderDiracPoint:
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p))
         code = ("from diracvisc import ModelParams, solve_self_energy_b0\n"
-                "from diracvisc.kubo_static import _b0_prefactor, "
-                "_k_kernel_quad\n"
+                "from diracvisc.kubo_static import _b0_prefactor\n"
+                "from diracvisc.oracles import k_kernel_quad\n"
                 f"for A in {WEAK_DISORDER_A!r}:\n"
                 "    p = ModelParams(disorder_A=A)\n"
                 "    s = solve_self_energy_b0(0.0, p, drop_real_part=True)"
                 ".sigma\n"
                 "    zR, zA, pref = 0.0 - s, 0.0 - s.conjugate(), "
                 "_b0_prefactor(p)\n"
-                "    print(repr(float(pref * _k_kernel_quad(zR, zA, p).real"
-                " - pref * _k_kernel_quad(zR, zR, p).real)))")
+                "    print(repr(float(pref * k_kernel_quad(zR, zA, p).real"
+                " - pref * k_kernel_quad(zR, zR, p).real)))")
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, timeout=300)
         assert out.returncode == 0, out.stderr
@@ -324,7 +325,7 @@ class TestLandauBruteForce:
     def test_hall_fermi_sea_antiderivative_exact(self):
         # the closed form equals the path integral for an analytic
         # self-energy path (independent of any solver)
-        from diracvisc.kubo_static import _pair_energies
+        from diracvisc.oracles import pair_energies
         spectrum = small_spectrum(n_cutoff=20)
         E = 0.1385
 
@@ -335,7 +336,7 @@ class TestLandauBruteForce:
         z_e = E - complex(sig_model(E))
         closed_s = 0j
         closed_l = 0.0
-        pairs = _pair_energies(spectrum)
+        pairs = pair_energies(spectrum)
         for Ea, Eb, w in pairs:
             Ga = 1.0 / (z_e - Ea)
             Gb = 1.0 / (z_e - Eb)
@@ -432,7 +433,7 @@ def hall_by_loop(monkeypatch, *args, **kwargs):
     """hall_static_numeric with its ladder sums taken level by level, one
     energy at a time."""
     def by_level(z, spectrum):
-        return np.array([_hall_sums_direct(x, spectrum) for x in z]).T
+        return np.array([hall_sums_direct(x, spectrum) for x in z]).T
 
     with monkeypatch.context() as m:
         m.setattr(kubo_static, "_hall_sums", by_level)
@@ -507,14 +508,19 @@ class TestHallSums:
                                                    1.2 + 0.05j]):
             assert _hall_sums(z, spectrum) == (0.0, 0.0, 0.0)
             assert shear_pair_sums(z, spectrum) == (0.0, 0.0)
+        e, om = np.meshgrid([0.0, 0.1, -0.2], [0.05, -0.3])
+        params = ModelParams(disorder_A=20.0)
+        assert hall_dynamic(0.1, 0.05, params, spectrum, 0.01) == 0.0
+        assert np.array_equal(hall_dynamic(e, om, params, spectrum, 0.01),
+                              np.zeros(e.shape))
 
     def test_no_level_is_materialized(self, params50, spectrum10_50,
                                       monkeypatch):
         # the ladder has 3,939 levels; a 10-level cap stops any level loop
         expected = hall_static_numeric(0.12, params50, spectrum10_50)
-        monkeypatch.setattr(model, "MAX_MATERIALIZED_LEVELS", 10)
+        monkeypatch.setattr(oracles, "MAX_MATERIALIZED_LEVELS", 10)
         with pytest.raises(ValueError, match="stop at 10"):
-            _hall_sums_direct(1j, spectrum10_50)
+            hall_sums_direct(1j, spectrum10_50)
         assert hall_static_numeric(0.12, params50, spectrum10_50) == expected
 
 
@@ -531,7 +537,7 @@ PAST_END_TOL = {"green": 6e-15, "RA": 4e-14, "RR": 2.5e-11, "I": 4e-14,
 
 def mp_ladder_sums(z, spectrum):
     """Reference: the SCBA ladder sum, S_RA, S_RR and the (I, surface, log)
-    sums of _hall_sums_direct, level by level in 30-digit mpmath; I as
+    sums of hall_sums_direct, level by level in 30-digit mpmath; I as
     8 Im S_RA, the chains summed over their band indices."""
     mpmath = pytest.importorskip("mpmath")
     n_c = spectrum.n_cutoff

@@ -9,7 +9,7 @@ from diracvisc import (XX_MINUS_YY, XY, ModelParams,
                        build_spectrum, effective_cyclotron, landau_energy,
                        magnetic_length, stress_element_xx_minus_yy,
                        stress_element_xy, stress_kspace)
-from diracvisc.model import MAX_MATERIALIZED_LEVELS
+from diracvisc.oracles import MAX_MATERIALIZED_LEVELS, levels
 
 # independent CODATA evaluation of sqrt(hbar / e B)
 HBAR_SI = 1.054571817e-34   # J s
@@ -60,10 +60,10 @@ class TestSpectrum:
         # 0.1 T, the longest ladder any preset sums level by level, fits
         s = build_spectrum(params20, 0.1)
         assert s.n_cutoff == 393_809 <= MAX_MATERIALIZED_LEVELS
-        assert np.array_equal(s.level_indices(), np.arange(393_810))
+        assert np.array_equal(levels(s), np.arange(393_810))
         with pytest.raises(ValueError, match=r"B = 0\.01 T .* 3938085 .* "
                            + str(MAX_MATERIALIZED_LEVELS)):
-            build_spectrum(params20, 0.01).level_indices()
+            levels(build_spectrum(params20, 0.01))
 
     def test_landau_energy_examples(self, spectrum10_20):
         assert landau_energy(0, 1, spectrum10_20) == 0.0

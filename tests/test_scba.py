@@ -1,5 +1,9 @@
+import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -219,6 +223,46 @@ class TestLandauSolver:
         two_term = gamma0 + spectrum.hbar_omega_c ** 2 / (2.0 * gamma0)
         w_form = self_energy_dirac_point_bfield(params, spectrum)
         assert w_form.imag == pytest.approx(-two_term, rel=0.02)
+
+    def test_lambert_w_matches_scipy_and_mpmath(self):
+        # scipy's lambertw while e^A stays finite, mpmath past A ~ 709
+        from scipy.special import lambertw
+        mpmath = pytest.importorskip("mpmath")
+        for B, A in itertools.product((1.0, 10.0), (1.0, 5.0, 20.0, 700.0)):
+            params = ModelParams(disorder_A=A)
+            spectrum = build_spectrum(params, B)
+            hwc = spectrum.hbar_omega_c
+            x = (hwc / params.cutoff_Ec) ** 2 * math.exp(A)
+            got = self_energy_dirac_point_bfield(params, spectrum).imag
+            assert got == pytest.approx(-hwc / math.sqrt(lambertw(x).real),
+                                        rel=1e-14)
+        params = ModelParams(disorder_A=800.0)
+        spectrum = build_spectrum(params, 10.0)
+        hwc = spectrum.hbar_omega_c
+        with mpmath.workdps(30):
+            x = (mpmath.mpf(hwc) / params.cutoff_Ec) ** 2 * mpmath.exp(800)
+            ref = float(-hwc / mpmath.sqrt(mpmath.lambertw(x).real))
+        got = self_energy_dirac_point_bfield(params, spectrum).imag
+        assert got == pytest.approx(ref, rel=1e-14)
+
+    def test_lambert_w_needs_no_scipy(self):
+        src = str(Path(scba.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        code = ("import sys\n"
+                "sys.modules['scipy'] = None  # any scipy import fails\n"
+                "from diracvisc import (ModelParams, build_spectrum,\n"
+                "                       self_energy_dirac_point_bfield)\n"
+                "p = ModelParams(disorder_A=20.0)\n"
+                "s = build_spectrum(p, 10.0)\n"
+                "print(repr(self_energy_dirac_point_bfield(p, s).imag))")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        params = ModelParams(disorder_A=20.0)
+        expected = self_energy_dirac_point_bfield(
+            params, build_spectrum(params, 10.0)).imag
+        assert float(out.stdout) == expected
 
     def test_symmetry(self, params50, spectrum10_50):
         plus = solve_self_energy_landau(0.5, params50, spectrum10_50).sigma

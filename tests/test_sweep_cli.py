@@ -17,12 +17,11 @@ from diracvisc import (ConvergenceError, GridSpec, ModelParams, SweepSpec,
                        result_to_svg, run_sweep, shear_b0_numeric,
                        shear_bfield_numeric, solve_self_energy_b0,
                        solve_self_energy_landau)
-from diracvisc import cli, kubo_static, model, scba, sweep
+from diracvisc import cli, kubo_static, oracles, scba, sweep
 from diracvisc.cli import main
-from diracvisc.kubo_static import (_hall_sums, shear_pair_sums,
-                                   shear_pair_sums_direct)
-from diracvisc.model import MAX_MATERIALIZED_LEVELS
-from diracvisc.scba import landau_green_sum_direct
+from diracvisc.kubo_static import _hall_sums, shear_pair_sums
+from diracvisc.oracles import (MAX_MATERIALIZED_LEVELS,
+                               landau_green_sum_direct, shear_pair_sums_direct)
 from diracvisc.sweep import QUANTITIES
 from test_kubo_static import collapsed_log_sum, small_spectrum
 from test_scba import solved_z
@@ -856,8 +855,10 @@ class TestCli:
         assert out.stdout.strip() == "False"
 
     def test_runtime_loads_no_scipy(self, tmp_path):
-        # scipy is a test dependency: neither the import nor a Landau
-        # figure, a digamma-summed column or a T > 0 Fermi block loads it
+        # scipy is a test dependency and oracles holds the references:
+        # neither the import nor a Landau figure, a digamma-summed column,
+        # a T > 0 Fermi block, a field dynamic shear row, a self-energy
+        # column or a vertex check loads either
         src = str(Path(diracvisc.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p))
@@ -866,20 +867,26 @@ class TestCli:
                  "--b", "10", "--a", "50"],
                 ["sweep", "--quantity", "dynamic_hall", "--e", "0:0.2:3",
                  "--b", "10", "--omega", "0.05:0.2:2", "--a", "500",
-                 "--fixed", '{"temperature": 0.001}']]
+                 "--fixed", '{"temperature": 0.001}'],
+                ["sweep", "--quantity", "dynamic_shear", "--e", "0.1",
+                 "--b", "10", "--omega", "0.05", "--a", "20"],
+                ["sweep", "--quantity", "self_energy", "--e=-0.3:0.3:5",
+                 "--b", "10", "--a", "50"],
+                ["sweep", "--quantity", "vertex_check", "--e", "1",
+                 "--b", "10", "--a", "20"]]
         runs = [argv + ["--output", str(tmp_path / f"{i}.csv")]
                 for i, argv in enumerate(runs)]
         code = ("import json, sys\n"
                 "from diracvisc.cli import main\n"
-                "def scipy(): return [m for m in sys.modules "
-                "if m.startswith('scipy')]\n"
-                "seen = [[0, scipy()]]\n"
+                "def loaded(): return [m for m in sys.modules "
+                "if m.startswith('scipy') or m == 'diracvisc.oracles']\n"
+                "seen = [[0, loaded()]]\n"
                 f"for argv in {runs!r}:\n"
-                "    seen.append([main(argv), scipy()])\n"
+                "    seen.append([main(argv), loaded()])\n"
                 "print(json.dumps(seen))\n")
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
-        assert json.loads(out.stdout.splitlines()[-1]) == [[0, []]] * 4
+        assert json.loads(out.stdout.splitlines()[-1]) == [[0, []]] * 7
 
     def test_vertex_check_needs_no_landau_solve(self, monkeypatch, capsys):
         # the momentum check still solves the B = 0 SCBA; the Landau check
@@ -947,13 +954,25 @@ class TestCli:
                                             capsys):
         # 10 T, A = 1, E = 7.1 eV: the root lies at |a| = 1.07 N_c, past
         # the ladder's end; a 10-level cap stops any level-by-level sum
-        monkeypatch.setattr(model, "MAX_MATERIALIZED_LEVELS", 10)
+        monkeypatch.setattr(oracles, "MAX_MATERIALIZED_LEVELS", 10)
         omega = ["--omega", "0.05"] if quantity.startswith("dynamic") else []
         rc = main(["sweep", "--quantity", quantity, "--e", "7.1", "--b", "10",
                    "--a", "1", *omega])
         out, err = capsys.readouterr()
         assert rc == 0, err
         assert out.endswith(",true\n")
+
+    @pytest.mark.parametrize("quantity,omega", [
+        ("static_hall", []), ("dynamic_shear", ["--omega", "0.05"]),
+        ("dynamic_hall", ["--omega", "0.05"])])
+    def test_ladder_without_a_pair_reads_zero(self, quantity, omega, capsys):
+        # 40,000 T: N_c = 1 holds no (n, n + 2) pair, so every sum is empty
+        rc = main(["sweep", "--quantity", quantity, "--e", "0.1",
+                   "--b", "40000", "--a", "20", *omega])
+        out, err = capsys.readouterr()
+        assert rc == 0, err
+        row = out.splitlines()[-1].split(",")
+        assert float(row[4]) == 0.0 and row[-1] == "true"
 
     def test_validate_landau_scba_reinsertion(self):
         name, status, detail = next(
