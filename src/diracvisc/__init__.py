@@ -9,9 +9,11 @@ cross-validated against closed-form limits.
 __version__ = "0.1.0"
 
 from .model import (HBAR_OVER_E, XX_MINUS_YY, XY, LandauSpectrum, ModelParams,
-                    build_spectrum, effective_cyclotron, landau_energy,
-                    magnetic_length, stress_element_xx_minus_yy,
-                    stress_element_xy, stress_kspace)
+                    VertexReport, build_spectrum, effective_cyclotron,
+                    landau_energy, magnetic_length,
+                    stress_element_xx_minus_yy, stress_element_xy,
+                    stress_kspace, vertex_correction_b0,
+                    vertex_correction_landau)
 from .scba import (ConvergenceError, SelfEnergySolution, dos,
                    relaxation_time, self_energy_b0_asymptotic,
                    self_energy_dirac_point_bfield, self_energy_overlapped,
@@ -27,7 +29,6 @@ from .kubo_dynamic import (ELECTRON_ELECTRON, ELECTRON_HOLE, HOLE_HOLE,
                            shear_dynamic_b0, shear_dynamic_b0_ee_limit,
                            shear_dynamic_b0_eh_limit, shear_dynamic_bfield,
                            static_limit_check, transition_table)
-from .vertex import VertexReport, vertex_correction_b0, vertex_correction_landau
 from .sweep import (GridSpec, SweepResult, SweepRow, SweepSpec, figure_preset,
                     parse_csv_config, result_to_csv, result_to_json,
                     result_to_svg, run_sweep)

@@ -17,7 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .model import ModelParams, build_spectrum, check_in_band
+from .model import (ModelParams, build_spectrum, check_in_band,
+                    vertex_correction_b0, vertex_correction_landau)
 from .scba import (ConvergenceError, landau_green_sum, solve_self_energy_b0,
                    solve_self_energy_landau)
 from .kubo_static import (_hall_sums, hall_static_numeric, shear_b0_analytic,
@@ -27,7 +28,6 @@ from .kubo_dynamic import hall_dynamic, static_limit_check
 from .sweep import (QUANTITIES, GridSpec, SweepSpec, _json_object,
                     figure_preset, result_to_csv, result_to_json,
                     result_to_svg, run_sweep)
-from .vertex import vertex_correction_b0, vertex_correction_landau
 
 PASS, FAIL, KNOWN = "PASS", "FAIL", "KNOWN-DEVIATION"
 

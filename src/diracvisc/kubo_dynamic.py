@@ -286,9 +286,15 @@ def shear_dynamic_bfield(E: float, Omega: float, params: ModelParams,
         z = omega + 1j * broadening
     occ = _fermi(nodes, E, T) - _fermi(nodes + om, E, T)
 
-    g_lo, g_up = _g_array(z, spectrum, n_top + 2).imag
-    tot = 4.0 * ((g_up[:, :-2] * g_lo[:, 2:] + g_lo[:, :-2] * g_up[:, 2:])
-                 @ (np.arange(n_top + 1) + 1.0))
+    # the g_n rows of about _CHUNK_TERMS terms (or one node) at a time, so
+    # the memory stays bounded where n_top grows as 1/B
+    weight = np.arange(n_top + 1) + 1.0
+    step = max(_CHUNK_TERMS // (n_top + 3), 1)
+    tot = np.empty(nodes.size)
+    for i in range(0, nodes.size, step):
+        g_lo, g_up = _g_array(z[:, i:i + step], spectrum, n_top + 2).imag
+        tot[i:i + step] = 4.0 * ((g_up[:, :-2] * g_lo[:, 2:]
+                                  + g_lo[:, :-2] * g_up[:, 2:]) @ weight)
     pref = (params.degeneracy / 4.0) * hwc ** 2 / (
         8.0 * math.pi ** 2 * spectrum.l_B ** 2 * om)
     return pref * float(np.sum(wq * occ * tot))

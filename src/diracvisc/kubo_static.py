@@ -323,8 +323,8 @@ _GAP_FLOOR = 1e-15  # minimal |Im Sigma| used inside gaps to keep G retarded
 
 # most terms a Landau ladder sum over a column or block holds at once (the
 # static Hall heads here, 128 kB per complex temporary; the dynamic Hall
-# kink terms of kubo_dynamic take half as many), so memory stays bounded
-# at any field and block size
+# kink terms of kubo_dynamic take half as many, and its field shear's g_n
+# rows about as many), so memory stays bounded at any field and block size
 _CHUNK_TERMS = 1 << 13
 
 # B_2k / (2k)! and the derivative order j = 2k - 1 it multiplies, k = 2..4

@@ -18,12 +18,12 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .model import DEFAULT_CUTOFF, ModelParams, build_spectrum, check_in_band
+from .model import (DEFAULT_CUTOFF, ModelParams, build_spectrum, check_in_band,
+                    vertex_correction_b0, vertex_correction_landau)
 from .kubo_static import (hall_static_numeric, shear_b0_numeric,
                           shear_bfield_numeric)
 from .kubo_dynamic import hall_dynamic, shear_dynamic_b0, shear_dynamic_bfield
 from .scba import dos, solve_self_energy_b0, solve_self_energy_landau, ConvergenceError
-from .vertex import vertex_correction_b0, vertex_correction_landau
 
 
 # ---------------------------------------------------------------------------
@@ -99,8 +99,8 @@ def _values(values) -> list[dict]:
 def _dynamic_shear(e, spectrum, Omega, params, fixed) -> list[dict]:
     if spectrum is None:
         return _values(shear_dynamic_b0(e, Omega, params))
-    # one point per call: a point's two g_n matrices (about 2 MB at 10 T,
-    # A = 20) would add up over a block
+    # one point per call: each point sums its own ladder window, up to its
+    # own n_top
     return [{"value": shear_dynamic_bfield(E, om, params, spectrum,
                                            fixed.get("broadening"))}
             for E, om in zip(e, Omega)]
@@ -112,15 +112,12 @@ def _dynamic_hall(e, spectrum, Omega, params, fixed) -> list[dict]:
 
 
 def _vertex_check(e, spectrum, Omega, params, fixed) -> list[dict]:
-    # the Landau check depends on the spectrum only: one per (B, A) block
-    landau = ({} if spectrum is None else
-              {"ratio_landau": vertex_correction_landau(spectrum).ratio})
-    rows = []
-    for E in e:
-        ratio = vertex_correction_b0(E, params).ratio
-        rows.append({"value": ratio,
-                     "channels": {"ratio_momentum": ratio, **landau}})
-    return rows
+    # neither check depends on E: one of each per (B, A) block
+    ratio = vertex_correction_b0(e[0], params).ratio
+    channels = {"ratio_momentum": ratio}
+    if spectrum is not None:
+        channels["ratio_landau"] = vertex_correction_landau(spectrum).ratio
+    return [{"value": ratio, "channels": dict(channels)} for _ in e]
 
 
 class Quantity(NamedTuple):

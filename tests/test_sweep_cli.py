@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -317,8 +318,7 @@ class TestColumns:
     def test_failed_energy_is_the_only_row_flagged(self):
         with pytest.raises(ConvergenceError):
             solve_self_energy_b0(5.4, ModelParams(disorder_A=1.2))
-        for quantity in ("self_energy", "dos", "static_shear",
-                         "vertex_check"):
+        for quantity in ("self_energy", "dos", "static_shear"):
             spec = SweepSpec(quantity=quantity, **DIVERGING)
             rows = run_sweep(spec).rows
             assert rows[2].E == 5.4 and math.isnan(rows[2].value)
@@ -326,6 +326,10 @@ class TestColumns:
             for r in rows[:2]:
                 one = run_sweep(replace(spec, e_grid=GridSpec(r.E, r.E, 1)))
                 assert one.rows == [r]
+        # the vertex check solves no SCBA, so its column has no failure
+        rows = run_sweep(SweepSpec(quantity="vertex_check", **DIVERGING)).rows
+        assert [r.converged for r in rows] == [True, True, True]
+        assert all(r.value <= 1e-8 for r in rows)
 
 
 class TestDynamicBlocks:
@@ -889,12 +893,13 @@ class TestCli:
         assert json.loads(out.stdout.splitlines()[-1]) == [[0, []]] * 7
 
     def test_vertex_check_needs_no_landau_solve(self, monkeypatch, capsys):
-        # the momentum check still solves the B = 0 SCBA; the Landau check
-        # must not call the Landau SCBA map at all
+        # neither check solves an SCBA: the Landau check must not call the
+        # Landau SCBA map, and no solve of either kind may run the core
         def no_solve(*args):
-            raise ConvergenceError("no Landau SCBA solve expected", 1.0, 0, 0j)
+            raise ConvergenceError("no SCBA solve expected", 1.0, 0, 0j)
 
         monkeypatch.setattr(scba, "landau_green_sum", no_solve)
+        monkeypatch.setattr(scba, "_iterate", no_solve)
         assert main(["vertex-check", "--B", "10"]) == 0
         assert "landau basis" in capsys.readouterr().out
 
@@ -961,6 +966,27 @@ class TestCli:
         out, err = capsys.readouterr()
         assert rc == 0, err
         assert out.endswith(",true\n")
+
+    @pytest.mark.parametrize("quantity", list(QUANTITIES))
+    def test_low_field_row_peaks_below_half_a_ladder(self, quantity):
+        # 0.01 T: N_c = 3,938,085 levels. One float64 array over the ladder
+        # takes 8 N_c bytes; a row that holds no ladder peaks below half
+        # of that (tracemalloc counts numpy's buffers)
+        params = ModelParams(disorder_A=20.0)
+        n_c = build_spectrum(params, 0.01).n_cutoff
+        dynamic = QUANTITIES[quantity].dynamic
+        spec = SweepSpec(quantity=quantity, e_grid=GridSpec(0.1, 0.1, 1),
+                         b_grid=GridSpec(0.01, 0.01, 1),
+                         omega_grid=GridSpec(0.01, 0.01, 1) if dynamic else None,
+                         a_values=(20.0,))
+        tracemalloc.start()
+        try:
+            rows = run_sweep(spec).rows
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [r.converged for r in rows] == [True]
+        assert peak < 4 * n_c
 
     @pytest.mark.parametrize("quantity,omega", [
         ("static_hall", []), ("dynamic_shear", ["--omega", "0.05"]),

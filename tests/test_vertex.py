@@ -1,4 +1,8 @@
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diracvisc import (ConvergenceError, ModelParams, build_spectrum, scba,
                        vertex_correction_b0, vertex_correction_landau)
@@ -30,6 +34,24 @@ class TestMomentumBasis:
             for E in (0.2, 0.3, 1.0, 1.8, 2.0):
                 rep = vertex_correction_b0(E, ModelParams(disorder_A=A))
                 assert rep.ratio <= 1e-8
+
+    @settings(max_examples=200, deadline=None)
+    @given(E=st.floats(-7.2, 7.2, exclude_min=True, exclude_max=True),
+           A=st.floats(math.log(0.3), math.log(2000.0)).map(math.exp),
+           nodes=st.integers(8, 256))
+    def test_rounding_zero_anywhere_in_the_band(self, E, A, nodes):
+        # strong disorder too, where the B = 0 SCBA root is hard to find:
+        # the check needs none
+        rep = vertex_correction_b0(E, ModelParams(disorder_A=A),
+                                   angular_nodes=nodes)
+        assert rep.ratio <= 1e-14
+
+    def test_makes_no_scba_solve(self, params20, monkeypatch):
+        def no_solve(*args):
+            raise ConvergenceError("no SCBA solve expected", 1.0, 0, 0j)
+
+        monkeypatch.setattr(scba, "_iterate", no_solve)
+        assert vertex_correction_b0(5.4, params20).ratio <= 1e-14
 
 
 class TestLandauBasis:
