@@ -123,11 +123,12 @@ def _cmd_solve_sigma(args) -> int:
 def _cmd_vertex_check(args) -> int:
     params = ModelParams(disorder_A=args.A)
     check_in_band(args.E, params.cutoff_Ec)
+    # a bad field is refused before any line is printed
+    spectrum = build_spectrum(params, args.B) if args.B else None
     rep = vertex_correction_b0(args.E, params)
     print(f"momentum basis: |bare| = {rep.norm_bare:.6e} eV, "
           f"|correction| = {rep.norm_correction:.3e} eV, ratio = {rep.ratio:.3e}")
-    if args.B:
-        spectrum = build_spectrum(params, args.B)
+    if spectrum is not None:
         rep_l = vertex_correction_landau(spectrum)
         print(f"landau basis:   |bare| = {rep_l.norm_bare:.6e} eV, "
               f"|correction| = {rep_l.norm_correction:.3e} eV, "

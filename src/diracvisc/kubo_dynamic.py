@@ -8,9 +8,10 @@ T > 0 both windows widen by 8 k_B T on each side and carry the Fermi
 factors f(omega) - f(omega + Omega). The dynamic Hall kink sum runs over
 the level pairs within 40 k_B T of its Fermi window at every T.
 
-shear_dynamic_b0 and hall_dynamic take a block of (E, Omega) points (two
-arrays of one shape) in one call, in chunks of bounded memory, and reduce
-each point on its own; shear_dynamic_bfield takes one point per call.
+shear_dynamic_b0, shear_dynamic_bfield and hall_dynamic take a block of
+(E, Omega) points (two arrays of one shape) in one call, in chunks of
+bounded memory, and reduce each point on its own; each point of the field
+shear keeps its own ladder window.
 """
 from __future__ import annotations
 
@@ -40,6 +41,12 @@ _FERMI_REACH = 40.0  # _fermi reads exactly 1.0 at 40, below 4.3e-18 at -40
 # takes: each node holds about 0.5 kB of temporaries (it is solved at omega
 # and omega + Omega), so a chunk stays near 1 MB
 _CHUNK_NODES = 1 << 11
+# most window nodes one Landau SCBA call of a field block takes when it holds
+# more than one point. scba._psi then holds 8 complex values per node, below
+# the 256 KiB from which numpy computes an operator on a temporary in place
+# (temporary elision), where complex products round differently: so no root
+# depends on the rest of its batch
+_FIELD_CHUNK_NODES = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -235,38 +242,20 @@ def shear_dynamic_b0_ee_limit(E: float, Omega: float,
 # B != 0 transition sums
 # ---------------------------------------------------------------------------
 
-def shear_dynamic_bfield(E: float, Omega: float, params: ModelParams,
-                         spectrum: LandauSpectrum,
-                         broadening: float | None = None) -> float:
-    """Dynamic shear viscosity in a field (|dn| = 2 transition sums).
+def _bfield_window(E: float, om: float, T: float, spectrum: LandauSpectrum,
+                   gam: float):
+    """The nodes, weights and n_top of one field dynamic shear point.
 
-    broadening=None solves the SCBA self-energy at every node omega and
-    omega + Omega in one call; a float uses constant-width Lorentzian
-    levels (clean-limit studies). Even in Omega. As
-    sum_s 1/(z - s sqrt(n) hbar w_c) = 2 g_n(z) for every n, the four
-    (s, s') level chains factor: a node carries 4 sum_n (n + 1)
-    [Im g_n(z_up) Im g_{n+2}(z_lo) + Im g_n(z_lo) Im g_{n+2}(z_up)], z_lo at
-    omega and z_up at omega + Omega, over the pairs with a level inside
-    level_window (the window reach plus max(100 gamma, 8 hbar w_c)). With
-    the SCBA self-energy the far terms fall off only like 1/n, so the
-    dropped tail is not small: at 10 T, A = 20, Omega = 3e-4 the result lies
-    5.5% (E = 0.1 eV) and 14.5% (E = 0) below the static shear, where the
-    whole ladder comes within 2.3e-6 and 3.7e-5.
+    The window [E - om - 8 k_B T, E + 8 k_B T] is cut at the levels
+    +-sqrt(m) hbar w_c, m <= n_top + 2, near the window, shifted by 0 or
+    -om and by 0 or +-4 gam; breakpoints closer than a quarter width are
+    clustered (panel count control). The pairs n <= n_top have a level
+    inside level_window, the window reach plus max(100 gam, 8 hbar w_c).
     """
-    if Omega == 0:
-        raise ValueError("Omega must be nonzero")
-    om = abs(Omega)
-    T = params.temperature
     lo, hi = E - om - 8.0 * T, E + 8.0 * T
     hwc = spectrum.hbar_omega_c
-    gam = (level_width(params, spectrum) if broadening is None
-           else _check_broadening(broadening))
     level_window = max(abs(lo), abs(hi)) + om + max(100.0 * gam, 8.0 * hwc)
     n_top = min(int((level_window / hwc) ** 2), spectrum.n_cutoff - 2)
-
-    # breakpoints at the levels +-sqrt(m) hbar w_c, m <= n_top + 2, near the
-    # window, shifted by 0 or -Omega and by 0 or +-4 gamma; clustered closer
-    # than a quarter width (panel count control)
     lev = hwc * np.sqrt(np.arange(n_top + 3))
     lev = np.concatenate((lev, -lev))
     lev = lev[(lev > lo - om - 8 * gam) & (lev < hi + om + 8 * gam)]
@@ -276,28 +265,73 @@ def shear_dynamic_bfield(E: float, Omega: float, params: ModelParams,
     for b in np.unique(bks[(lo < bks) & (bks < hi)]).tolist():
         if not merged or b - merged[-1] > 0.25 * gam:
             merged.append(b)
-    nodes, wq = _gauss_panels(lo, hi, merged, _BFIELD_RULE)
+    return (*_gauss_panels(lo, hi, merged, _BFIELD_RULE), n_top)
 
-    omega = np.stack((nodes, nodes + om))   # the rows of z_lo and z_up
-    if broadening is None:
-        z = omega - solve_self_energy_landau(omega.ravel(), params,
-                                             spectrum).sigma.reshape(2, -1)
-    else:
-        z = omega + 1j * broadening
-    occ = _fermi(nodes, E, T) - _fermi(nodes + om, E, T)
 
-    # the g_n rows of about _CHUNK_TERMS terms (or one node) at a time, so
-    # the memory stays bounded where n_top grows as 1/B
-    weight = np.arange(n_top + 1) + 1.0
-    step = max(_CHUNK_TERMS // (n_top + 3), 1)
-    tot = np.empty(nodes.size)
-    for i in range(0, nodes.size, step):
-        g_lo, g_up = _g_array(z[:, i:i + step], spectrum, n_top + 2).imag
-        tot[i:i + step] = 4.0 * ((g_up[:, :-2] * g_lo[:, 2:]
-                                  + g_lo[:, :-2] * g_up[:, 2:]) @ weight)
-    pref = (params.degeneracy / 4.0) * hwc ** 2 / (
-        8.0 * math.pi ** 2 * spectrum.l_B ** 2 * om)
-    return pref * float(np.sum(wq * occ * tot))
+def shear_dynamic_bfield(E, Omega, params: ModelParams,
+                         spectrum: LandauSpectrum,
+                         broadening: float | None = None):
+    """Dynamic shear viscosity in a field (|dn| = 2 transition sums).
+
+    broadening=None solves the SCBA self-energy at every node omega and
+    omega + Omega; a float uses constant-width Lorentzian levels
+    (clean-limit studies). Even in Omega. As
+    sum_s 1/(z - s sqrt(n) hbar w_c) = 2 g_n(z) for every n, the four
+    (s, s') level chains factor: a node carries 4 sum_n (n + 1)
+    [Im g_n(z_up) Im g_{n+2}(z_lo) + Im g_n(z_lo) Im g_{n+2}(z_up)], z_lo at
+    omega and z_up at omega + Omega, over the pairs with a level inside
+    level_window (_bfield_window). With the SCBA self-energy the far terms
+    fall off only like 1/n, so the dropped tail is not small: at 10 T,
+    A = 20, Omega = 3e-4 the result lies 5.5% (E = 0.1 eV) and 14.5%
+    (E = 0) below the static shear, where the whole ladder comes within
+    2.3e-6 and 3.7e-5.
+
+    E and Omega are floats, or arrays of one shape whose values come back
+    in that shape. Each point keeps its own window, panels and n_top. The
+    nodes of a block's points are solved in one SCBA call per chunk of
+    whole points of at most _FIELD_CHUNK_NODES nodes (or one point), where
+    no element's Newton path depends on the rest of its batch, and each
+    point sums its own g_n rows, so a block equals its per-point calls to
+    the bit.
+    """
+    e, om, shape = _points(E, Omega)
+    T = params.temperature
+    hwc = spectrum.hbar_omega_c
+    gam = (level_width(params, spectrum) if broadening is None
+           else _check_broadening(broadening))
+    windows = [_bfield_window(Ei, oi, T, spectrum, gam)
+               for Ei, oi in zip(e.tolist(), om.tolist())]
+    per_point = np.array([nodes.size for nodes, _, _ in windows])
+    out = np.empty(e.size)
+    for part in _budget_slices(per_point, _FIELD_CHUNK_NODES):
+        lower = np.concatenate([w[0] for w in windows[part]])
+        # the rows of z_lo and z_up
+        omega = np.stack((lower, lower + np.repeat(om[part], per_point[part])))
+        if broadening is None:
+            z = omega - solve_self_energy_landau(
+                omega.ravel(), params, spectrum).sigma.reshape(2, -1)
+        else:
+            z = omega + 1j * broadening
+        first = 0
+        for i, (nodes, wq, n_top) in enumerate(windows[part], part.start):
+            zi = z[:, first:first + nodes.size]
+            first += nodes.size
+            occ = _fermi(nodes, e[i], T) - _fermi(nodes + om[i], e[i], T)
+            # the g_n rows of about _CHUNK_TERMS terms (or one node) at a
+            # time, so the memory stays bounded where n_top grows as 1/B
+            weight = np.arange(n_top + 1) + 1.0
+            step = max(_CHUNK_TERMS // (n_top + 3), 1)
+            tot = np.empty(nodes.size)
+            for j in range(0, nodes.size, step):
+                g_lo, g_up = _g_array(zi[:, j:j + step], spectrum,
+                                      n_top + 2).imag
+                tot[j:j + step] = 4.0 * ((g_up[:, :-2] * g_lo[:, 2:]
+                                          + g_lo[:, :-2] * g_up[:, 2:])
+                                         @ weight)
+            pref = (params.degeneracy / 4.0) * hwc ** 2 / (
+                8.0 * math.pi ** 2 * spectrum.l_B ** 2 * om[i])
+            out[i] = pref * np.sum(wq * occ * tot)
+    return _shaped(out, shape)
 
 
 def _hall_chains(n: np.ndarray, hwc: float):

@@ -48,8 +48,8 @@ class ModelParams:
 
 def magnetic_length(b_field: float) -> float:
     """l_B = sqrt(hbar / e B) in nm."""
-    if b_field <= 0:
-        raise ValueError(f"b_field must be positive, got {b_field}")
+    if not 0.0 < b_field < math.inf:
+        raise ValueError(f"b_field must be positive and finite, got {b_field}")
     return math.sqrt(HBAR_OVER_E / b_field) * 1e9
 
 

@@ -149,14 +149,16 @@ def _psi(x):
     poles summed in pairs, and psi(y + 10) by its asymptotic series through
     B_14, whose first dropped term is below 1e-16 for |y + 10| >= 10.5. The
     pairs are subtracted from ln(y + 10) before the small terms, so near
-    the roots at -0.504 and 1.462 the error stays below 1e-15.
+    the roots at -0.504 and 1.462 the error stays below 1e-15. Only the
+    reflected elements take the cot term, and a column without one skips
+    it.
     """
-    x = np.asarray(x, dtype=complex)
+    shape = np.shape(x)
+    x = np.asarray(x, dtype=complex).reshape(-1)
     flip = x.real < 0.5
     y = np.where(flip, 1.0 - x, x)
     w = y + 10.0
     yy = y * (y + 9.0)
-    pairs = (2.0 * y + 9.0)[..., None] / (yy[..., None] + _PSI_PAIRS)
     u = 1.0 / (w * w)
     series = _PSI_SERIES[0] * u
     for c in _PSI_SERIES[1:]:
@@ -164,15 +166,20 @@ def _psi(x):
         series *= u
     # ln(y + 10) minus the pairs, largest first: each rounding falls on a
     # smaller running value
-    big = np.concatenate((np.log(w)[..., None], pairs), axis=-1)
-    out = np.subtract.reduce(big, axis=-1) - (0.5 / w + series)
-    twice = np.rint(2.0 * x.real)
-    t = np.tan(np.pi * (x - 0.5 * twice))
-    # at a pole, and within ~1e-308 of one where psi passes the float
-    # range, 1/t is inf + nan j, and psi comes out nan
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        cot = np.where(twice % 2.0 == 0.0, 1.0 / t, -t)
-        return np.where(flip, out - np.pi * cot, out)
+    big = np.empty((1 + _PSI_PAIRS.size, x.size), dtype=complex)
+    np.log(w, out=big[0])
+    np.divide(2.0 * y + 9.0, yy + _PSI_PAIRS[:, None], out=big[1:])
+    out = np.subtract.reduce(big, axis=0) - (0.5 / w + series)
+    if flip.any():
+        xf = x[flip]
+        twice = np.rint(2.0 * xf.real)
+        t = np.tan(np.pi * (xf - 0.5 * twice))
+        # at a pole, and within ~1e-308 of one where psi passes the float
+        # range, 1/t is inf + nan j, and psi comes out nan
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            cot = np.where(twice % 2.0 == 0.0, 1.0 / t, -t)
+            out[flip] -= np.pi * cot
+    return out.reshape(shape)
 
 
 def pole_sum(c, lo: int, hi: int):
@@ -184,7 +191,9 @@ def pole_sum(c, lo: int, hi: int):
     since the arguments differ by an integer, and cancel exactly.
     """
     x = np.array((lo - c, hi + 1 - c))
-    x = np.where(np.real(c) > hi + 0.5, 1.0 - x, x)
+    past = np.real(c) > hi + 0.5
+    if np.any(past):
+        x = np.where(past, 1.0 - x, x)
     lo_psi, hi_psi = _psi(x)
     return lo_psi - hi_psi
 
@@ -201,13 +210,15 @@ def ladder_sums(z, spectrum: LandauSpectrum, closed, reach: float = math.inf):
     """
     x = np.asarray(z, dtype=complex).reshape(-1)
     a = x * x / spectrum.hbar_omega_c ** 2
-    far = np.abs(a) > reach * spectrum.n_cutoff
-    if far.any():
-        end = math.sqrt(reach * spectrum.n_cutoff) * spectrum.hbar_omega_c
-        raise ValueError(
-            f"|E - Sigma| = {np.abs(x[far]).max():.4g} eV lies past "
-            f"sqrt({reach:g} N_c) hbar w_c = {end:.4g} eV, about "
-            f"sqrt({reach:g}) E_c, where the closed Landau sums lose digits")
+    if reach < math.inf:    # an infinite reach, the SCBA sum's, refuses none
+        far = np.abs(a) > reach * spectrum.n_cutoff
+        if far.any():
+            end = math.sqrt(reach * spectrum.n_cutoff) * spectrum.hbar_omega_c
+            raise ValueError(
+                f"|E - Sigma| = {np.abs(x[far]).max():.4g} eV lies past "
+                f"sqrt({reach:g} N_c) hbar w_c = {end:.4g} eV, about "
+                f"sqrt({reach:g}) E_c, where the closed Landau sums lose "
+                "digits")
     out = np.asarray(closed(x, a))
     if np.ndim(z) == 0:
         out = out[..., 0][()]

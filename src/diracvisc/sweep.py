@@ -99,11 +99,8 @@ def _values(values) -> list[dict]:
 def _dynamic_shear(e, spectrum, Omega, params, fixed) -> list[dict]:
     if spectrum is None:
         return _values(shear_dynamic_b0(e, Omega, params))
-    # one point per call: each point sums its own ladder window, up to its
-    # own n_top
-    return [{"value": shear_dynamic_bfield(E, om, params, spectrum,
-                                           fixed.get("broadening"))}
-            for E, om in zip(e, Omega)]
+    return _values(shear_dynamic_bfield(e, Omega, params, spectrum,
+                                        fixed.get("broadening")))
 
 
 def _dynamic_hall(e, spectrum, Omega, params, fixed) -> list[dict]:
@@ -293,7 +290,8 @@ def _eval_point(spec: SweepSpec, e: np.ndarray, B: float | None,
     their order; Omega is None for a static quantity. The block is
     evaluated in one call. When that call raises ConvergenceError, each
     point of the block is evaluated on its own, so only the points that
-    fail are flagged."""
+    fail are flagged: they read nan. A row whose value is not finite (an
+    overflow, say) is flagged too."""
     params = _make_params(A, spec.fixed)
     spectrum = build_spectrum(params, B) if B else None
     evaluate = QUANTITIES[spec.quantity].evaluate
@@ -306,9 +304,10 @@ def _eval_point(spec: SweepSpec, e: np.ndarray, B: float | None,
             try:
                 fields += evaluate(e[i:i + 1], spectrum, om, params, spec.fixed)
             except ConvergenceError:
-                fields.append({"value": math.nan, "converged": False})
+                fields.append({"value": math.nan})
     omegas = [None] * e.size if Omega is None else Omega.tolist()
-    return [SweepRow(E, B, O, A, **f) for E, O, f in zip(e, omegas, fields)]
+    return [SweepRow(E, B, O, A, converged=math.isfinite(f["value"]), **f)
+            for E, O, f in zip(e, omegas, fields)]
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:

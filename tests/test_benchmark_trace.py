@@ -6,8 +6,9 @@ calls the next (sweep._eval_point, kubo_static.solve_self_energy_landau,
 no call or an SCBA solve runs outside a traced span. A refactor that moves
 a solve off those call sites breaks the benchmark; this test makes it
 break the suite too. It also pins the traced call counts of the dynamic
-quantities: one hall_dynamic and one B = 0 shear_dynamic_b0 call per
-(B, A) block of a sweep, so a relapse to per-point calls fails here. perfbench/ is only read: its tracer and workload
+quantities: one hall_dynamic, one B = 0 shear_dynamic_b0 and one field
+shear_dynamic_bfield call per (B, A) block of a sweep, so a relapse to
+per-point calls fails here. perfbench/ is only read: its tracer and workload
 modules are loaded from their files, and one traced pass of each
 workload's seed-0 sweeps runs in a temporary directory.
 """
@@ -65,5 +66,10 @@ def test_traced_pass_meets_the_contract(workload, tmp_path, capsys):
     assert metrics["kubo_dynamic.shear_b0.calls"] == sum(
         blocks(c) for c in configs
         if c["quantity"] == "dynamic_shear" and c["B"] is None)
+    assert metrics["kubo_dynamic.shear_bfield.calls"] == sum(
+        blocks(c) for c in configs
+        if c["quantity"] == "dynamic_shear" and c["B"] is not None)
     if workload == "landau_10T":  # fig5's 348 points, 4 E x 87 Omega
         assert metrics["kubo_dynamic.hall.calls"] == 1
+    if workload == "landau_window":  # 3 points in 2 blocks
+        assert metrics["kubo_dynamic.shear_bfield.calls"] == 2

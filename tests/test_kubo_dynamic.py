@@ -19,7 +19,8 @@ from diracvisc import kubo_dynamic, oracles
 from diracvisc.kubo_dynamic import _fermi
 from diracvisc.kubo_static import _k_kernel
 from diracvisc.oracles import counterpart_pair_sum, levels, pair_energies
-from diracvisc.scba import solve_self_energy_b0, solve_self_energy_landau
+from diracvisc.scba import (level_width, solve_self_energy_b0,
+                            solve_self_energy_landau)
 
 
 def hall_dynamic_full_ladder(E, Omega, params, spectrum, broadening,
@@ -453,6 +454,72 @@ class TestShearDynamicBfieldChains:
             ref = shear_dynamic_bfield_four_chains(E, Omega, params, spectrum,
                                                    gamma)
             assert v == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+class TestShearDynamicBfieldBlock:
+    """A field shear block against its one-point calls."""
+
+    @staticmethod
+    def node_counts(E, Omega, params, spectrum):
+        gam = level_width(params, spectrum)
+        return np.array([kubo_dynamic._bfield_window(
+            e, abs(om), params.temperature, spectrum, gam)[0].size
+            for e, om in zip(np.ravel(E).tolist(), np.ravel(Omega).tolist())])
+
+    GRID_10T = ([0.05, 0.1, -0.13, 0.0], [0.02, -0.1, 0.3])
+
+    # chunk None: the module's chunk size. The 1 T block holds 2,048 nodes,
+    # 192 to 896 per point, whose solve in one call would differ from the
+    # one-point solves in the last bits (numpy's temporary elision)
+    @pytest.mark.parametrize("B,A,T,grid,chunk", [
+        (10.0, 20.0, 0.0, GRID_10T, 200), (10.0, 500.0, 1e-3, GRID_10T, 300),
+        (1.0, 50.0, 1e-3, ([0.05, 0.1], [0.02, -0.1]), None)])
+    def test_block_equals_point_calls(self, B, A, T, grid, chunk,
+                                      monkeypatch):
+        params = ModelParams(disorder_A=A, temperature=T)
+        spectrum = build_spectrum(params, B)
+        E, Omega = np.meshgrid(*grid, indexing="ij")
+        if chunk is not None:
+            monkeypatch.setattr(kubo_dynamic, "_FIELD_CHUNK_NODES", chunk)
+        nodes = self.node_counts(E, Omega, params, spectrum)
+        parts = kubo_dynamic._budget_slices(nodes,
+                                            kubo_dynamic._FIELD_CHUNK_NODES)
+        assert len(parts) >= 3
+        sizes = []
+        solve = kubo_dynamic.solve_self_energy_landau
+        monkeypatch.setattr(kubo_dynamic, "solve_self_energy_landau",
+                            lambda e, *args, **kwargs: sizes.append(e.size)
+                            or solve(e, *args, **kwargs))
+        block = shear_dynamic_bfield(E, Omega, params, spectrum)
+        # one solve per chunk, of its nodes at omega and omega + |Omega|
+        assert sizes == [2 * nodes[part].sum() for part in parts]
+        monkeypatch.undo()
+        points = np.array([shear_dynamic_bfield(e, om, params, spectrum)
+                           for e, om in zip(E.ravel(), Omega.ravel())])
+        assert block.shape == E.shape
+        assert block.tobytes() == points.reshape(E.shape).tobytes()
+
+    def test_constant_broadening_solves_nothing(self, params500,
+                                                spectrum10_500, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("no SCBA solve expected")
+
+        gamma = spectrum10_500.hbar_omega_c / 50.0
+        E, Omega = np.array([0.05, 0.13]), np.array([0.1, -0.2])
+        points = [shear_dynamic_bfield(e, om, params500, spectrum10_500,
+                                       gamma) for e, om in zip(E, Omega)]
+        monkeypatch.setattr(kubo_dynamic, "solve_self_energy_landau",
+                            no_solve)
+        block = shear_dynamic_bfield(E, Omega, params500, spectrum10_500,
+                                     gamma)
+        assert block.tobytes() == np.array(points).tobytes()
+
+    def test_scalar_call_returns_a_float(self, params500, spectrum10_500):
+        v = shear_dynamic_bfield(0.05, 0.1, params500, spectrum10_500)
+        assert type(v) is float
+        with pytest.raises(ValueError):
+            shear_dynamic_bfield([0.05, 0.1], [0.1, 0.0], params500,
+                                 spectrum10_500)
 
 
 class TestHallDynamic:

@@ -38,6 +38,11 @@ class TestMagneticLength:
         with pytest.raises(ValueError):
             magnetic_length(-1.0)
 
+    @pytest.mark.parametrize("b_field", [math.nan, math.inf, -math.inf])
+    def test_non_finite_field_rejected(self, b_field):
+        with pytest.raises(ValueError, match="positive and finite"):
+            magnetic_length(b_field)
+
 
 class TestSpectrum:
     def test_cyclotron_energy(self, params20, spectrum10_20):

@@ -434,6 +434,30 @@ class TestPsi:
             cot = complex(mpmath.pi * mpmath.cos(pi_r) / mpmath.sin(pi_r))
         assert abs(p_flip - p - cot) <= 1e-14 * (size + abs(cot))
 
+    def test_mixed_column_equals_its_one_element_calls(self, spectrum10_20):
+        # only the reflected elements take the cot term: a column mixing
+        # reflected, unreflected and pole elements gives each one the value
+        # of its own call, bit for bit
+        poles = [0.0, -1.0, -2.0]
+        special = np.array(poles + [0.5, -0.5, -3.5 + 1e-9j, -0.504, 1.4616,
+                                    2.5 - 3j, -7.25 + 0.1j, 40.0 + 2j])
+        # the stacked pole_sum arguments (lo - a, hi + 1 - a) of a 10 T ladder
+        z = np.array([0.05 - 0.004j, -0.13 - 0.01j, 0.21 - 0.02j])
+        a = z * z / spectrum10_20.hbar_omega_c ** 2
+        stacked = np.array((-a, spectrum10_20.n_cutoff + 1 - a))
+        column = np.concatenate((special, stacked.ravel()))
+        assert (column.real < 0.5).any() and (column.real >= 0.5).any()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = scba._psi(column)
+            ones = np.array([scba._psi(x) for x in column])
+            rows = scba._psi(stacked)
+        assert got.tobytes() == ones.tobytes()
+        assert rows.shape == stacked.shape
+        assert rows.tobytes() == got[special.size:].tobytes()
+        assert np.isnan(got[:3].real).all() and np.isnan(got[:3].imag).all()
+        assert np.isfinite(got[3:]).all()
+
     def test_poles_are_nan_without_a_warning(self):
         poles = -np.arange(6.0) + 0j
         with warnings.catch_warnings():

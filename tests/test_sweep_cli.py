@@ -360,13 +360,12 @@ class TestDynamicBlocks:
         got = np.array([r.value for r in rows])
         assert got.tobytes() == np.array(want).tobytes()
 
-    # calls: a block evaluator fails once on the whole block of 12 points
-    # and then takes them one by one; the field shear takes one point per
-    # call, so its block fails at the 6th point before the 12 retries
+    # calls: each block evaluator fails once on the whole block of 12
+    # points and then takes them one by one
     @pytest.mark.parametrize("quantity,name,B,calls", [
         ("dynamic_hall", "hall_dynamic", 10.0, 1 + 12),
         ("dynamic_shear", "shear_dynamic_b0", None, 1 + 12),
-        ("dynamic_shear", "shear_dynamic_bfield", 10.0, 6 + 12)])
+        ("dynamic_shear", "shear_dynamic_bfield", 10.0, 1 + 12)])
     def test_failed_point_is_the_only_row_flagged(self, quantity, name, B,
                                                   calls, monkeypatch):
         spec = SweepSpec(quantity=quantity, e_grid=GridSpec(0.0, 0.2, 3),
@@ -903,6 +902,37 @@ class TestCli:
         assert main(["vertex-check", "--B", "10"]) == 0
         assert "landau basis" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("args", [
+        ["solve-sigma", "--E", "0.1", "--A", "20", "--B", "nan"],
+        ["solve-sigma", "--E", "0.1", "--A", "20", "--B", "inf"],
+        ["vertex-check", "--E", "0.1", "--B", "-1"],
+        ["vertex-check", "--E", "0.1", "--B", "nan"],
+        ["vertex-check", "--E", "0.1", "--B", "inf"]])
+    def test_bad_field_is_usage_error(self, args, capsys):
+        # solve-sigma once said "cannot convert float NaN to integer" or
+        # exited 1 on a division by zero; vertex-check printed its momentum
+        # line before it failed
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert ("usage error: b_field must be positive and finite"
+                in captured.err)
+        assert captured.out == ""
+
+    def test_overflowing_row_is_not_converged(self):
+        # past about 1e155 T (hbar w_c)^4 overflows in the pair sums: the row
+        # reads nan and is flagged, not marked converged. A subprocess, as
+        # the overflow warns and the suite turns RuntimeWarning into errors
+        src = str(Path(diracvisc.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        out = subprocess.run(
+            [sys.executable, "-m", "diracvisc.cli", "sweep", "--quantity",
+             "static_shear", "--e", "0.1", "--b", "1e160", "--a", "20"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        row = out.stdout.splitlines()[-1].split(",")
+        assert math.isnan(float(row[4])) and row[-1] == "false"
+
     def test_parser_is_built_once(self, monkeypatch):
         built = []
         init = argparse.ArgumentParser.__init__
@@ -986,6 +1016,23 @@ class TestCli:
         finally:
             tracemalloc.stop()
         assert [r.converged for r in rows] == [True]
+        assert peak < 4 * n_c
+
+    def test_low_field_dynamic_shear_block_peaks_below_half_a_ladder(self):
+        # the field shear solves a block's nodes in chunks of whole points;
+        # one SCBA call on all 8 points peaked at 37 MB, above the bound
+        n_c = build_spectrum(ModelParams(disorder_A=20.0), 0.01).n_cutoff
+        spec = SweepSpec(quantity="dynamic_shear",
+                         e_grid=GridSpec(0.04, 0.1, 4),
+                         b_grid=GridSpec(0.01, 0.01, 1),
+                         omega_grid=GridSpec(0.01, 0.02, 2), a_values=(20.0,))
+        tracemalloc.start()
+        try:
+            rows = run_sweep(spec).rows
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [r.converged for r in rows] == [True] * 8
         assert peak < 4 * n_c
 
     @pytest.mark.parametrize("quantity,omega", [
