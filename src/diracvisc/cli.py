@@ -341,10 +341,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConvergenceError as exc:
-        print(f"compute error: {exc}", file=sys.stderr)
-        return 1
-    except (ArithmeticError, np.linalg.LinAlgError) as exc:
+    except (ConvergenceError, ArithmeticError) as exc:
         print(f"compute error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -37,16 +37,10 @@ _B0_RULE = np.polynomial.legendre.leggauss(24)
 _BFIELD_RULE = np.polynomial.legendre.leggauss(16)
 # reach of the dynamic Hall sum past its Fermi window, in k_B T
 _FERMI_REACH = 40.0  # _fermi reads exactly 1.0 at 40, below 4.3e-18 at -40
-# most window nodes one SCBA solve and _k_kernel call of a B = 0 block
-# takes: each node holds about 0.5 kB of temporaries (it is solved at omega
-# and omega + Omega), so a chunk stays near 1 MB
+# most window nodes one SCBA solve (and at B = 0 one _k_kernel call) of a
+# dynamic-shear block takes: each node holds about 0.5 kB of temporaries
+# (it is solved at omega and omega + Omega), so a chunk stays near 1 MB
 _CHUNK_NODES = 1 << 11
-# most window nodes one Landau SCBA call of a field block takes when it holds
-# more than one point. scba._psi then holds 8 complex values per node, below
-# the 256 KiB from which numpy computes an operator on a temporary in place
-# (temporary elision), where complex products round differently: so no root
-# depends on the rest of its batch
-_FIELD_CHUNK_NODES = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -289,10 +283,9 @@ def shear_dynamic_bfield(E, Omega, params: ModelParams,
     E and Omega are floats, or arrays of one shape whose values come back
     in that shape. Each point keeps its own window, panels and n_top. The
     nodes of a block's points are solved in one SCBA call per chunk of
-    whole points of at most _FIELD_CHUNK_NODES nodes (or one point), where
-    no element's Newton path depends on the rest of its batch, and each
-    point sums its own g_n rows, so a block equals its per-point calls to
-    the bit.
+    whole points of at most _CHUNK_NODES nodes (or one point), for memory
+    only, and each point sums its own g_n rows, so a block equals its
+    per-point calls to the bit.
     """
     e, om, shape = _points(E, Omega)
     T = params.temperature
@@ -303,7 +296,7 @@ def shear_dynamic_bfield(E, Omega, params: ModelParams,
                for Ei, oi in zip(e.tolist(), om.tolist())]
     per_point = np.array([nodes.size for nodes, _, _ in windows])
     out = np.empty(e.size)
-    for part in _budget_slices(per_point, _FIELD_CHUNK_NODES):
+    for part in _budget_slices(per_point, _CHUNK_NODES):
         lower = np.concatenate([w[0] for w in windows[part]])
         # the rows of z_lo and z_up
         omega = np.stack((lower, lower + np.repeat(om[part], per_point[part])))

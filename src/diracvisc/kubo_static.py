@@ -55,8 +55,9 @@ def _t_integral(z1, z2, T):
     out = np.empty(a.shape, dtype=complex)
     far = np.abs(a - b) > 1e-8 * (np.abs(a) + np.abs(b))
     af, bf = a[far], b[far]
-    out[far] = (af * (np.log(af) - np.log(af - T))
-                - bf * (np.log(bf) - np.log(bf - T))) / (bf - af)
+    # np.multiply keeps the operand order at any size (see scba._psi)
+    out[far] = (np.multiply(af, np.log(af) - np.log(af - T))
+                - np.multiply(bf, np.log(bf) - np.log(bf - T))) / (bf - af)
     m = 0.5 * (a[~far] + b[~far])
     out[~far] = m / (m - T) - 1.0 + np.log(m - T) - np.log(m)
     return out[()]

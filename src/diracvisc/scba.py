@@ -158,7 +158,10 @@ def _psi(x):
     flip = x.real < 0.5
     y = np.where(flip, 1.0 - x, x)
     w = y + 10.0
-    yy = y * (y + 9.0)
+    # not y * (y + 9.0): from 256 KiB on, numpy computes x * (temporary)
+    # in place with the operands swapped, and a complex product is not
+    # bit-symmetric, so the value would depend on the batch's size
+    yy = np.multiply(y, y + 9.0)
     u = 1.0 / (w * w)
     series = _PSI_SERIES[0] * u
     for c in _PSI_SERIES[1:]:
@@ -361,15 +364,17 @@ def self_energy_dirac_point_bfield(params: ModelParams,
         u = step
 
 
-def dos(E: float, sigma: complex, params: ModelParams,
-        spectrum: LandauSpectrum | None = None) -> float:
-    """Density of states per eV nm^2 (includes the degeneracy factor).
+def dos(E, sigma, params: ModelParams,
+        spectrum: LandauSpectrum | None = None):
+    """Density of states per eV nm^2 (includes the degeneracy factor), for
+    a float E and complex sigma or a column of each.
 
     B = 0 (no spectrum): rho = -(g/4) (2A / pi^2 (hbar v_f)^2) Im Sigma
     B != 0:  rho = -(g/4) (2 / pi^2 l_B^2)(2A / (hbar w_c)^2) Im Sigma
     """
-    if sigma.imag > 0:
-        raise ValueError(f"retarded Im Sigma must be <= 0, got {sigma.imag}")
+    if np.any(np.imag(sigma) > 0):
+        raise ValueError("retarded Im Sigma must be <= 0, got "
+                         f"{np.max(np.imag(sigma))}")
     A = params.disorder_A
     scale = params.degeneracy / 4.0
     if spectrum is None:

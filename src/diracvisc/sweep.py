@@ -78,8 +78,8 @@ def _self_energy(e, spectrum, Omega, params, fixed) -> list[dict]:
 
 
 def _dos(e, spectrum, Omega, params, fixed) -> list[dict]:
-    sigma = _solve_sigma(e, spectrum, params).sigma
-    return [{"value": dos(E, s, params, spectrum)} for E, s in zip(e, sigma)]
+    return _values(dos(e, _solve_sigma(e, spectrum, params).sigma, params,
+                       spectrum))
 
 
 def _static_shear(e, spectrum, Omega, params, fixed) -> list[dict]:

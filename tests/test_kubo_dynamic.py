@@ -304,14 +304,26 @@ class TestShearDynamicB0:
         with pytest.raises(ValueError):
             shear_dynamic_b0([1.0, 0.5], [0.2, 0.0], params20)
 
-    @pytest.mark.parametrize("T", [0.0, 2e-3])
-    def test_block_matches_point_calls(self, T, monkeypatch):
-        # 30 points on both sides of E = 0 and of Omega = 0, solved in
-        # chunks of whole points of at most _CHUNK_NODES nodes each
+    B0_GRID = ([-0.3, -0.01, 0.0, 0.05, 1.0],
+               [-0.4, -0.05, 0.02, 0.3, 1.2, 0.7])
+
+    # 30 points on both sides of E = 0 and of Omega = 0, solved in chunks of
+    # whole points of at most _CHUNK_NODES nodes each; and 200 points in
+    # one solve of 46,080 energies, past the 16,384 complex values from
+    # which numpy would evaluate x * (temporary) in place with the
+    # operands swapped
+    @pytest.mark.parametrize("T,grid,chunk,n_solves", [
+        pytest.param(0.0, B0_GRID, None, 2, id="0.0"),
+        pytest.param(2e-3, B0_GRID, None, 5, id="0.002"),
+        pytest.param(0.0, (np.linspace(-1.0, 1.0, 20),
+                           np.linspace(-1.0, 1.0, 10)), 1 << 16, 1,
+                     id="one_solve")])
+    def test_block_matches_point_calls(self, T, grid, chunk, n_solves,
+                                       monkeypatch):
         params = ModelParams(disorder_A=20.0, temperature=T)
-        E, Omega = np.meshgrid([-0.3, -0.01, 0.0, 0.05, 1.0],
-                               [-0.4, -0.05, 0.02, 0.3, 1.2, 0.7],
-                               indexing="ij")
+        E, Omega = np.meshgrid(*grid, indexing="ij")
+        if chunk is not None:
+            monkeypatch.setattr(kubo_dynamic, "_CHUNK_NODES", chunk)
         sizes = []
         solve = kubo_dynamic.solve_self_energy_b0
         monkeypatch.setattr(kubo_dynamic, "solve_self_energy_b0",
@@ -319,7 +331,7 @@ class TestShearDynamicB0:
                             or solve(e, *args, **kwargs))
         block = shear_dynamic_b0(E, Omega, params, return_split=True)
         # each node is solved at omega and omega + |Omega|
-        assert len(sizes) >= 2
+        assert len(sizes) == n_solves
         assert max(sizes) <= 2 * kubo_dynamic._CHUNK_NODES
         monkeypatch.undo()
         points = np.array([[shear_dynamic_b0(e, om, params, return_split=True)
@@ -327,7 +339,7 @@ class TestShearDynamicB0:
                            for row_e, row_om in zip(E, Omega)])
         for got, want in zip(block, np.moveaxis(points, -1, 0)):
             assert got.shape == E.shape
-            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+            assert got.tobytes() == want.tobytes()
         assert np.abs(block[0] / points[..., 0] - 1.0).max() <= 1e-13
 
     @pytest.mark.parametrize("E,om,A,T,frozen", [
@@ -468,23 +480,24 @@ class TestShearDynamicBfieldBlock:
 
     GRID_10T = ([0.05, 0.1, -0.13, 0.0], [0.02, -0.1, 0.3])
 
-    # chunk None: the module's chunk size. The 1 T block holds 2,048 nodes,
-    # 192 to 896 per point, whose solve in one call would differ from the
-    # one-point solves in the last bits (numpy's temporary elision)
-    @pytest.mark.parametrize("B,A,T,grid,chunk", [
-        (10.0, 20.0, 0.0, GRID_10T, 200), (10.0, 500.0, 1e-3, GRID_10T, 300),
-        (1.0, 50.0, 1e-3, ([0.05, 0.1], [0.02, -0.1]), None)])
-    def test_block_equals_point_calls(self, B, A, T, grid, chunk,
+    # chunk None: the module's chunk size, which takes the 1 T block of
+    # 2,048 nodes (192 to 896 per point) in one solve of 32,768 complex
+    # values per scba._psi call, past the 16,384 from which numpy would
+    # evaluate x * (temporary) in place with the operands swapped
+    @pytest.mark.parametrize("B,A,T,grid,chunk,n_parts", [
+        (10.0, 20.0, 0.0, GRID_10T, 200, 10),
+        (10.0, 500.0, 1e-3, GRID_10T, 300, 8),
+        (1.0, 50.0, 1e-3, ([0.05, 0.1], [0.02, -0.1]), None, 1)])
+    def test_block_equals_point_calls(self, B, A, T, grid, chunk, n_parts,
                                       monkeypatch):
         params = ModelParams(disorder_A=A, temperature=T)
         spectrum = build_spectrum(params, B)
         E, Omega = np.meshgrid(*grid, indexing="ij")
         if chunk is not None:
-            monkeypatch.setattr(kubo_dynamic, "_FIELD_CHUNK_NODES", chunk)
+            monkeypatch.setattr(kubo_dynamic, "_CHUNK_NODES", chunk)
         nodes = self.node_counts(E, Omega, params, spectrum)
-        parts = kubo_dynamic._budget_slices(nodes,
-                                            kubo_dynamic._FIELD_CHUNK_NODES)
-        assert len(parts) >= 3
+        parts = kubo_dynamic._budget_slices(nodes, kubo_dynamic._CHUNK_NODES)
+        assert len(parts) == n_parts
         sizes = []
         solve = kubo_dynamic.solve_self_energy_landau
         monkeypatch.setattr(kubo_dynamic, "solve_self_energy_landau",

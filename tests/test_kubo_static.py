@@ -619,6 +619,26 @@ class TestMixedColumns:
         want = np.array([_weighted_log_sum(x, hi) for x in a])
         assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("quantity,B,span", [
+        (shear_b0_numeric, 0.0, 2.0), (shear_bfield_numeric, 10.0, 0.3),
+        (hall_static_numeric, 10.0, 0.3)])
+    def test_long_column_equals_its_chunks(self, quantity, B, span):
+        # a 20,000-energy column against the same energies in 20 calls:
+        # past 16,384 complex values numpy would evaluate x * (temporary)
+        # in place with the operands swapped, and round differently
+        params = ModelParams(disorder_A=20.0)
+        args = (params,) if B == 0.0 else (params,
+                                           build_spectrum(params, B))
+        energies = np.linspace(-span, span, 20_000)
+        whole = quantity(energies, *args)
+        parts = [quantity(e, *args) for e in np.split(energies, 20)]
+        assert whole.value.tobytes() == np.concatenate(
+            [p.value for p in parts]).tobytes()
+        for key, channel in whole.channels.items():
+            assert channel.tobytes() == np.concatenate(
+                [p.channels[key] for p in parts]).tobytes(), key
+        assert whole.regime_tag == sum((p.regime_tag for p in parts), ())
+
     def test_low_field_column_memory_is_bounded(self):
         # at 0.01 T the heads of a 121-energy column over +-0.3 eV hold
         # 7.5e5 terms (K ~ 2 E^2 / (hbar w_c)^2); one flat array of them

@@ -576,6 +576,20 @@ class TestLandauArraySolve:
         assert sol.iterations == sol.steps.max()
         assert isinstance(sol.iterations, int)
 
+    @pytest.mark.parametrize("size", [4_096, 8_192])
+    def test_long_column_equals_its_one_energy_solves(self, size, params20,
+                                                      spectrum10_20):
+        # from 4,096 energies on scba._psi holds 16,384 or more complex
+        # values, the size from which numpy would evaluate x * (temporary)
+        # in place with the operands swapped; every 7th energy is checked
+        energies = np.linspace(-0.3, 0.3, size)
+        sol = solve_self_energy_landau(energies, params20, spectrum10_20)
+        ones = [solve_self_energy_landau(float(E), params20, spectrum10_20)
+                for E in energies[::7]]
+        assert sol.sigma[::7].tobytes() == np.array(
+            [one.sigma for one in ones]).tobytes()
+        assert sol.steps[::7].tolist() == [one.steps for one in ones]
+
     @pytest.mark.parametrize("row", range(3))
     def test_window_rows_match_damped_solver(self, row, monkeypatch):
         # one solve call on the window nodes stacked on nodes + Omega
@@ -816,6 +830,21 @@ class TestDos:
     def test_positive_im_sigma_rejected(self, params20):
         with pytest.raises(ValueError):
             dos(1.0, 0.1j, params20)
+        with pytest.raises(ValueError, match="got 0.1"):
+            dos(np.array([0.9, 1.0]), np.array([-0.2j, 0.1j]), params20)
+
+    def test_column_equals_its_scalar_calls(self, params20, params50,
+                                            spectrum10_50):
+        for params, spectrum, energies in (
+                (params20, None, np.linspace(-1.0, 1.0, 21)),
+                (params50, spectrum10_50, np.linspace(-0.3, 0.3, 21))):
+            solve = (solve_self_energy_b0 if spectrum is None else
+                     lambda e, p: solve_self_energy_landau(e, p, spectrum))
+            sigma = solve(energies, params).sigma
+            column = dos(energies, sigma, params, spectrum)
+            ones = [dos(E, s, params, spectrum)
+                    for E, s in zip(energies, sigma)]
+            assert column.tobytes() == np.array(ones).tobytes()
 
     def test_landau_consistency_with_green_function_sum(self, params50,
                                                         spectrum10_50):
@@ -839,7 +868,7 @@ class TestDos:
             es = np.linspace(center - 1.3 * half, center + 1.3 * half, 401)
             sigma = solve_self_energy_landau(es, params500,
                                              spectrum10_500).sigma
-            rho = [dos(e, s, params500, spectrum10_500) for e, s in zip(es, sigma)]
+            rho = dos(es, sigma, params500, spectrum10_500)
             weight = np.trapezoid(rho, es)
             expected = 4.0 / (2.0 * math.pi * spectrum10_500.l_B ** 2)
             assert weight == pytest.approx(expected, rel=0.02)
