@@ -82,7 +82,7 @@ def _run(spec: SweepSpec, svg: bool) -> int:
     if spec.output_path:
         with open(spec.output_path, "w") as fh:
             fh.write(text)
-        print(f"wrote {spec.output_path} ({len(result.rows)} rows)")
+        print(f"wrote {spec.output_path} ({len(result)} rows)")
         if svg:
             svg_path = Path(spec.output_path).with_suffix(".svg")
             svg_path.write_text(result_to_svg(result))

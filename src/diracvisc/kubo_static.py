@@ -133,25 +133,31 @@ def _viscosity(E, value, channels: dict, tags, low) -> ViscosityValue:
     return ViscosityValue(value, channels, tuple(tags), tuple(low))
 
 
-def _regimes(e: np.ndarray, params: ModelParams, spectrum: LandauSpectrum,
+def _regimes(e: np.ndarray, spectrum: LandauSpectrum,
              s: np.ndarray) -> tuple[list[str], list[bool]]:
-    """detect_regime's tags and low-confidence flags, energy by energy (as
-    Python floats, so that w_eff tau overflows to inf without a warning)."""
-    found = [detect_regime(float(E), params, spectrum, si)
-             for E, si in zip(e, s)]
-    return [tag for tag, _, _ in found], [low for _, _, low in found]
+    """detect_regime's tags and low-confidence flags over a column, with
+    its arithmetic: w_eff tau is inf at E = 0 and where it overflows, and
+    nan where Sigma is (read as overlapped, low confidence)."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        wct = (spectrum.hbar_omega_c ** 2 / (2.0 * np.abs(e))) * (
+            1.0 / (2.0 * np.abs(s.imag)))
+    closed = s.imag >= 0
+    tags = np.where(closed | (wct >= 1.0), SEPARATED, OVERLAPPED)
+    low = ~(closed | (wct > 2.0) | (wct < 0.5))
+    return tags.tolist(), low.tolist()
 
 
-def shear_b0_numeric(E, params: ModelParams, *,
+def shear_b0_numeric(E, params: ModelParams, *, A=None,
                      sigma: SelfEnergySolution | complex | None = None
                      ) -> ViscosityValue:
     """Static shear viscosity at B = 0 from the radial Kubo integral, taken
     with its closed antiderivative (_k_kernel; oracles.k_kernel_quad is
     the adaptive-quadrature check of it). E is a float or a 1-D array; an
-    array is solved in one SCBA call."""
+    array is solved in one SCBA call, at the disorder column A when one is
+    given (see solve_self_energy_b0)."""
     _require_zero_temperature(params)
     e, s = _column(E, sigma, lambda: solve_self_energy_b0(
-        E, params, drop_real_part=True))
+        E, params, A=A, drop_real_part=True))
     zR = e - s
     zA = e - s.conjugate()
     pref = _b0_prefactor(params)
@@ -222,7 +228,7 @@ def detect_regime(E: float, params: ModelParams, spectrum: LandauSpectrum,
 
 
 def shear_bfield_numeric(E, params: ModelParams,
-                         spectrum: LandauSpectrum, *,
+                         spectrum: LandauSpectrum, *, A=None,
                          sigma: SelfEnergySolution | complex | None = None
                          ) -> ViscosityValue:
     """Static shear viscosity from the Landau-level Kubo sums.
@@ -231,18 +237,19 @@ def shear_bfield_numeric(E, params: ModelParams,
     RR = (hbar^3 w_c^2 / 2 pi^2 l_B^2) sum_n (n+1) g^R_n g^R_{n+2}
 
     evaluated by shear_pair_sums. E is a float or a 1-D array; an array is
-    solved in one SCBA call.
+    solved in one SCBA call, at the disorder column A when one is given
+    (see solve_self_energy_landau).
     """
     _require_zero_temperature(params)
     e, s = _column(E, sigma, lambda: solve_self_energy_landau(
-        E, params, spectrum))
+        E, params, spectrum, A=A))
     s_ra, s_rr = shear_pair_sums(e - s, spectrum)
     scale = (params.degeneracy / 4.0) * spectrum.hbar_omega_c ** 2 / (
         math.pi ** 2 * spectrum.l_B ** 2)
     ra = 0.5 * scale * s_ra.real
     rr = 0.5 * scale * s_rr.real
     return _viscosity(E, ra - rr, {"RA": ra, "RR": rr},
-                      *_regimes(e, params, spectrum, s))
+                      *_regimes(e, spectrum, s))
 
 
 def nearest_level(E: float, spectrum: LandauSpectrum) -> tuple[int, int]:
@@ -421,7 +428,7 @@ def _hall_sums(z, spectrum: LandauSpectrum):
 
 
 def hall_static_numeric(E, params: ModelParams,
-                        spectrum: LandauSpectrum, *,
+                        spectrum: LandauSpectrum, *, A=None,
                         sigma: SelfEnergySolution | complex | None = None) -> ViscosityValue:
     """Static Hall viscosity: Fermi-surface (I) channels at E plus the
     Fermi-sea (II) channel.
@@ -433,12 +440,13 @@ def hall_static_numeric(E, params: ModelParams,
     O(min(|z|^2 / (hbar w_c)^2, N_c)) time without materializing the
     ladder; |E - Sigma| past sqrt(2) E_c or so is refused. Inside gaps
     Im Sigma is held at -_GAP_FLOOR to keep G retarded. E is a float or a
-    1-D array; an array is solved in one SCBA call and summed in one
+    1-D array; an array is solved in one SCBA call, at the disorder column
+    A when one is given (see solve_self_energy_landau), and summed in one
     _hall_sums call.
     """
     _require_zero_temperature(params)
     e, s = _column(E, sigma, lambda: solve_self_energy_landau(
-        E, params, spectrum))
+        E, params, spectrum, A=A))
     s = s.real + 1j * np.minimum(s.imag, -_GAP_FLOOR)
     W = spectrum.hbar_omega_c ** 2
     lb2 = spectrum.l_B ** 2
@@ -449,7 +457,7 @@ def hall_static_numeric(E, params: ModelParams,
     eta_ii = scale * W / (8.0 * math.pi ** 2 * lb2) * (sum_surface - sum_log)
     return _viscosity(E, eta_i + eta_ii,
                       {"RA": eta_i, "RR": np.zeros(e.size), "II": eta_ii},
-                      *_regimes(e, params, spectrum, s))
+                      *_regimes(e, spectrum, s))
 
 
 def hall_static_analytic(E: float, params: ModelParams,

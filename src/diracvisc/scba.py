@@ -52,11 +52,13 @@ def _log_branch(z, cutoff: float):
 
 
 def _iterate(e: np.ndarray, seed: np.ndarray, fmap, tol: float,
-             max_iter: int):
+             max_iter: int, *columns):
     """Newton's method on h(Sigma) = Sigma - F(Sigma), one root per energy.
 
-    fmap(e, s) returns F(s) and the slope h'(s) at the iterates s of the
-    energies e; an energy that stops leaves its slope unused. Each energy
+    fmap(e, s, *columns) returns F(s) and the slope h'(s) at the iterates s
+    of the energies e, each column (an array over the energies, or a float
+    that holds at all of them) taken at the same energies; an energy that
+    stops leaves its slope unused. Each energy
     stops at the first iterate whose residual |F - Sigma|/|F| is <= tol and
     keeps F(Sigma) as its root; an energy still open after max_iter steps
     keeps its last F(Sigma) and residual. F and the Newton iterates are
@@ -71,7 +73,7 @@ def _iterate(e: np.ndarray, seed: np.ndarray, fmap, tol: float,
     idx = np.arange(e.size)     # the energies still iterating
     s = seed
     for it in range(1, max_iter + 1):
-        out, slope = fmap(e[idx], s)
+        out, slope = fmap(e[idx], s, *(_at(c, idx) for c in columns))
         out = np.where(out.imag > 0, out.conjugate(), out)
         res = np.abs(out - s) / np.maximum(np.abs(out), _RESIDUAL_FLOOR)
         done = (res <= tol) | (it == max_iter)
@@ -84,6 +86,12 @@ def _iterate(e: np.ndarray, seed: np.ndarray, fmap, tol: float,
         s = s - (s - out) / slope[left]
         s = np.where(s.imag > 0, s.conjugate(), s)
     return sigma, residual, steps
+
+
+def _at(column, idx):
+    """A column at the energies idx: an array's entries, or the float that
+    holds at every energy."""
+    return column[idx] if isinstance(column, np.ndarray) else column
 
 
 def _solution(E, e: np.ndarray, sigma: np.ndarray, residual: np.ndarray,
@@ -102,33 +110,63 @@ def _solution(E, e: np.ndarray, sigma: np.ndarray, residual: np.ndarray,
     return SelfEnergySolution(e, sigma, residual, iterations, steps)
 
 
-def solve_self_energy_b0(E, params: ModelParams, *,
+def _disorder_columns(A, e: np.ndarray, params: ModelParams, per_disorder):
+    """per_disorder(a), a tuple of floats, over the energies e: its floats
+    at params.disorder_A when A is None, or at A's one value when all are
+    equal; otherwise one column per entry, computed once for each distinct
+    disorder a of A, a 1-D array like e."""
+    if A is None:
+        return per_disorder(params.disorder_A)
+    a = np.asarray(A, dtype=float).reshape(-1)
+    if a.shape != e.shape:
+        raise ValueError(f"the disorder column A holds {a.size} values for "
+                         f"{e.size} energies")
+    # the distinct values in order of appearance: np.unique would sort, and
+    # the first sort in a process costs about 1 MB of resident memory
+    entries = {}
+    for value in dict.fromkeys(a.tolist()):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"disorder_A must be positive and finite, got "
+                             f"{value}")
+        entries[value] = per_disorder(value)
+    if len(entries) == 1:
+        return entries[value]
+    columns = np.empty((len(entries[value]), e.size))
+    for value, floats in entries.items():
+        columns[:, a == value] = np.array(floats)[:, None]
+    return list(columns)
+
+
+def solve_self_energy_b0(E, params: ModelParams, *, A=None,
                          drop_real_part: bool = False, tol: float = 1e-10,
                          max_iter: int = 100) -> SelfEnergySolution:
     """Root of Sigma = F(Sigma) = -(z/A) Log(-Ec^2/z^2), z = E - Sigma, for
     one energy or a 1-D array of energies.
 
-    Newton's method (_iterate) with the closed-form slope
+    A, when given, is the disorder of each energy (a 1-D array like E) and
+    replaces params.disorder_A; an array over several disorders is one
+    solve, and each energy's root is the same bits as in a solve at its
+    own disorder. Newton's method (_iterate) with the closed-form slope
     h' = 1 - (Log(-Ec^2/z^2) - 2)/A. drop_real_part=True forces Re Sigma to
     zero, the branch all B = 0 closed forms (and the B = 0 Kubo kernels) are
     built on, and solves the real equation for gamma = -Im Sigma with the
     real slope 1 - (ln(Ec^2/|z|^2) - 2)/A.
     """
-    A = params.disorder_A
     Ec = params.cutoff_Ec
     e = np.asarray(E, dtype=float).reshape(-1)
+    a, floor = _disorder_columns(
+        A, e, params, lambda a: (a, max(Ec * math.exp(-a / 2.0), 1e-300)))
 
-    def fmap(e, s):
+    def fmap(e, s, a):
         z = e - s
         log = _log_branch(z, Ec)
-        out = -(z / A) * log
+        out = -(z / a) * log
         if drop_real_part:
             out, log = 1j * out.imag, log.real
-        return out, 1.0 - (log - 2.0) / A
+        return out, 1.0 - (log - 2.0) / a
 
-    seed = -1j * np.maximum(max(Ec * math.exp(-A / 2.0), 1e-300),
-                            math.pi * np.abs(e) / A)
-    return _solution(E, e, *_iterate(e, seed, fmap, tol, max_iter), tol)
+    seed = -1j * np.maximum(floor, math.pi * np.abs(e) / a)
+    return _solution(E, e, *_iterate(e, seed, fmap, tol, max_iter, a), tol)
 
 
 # psi(w) ~ ln w - 1/2w - sum_k (B_2k / 2k) w^(-2k) (DLMF 5.11.2), the
@@ -251,12 +289,15 @@ def level_width(params: ModelParams, spectrum: LandauSpectrum) -> float:
 
 
 def solve_self_energy_landau(E, params: ModelParams, spectrum: LandauSpectrum,
-                             *, tol: float = 1e-10,
+                             *, A=None, tol: float = 1e-10,
                              max_iter: int = 100) -> SelfEnergySolution:
     """Root of Sigma = F(Sigma) = ((hbar w_c)^2 / 2A) sum_{n,s} G_{ns}(E) for
     one energy or a 1-D array of energies.
 
-    The sum runs over physical levels (n = 0 once) via
+    A, when given, is the disorder of each energy (a 1-D array like E) and
+    replaces params.disorder_A; an array over several disorders is one
+    solve, and each energy's root is the same bits as in a solve at its
+    own disorder. The sum runs over physical levels (n = 0 once) via
     g_n = z / (z^2 - n (hbar w_c)^2) with weights (1, 2, 2, ...), and is
     evaluated by landau_green_sum. Newton's method (_iterate) takes its slope
     dF/dSigma ~ (F(Sigma + h) - F(Sigma))/h, h = 1e-7 |Sigma|, from the same
@@ -270,25 +311,31 @@ def solve_self_energy_landau(E, params: ModelParams, spectrum: LandauSpectrum,
     stands; otherwise the re-solve's outcome replaces it. steps counts both
     solves.
     """
-    A = params.disorder_A
-    scale = spectrum.hbar_omega_c ** 2 / (2.0 * A)
-    width = level_width(params, spectrum)
+    hwc = spectrum.hbar_omega_c
     e = np.asarray(E, dtype=float).reshape(-1)
 
-    def fmap(e, s):
+    def per_disorder(a):
+        width = hwc / math.sqrt(2.0 * a)    # level_width at disorder a
+        return (a, hwc ** 2 / (2.0 * a), width,
+                max(params.cutoff_Ec * math.exp(-a / 2.0), width))
+
+    a, scale, width, floor = _disorder_columns(A, e, params, per_disorder)
+
+    def fmap(e, s, scale):
         z = e - s
         h = _FD_STEP * np.maximum(np.abs(s), _RESIDUAL_FLOOR)
-        f = scale * landau_green_sum(np.concatenate((z, z - h)), spectrum)
-        out = f[:z.size]
-        return out, 1.0 - (f[z.size:] - out) / h
+        # np.multiply keeps the operand order at any size (see _psi)
+        out, shifted = np.multiply(scale, landau_green_sum(
+            np.concatenate((z, z - h)), spectrum).reshape(2, -1))
+        return out, 1.0 - (shifted - out) / h
 
-    seed = -1j * np.maximum(max(params.cutoff_Ec * math.exp(-A / 2.0), width),
-                            math.pi * np.abs(e) / A)
-    sigma, residual, steps = _iterate(e, seed, fmap, tol, max_iter)
+    seed = -1j * np.maximum(floor, math.pi * np.abs(e) / a)
+    sigma, residual, steps = _iterate(e, seed, fmap, tol, max_iter, scale)
     again = np.flatnonzero(_on_real_axis(sigma) | ~(residual <= tol))
     if again.size:
-        s2, r2, n2 = _iterate(e[again], sigma[again].real - 1j * width, fmap,
-                              tol, max_iter)
+        s2, r2, n2 = _iterate(e[again],
+                              sigma[again].real - 1j * _at(width, again),
+                              fmap, tol, max_iter, _at(scale, again))
         gap = (residual[again] <= tol) & (r2 <= tol) & _on_real_axis(s2)
         sigma[again[~gap]], residual[again[~gap]] = s2[~gap], r2[~gap]
         steps[again] += n2
@@ -365,9 +412,10 @@ def self_energy_dirac_point_bfield(params: ModelParams,
 
 
 def dos(E, sigma, params: ModelParams,
-        spectrum: LandauSpectrum | None = None):
+        spectrum: LandauSpectrum | None = None, *, A=None):
     """Density of states per eV nm^2 (includes the degeneracy factor), for
-    a float E and complex sigma or a column of each.
+    a float E and complex sigma or a column of each; A, when given, is the
+    disorder of each energy and replaces params.disorder_A.
 
     B = 0 (no spectrum): rho = -(g/4) (2A / pi^2 (hbar v_f)^2) Im Sigma
     B != 0:  rho = -(g/4) (2 / pi^2 l_B^2)(2A / (hbar w_c)^2) Im Sigma
@@ -375,7 +423,7 @@ def dos(E, sigma, params: ModelParams,
     if np.any(np.imag(sigma) > 0):
         raise ValueError("retarded Im Sigma must be <= 0, got "
                          f"{np.max(np.imag(sigma))}")
-    A = params.disorder_A
+    A = params.disorder_A if A is None else A
     scale = params.degeneracy / 4.0
     if spectrum is None:
         return -scale * (2.0 * A / (math.pi ** 2 * params.hbar_vf ** 2)) * sigma.imag

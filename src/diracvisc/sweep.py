@@ -1,18 +1,23 @@
 """Parameter sweeps with deterministic, reproducible tabular output.
 
 A sweep is described by a flat SweepSpec (JSON-serializable); rows are
-computed serially, one (B, A) block at a time: a static quantity's block
-is its E column, a dynamic quantity's its whole (E, Omega) grid. Rows are
-listed in lexicographic grid order (E, B, Omega, A), so CSV output is
-byte-identical across runs. Each quantity is one QUANTITIES
-entry: its evaluator, its CSV columns and the grids it needs.
+computed serially, one B row at a time: every (E, Omega, A) point at one
+field in one evaluator call. A static quantity solves its whole row in one
+SCBA call over a disorder column; a dynamic quantity makes one call per A
+inside the row, as its frequency windows depend on A. The result is a
+column table, its rows listed in lexicographic grid order
+(E, B, Omega, A) by one index permutation, so CSV output is byte-identical
+across runs; the CSV writer formats it column by column. Each quantity is
+one QUANTITIES entry: its evaluator, its CSV columns and the grids it
+needs.
 """
 from __future__ import annotations
 
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -27,10 +32,11 @@ from .scba import dos, solve_self_energy_b0, solve_self_energy_landau, Convergen
 
 
 # ---------------------------------------------------------------------------
-# quantities: each evaluator maps a block of points, an E array and an
-# Omega array of the same length (Omega None for the static quantities),
-# and its spectrum (None at B = 0) to one dict of SweepRow fields per
-# point, calling the physics through module globals.
+# quantities: each evaluator maps one B row, the points (E[i], Omega[i],
+# A[i]) (Omega None for the static quantities), its spectrum (None at
+# B = 0) and its params (whose disorder A[i] replaces) to a column table,
+# a dict of arrays: "value", the channel columns and "regime", one entry
+# per point. It calls the physics through module globals.
 # ---------------------------------------------------------------------------
 
 def _number(value, kind=numbers.Real) -> bool:
@@ -55,70 +61,73 @@ def _int_setting(fixed: dict, name: str, default: int) -> int:
     return int(value)
 
 
-def _solve_sigma(e, spectrum, params):
+def _solve_sigma(e, A, spectrum, params):
     if spectrum is None:
-        return solve_self_energy_b0(e, params)
-    return solve_self_energy_landau(e, params, spectrum)
+        return solve_self_energy_b0(e, params, A=A)
+    return solve_self_energy_landau(e, params, spectrum, A=A)
 
 
-def _static_rows(v) -> list[dict]:
-    return [{"value": value,
-             "channels": {name: c[i] for name, c in v.channels.items()},
-             "regime_tag": tag}
-            for i, (value, tag) in enumerate(zip(v.value, v.regime_tag))]
+def _static_table(v) -> dict:
+    return {"value": v.value, **v.channels, "regime": np.array(v.regime_tag)}
 
 
-def _self_energy(e, spectrum, Omega, params, fixed) -> list[dict]:
-    sol = _solve_sigma(e, spectrum, params)
-    return [{"value": s.imag,
-             "channels": {"re_sigma": s.real, "residual": r,
-                          "iterations": k}}
-            for s, r, k in zip(sol.sigma.tolist(), sol.residual.tolist(),
-                               sol.steps.tolist())]
+def _self_energy(e, Omega, A, spectrum, params, fixed) -> dict:
+    sol = _solve_sigma(e, A, spectrum, params)
+    return {"value": sol.sigma.imag, "re_sigma": sol.sigma.real,
+            "residual": sol.residual, "iterations": sol.steps}
 
 
-def _dos(e, spectrum, Omega, params, fixed) -> list[dict]:
-    return _values(dos(e, _solve_sigma(e, spectrum, params).sigma, params,
-                       spectrum))
+def _dos(e, Omega, A, spectrum, params, fixed) -> dict:
+    return {"value": dos(e, _solve_sigma(e, A, spectrum, params).sigma,
+                         params, spectrum, A=A)}
 
 
-def _static_shear(e, spectrum, Omega, params, fixed) -> list[dict]:
+def _static_shear(e, Omega, A, spectrum, params, fixed) -> dict:
     if spectrum is None:
-        return _static_rows(shear_b0_numeric(e, params))
-    return _static_rows(shear_bfield_numeric(e, params, spectrum))
+        return _static_table(shear_b0_numeric(e, params, A=A))
+    return _static_table(shear_bfield_numeric(e, params, spectrum, A=A))
 
 
-def _static_hall(e, spectrum, Omega, params, fixed) -> list[dict]:
-    return _static_rows(hall_static_numeric(e, params, spectrum))
+def _static_hall(e, Omega, A, spectrum, params, fixed) -> dict:
+    return _static_table(hall_static_numeric(e, params, spectrum, A=A))
 
 
-def _values(values) -> list[dict]:
-    return [{"value": v} for v in values.tolist()]
+def _by_disorder(kubo, e, Omega, A, params, *args) -> dict:
+    """The values of kubo(E, Omega, params, *args), one call per distinct
+    disorder of A over its points."""
+    value = np.empty(e.size)
+    for a in dict.fromkeys(A.tolist()):
+        at = A == a
+        value[at] = kubo(e[at], Omega[at], replace(params, disorder_A=a),
+                         *args)
+    return {"value": value}
 
 
-def _dynamic_shear(e, spectrum, Omega, params, fixed) -> list[dict]:
+def _dynamic_shear(e, Omega, A, spectrum, params, fixed) -> dict:
     if spectrum is None:
-        return _values(shear_dynamic_b0(e, Omega, params))
-    return _values(shear_dynamic_bfield(e, Omega, params, spectrum,
-                                        fixed.get("broadening")))
+        return _by_disorder(shear_dynamic_b0, e, Omega, A, params)
+    return _by_disorder(shear_dynamic_bfield, e, Omega, A, params, spectrum,
+                         fixed.get("broadening"))
 
 
-def _dynamic_hall(e, spectrum, Omega, params, fixed) -> list[dict]:
+def _dynamic_hall(e, Omega, A, spectrum, params, fixed) -> dict:
     gamma = fixed.get("broadening", spectrum.hbar_omega_c / 50.0)
-    return _values(hall_dynamic(e, Omega, params, spectrum, gamma))
+    return _by_disorder(hall_dynamic, e, Omega, A, params, spectrum, gamma)
 
 
-def _vertex_check(e, spectrum, Omega, params, fixed) -> list[dict]:
-    # neither check depends on E: one of each per (B, A) block
+def _vertex_check(e, Omega, A, spectrum, params, fixed) -> dict:
+    # neither check depends on E or A: one of each per row
     ratio = vertex_correction_b0(e[0], params).ratio
-    channels = {"ratio_momentum": ratio}
+    table = {"value": np.full(e.size, ratio),
+             "ratio_momentum": np.full(e.size, ratio)}
     if spectrum is not None:
-        channels["ratio_landau"] = vertex_correction_landau(spectrum).ratio
-    return [{"value": ratio, "channels": dict(channels)} for _ in e]
+        table["ratio_landau"] = np.full(
+            e.size, vertex_correction_landau(spectrum).ratio)
+    return table
 
 
 class Quantity(NamedTuple):
-    evaluate: Callable[..., list]  # (E, spectrum, Omega, params, fixed)
+    evaluate: Callable[..., dict]  # (E, Omega, A, spectrum, params, fixed)
     value_label: str               # CSV header of the value column
     channels: tuple[str, ...] = ()  # CSV channel columns, in order
     dynamic: bool = False          # needs an Omega grid; others refuse one
@@ -203,6 +212,10 @@ class SweepSpec:
                              f"got {self.a_values!r}")
         # stored as floats, so that a config's 20 and --a 20 write one CSV
         object.__setattr__(self, "a_values", tuple(map(float, self.a_values)))
+        for a in self.a_values:     # before any row, each of which runs all A
+            if not (math.isfinite(a) and a > 0):
+                raise ValueError(f"disorder_A must be positive and finite, "
+                                 f"got {a}")
         if self.omega_grid is not None and not q.dynamic:
             raise ValueError(
                 f"an Omega grid is only meaningful for dynamic quantities, "
@@ -273,8 +286,33 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class SweepResult:
+    """A sweep's header and its column table, one array per CSV column in
+    the CSV's order ("E", "B", "Omega", "A", "value", the quantity's
+    channels, "regime", "converged"), each in row order. A column that has
+    blank cells is an object array holding None at each; one that is blank
+    throughout (B or Omega without its grid, say) is None."""
     header: dict
-    rows: list[SweepRow]
+    columns: dict
+
+    def __len__(self) -> int:
+        return len(self.columns["value"])
+
+    @cached_property
+    def rows(self) -> list[SweepRow]:
+        """The table as SweepRow objects; a blank channel cell is left out
+        of its row's channels."""
+        n = len(self)
+        cells = {name: [None] * n if c is None else c.tolist()
+                 for name, c in self.columns.items()}
+        names = QUANTITIES[self.header["config"]["quantity"]].channels
+        return [SweepRow(E=cells["E"][i], B=cells["B"][i],
+                         Omega=cells["Omega"][i], A=cells["A"][i],
+                         value=cells["value"][i],
+                         channels={c: cells[c][i] for c in names
+                                   if cells[c][i] is not None},
+                         regime_tag=cells["regime"][i] or "",
+                         converged=cells["converged"][i])
+                for i in range(n)]
 
 
 def _make_params(A: float, fixed: dict) -> ModelParams:
@@ -284,84 +322,111 @@ def _make_params(A: float, fixed: dict) -> ModelParams:
                        degeneracy=_int_setting(fixed, "degeneracy", 4))
 
 
+def _join(tables: list[dict]) -> dict:
+    """The tables' rows in order as one table; where a table lacks a
+    column, its cells there are blank (None, in an object column)."""
+    if len(tables) == 1:
+        return tables[0]
+    sizes = [t["value"].size for t in tables]
+    joined = {}
+    for name in dict.fromkeys(k for t in tables for k in t):
+        parts = [t.get(name) for t in tables]
+        if any(p is None for p in parts):
+            parts = [np.full(n, None) if p is None
+                     else np.asarray(p, dtype=object)
+                     for p, n in zip(parts, sizes)]
+        joined[name] = np.concatenate(parts)
+    return joined
+
+
 def _eval_point(spec: SweepSpec, e: np.ndarray, B: float | None,
-                Omega: np.ndarray | None, A: float) -> list[SweepRow]:
-    """The rows of one (B, A) block over the points (e[i], Omega[i]), in
-    their order; Omega is None for a static quantity. The block is
+                Omega: np.ndarray | None, A: np.ndarray) -> dict:
+    """The column table of one B row over the points (e[i], Omega[i], A[i]),
+    in their order; Omega is None for a static quantity. The row is
     evaluated in one call. When that call raises ConvergenceError, each
-    point of the block is evaluated on its own, so only the points that
-    fail are flagged: they read nan. A row whose value is not finite (an
-    overflow, say) is flagged too."""
-    params = _make_params(A, spec.fixed)
+    point is evaluated on its own, so only the points that fail are
+    flagged: their value reads nan and their other cells are blank."""
+    params = _make_params(float(A[0]), spec.fixed)
     spectrum = build_spectrum(params, B) if B else None
     evaluate = QUANTITIES[spec.quantity].evaluate
     try:
-        fields = evaluate(e, spectrum, Omega, params, spec.fixed)
+        return evaluate(e, Omega, A, spectrum, params, spec.fixed)
     except ConvergenceError:
-        fields = []
-        for i in range(e.size):
-            om = None if Omega is None else Omega[i:i + 1]
-            try:
-                fields += evaluate(e[i:i + 1], spectrum, om, params, spec.fixed)
-            except ConvergenceError:
-                fields.append({"value": math.nan})
-    omegas = [None] * e.size if Omega is None else Omega.tolist()
-    return [SweepRow(E, B, O, A, converged=math.isfinite(f["value"]), **f)
-            for E, O, f in zip(e, omegas, fields)]
+        pass
+    tables = []
+    for i in range(e.size):
+        at = slice(i, i + 1)
+        try:
+            tables.append(evaluate(e[at], None if Omega is None else Omega[at],
+                                   A[at], spectrum, params, spec.fixed))
+        except ConvergenceError:
+            tables.append({"value": np.full(1, math.nan)})
+    return _join(tables)
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
-    """Evaluate the sweep grid one (B, A) block at a time and list the rows
-    in lexicographic (E, B, Omega, A) order; non-converged points are
-    flagged."""
+    """Evaluate the sweep grid one B row at a time and list the rows in
+    lexicographic (E, B, Omega, A) order; a point whose value is not
+    finite (a failed solve, an overflow) is flagged as not converged."""
     e_vals = np.array((spec.e_grid or GridSpec(0.0, 0.0, 1)).values())
     b_vals = spec.b_grid.values() if spec.b_grid else [None]
-    if spec.omega_grid is None:
-        n_o, e, omega = 1, e_vals, None
-    else:
-        o_vals = spec.omega_grid.values()
-        n_o = len(o_vals)
-        e, omega = (g.ravel() for g in np.meshgrid(e_vals, o_vals,
-                                                   indexing="ij"))
-    blocks = [_eval_point(spec, e, B, omega, A) for B in b_vals
-              for A in spec.a_values]
-    # block rows run over (E, Omega), blocks over (B, A)
-    n_b, n_a = len(b_vals), len(spec.a_values)
-    rows = [blocks[b * n_a + a][i * n_o + o] for i in range(e_vals.size)
-            for b in range(n_b) for o in range(n_o) for a in range(n_a)]
+    o_vals = (None if spec.omega_grid is None
+              else np.array(spec.omega_grid.values()))
+    n_e, n_b, n_a = e_vals.size, len(b_vals), len(spec.a_values)
+    n_o = 1 if o_vals is None else o_vals.size
+    # a row's points run over (A, E, Omega), the rows over B
+    e = np.tile(np.repeat(e_vals, n_o), n_a)
+    omega = None if o_vals is None else np.tile(o_vals, n_e * n_a)
+    A = np.repeat(spec.a_values, n_e * n_o)
+    table = _join([_eval_point(spec, e, B, omega, A) for B in b_vals])
+    columns = {"E": np.tile(e, n_b),
+               "B": None if spec.b_grid is None else np.repeat(b_vals, e.size),
+               "Omega": None if omega is None else np.tile(omega, n_b),
+               "A": np.tile(A, n_b)}
+    for name in ("value", *QUANTITIES[spec.quantity].channels, "regime"):
+        columns[name] = table.get(name)
+    order = np.arange(e.size * n_b).reshape(n_b, n_a, n_e, n_o).transpose(
+        2, 0, 3, 1).ravel()
+    columns = {name: None if c is None else c[order]
+               for name, c in columns.items()}
+    columns["converged"] = np.isfinite(columns["value"])
     header = {"config": spec.to_config(), "code_version": __version__}
-    return SweepResult(header=header, rows=rows)
+    return SweepResult(header=header, columns=columns)
 
 
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
 
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return repr(float(x))
+def _cells(column: np.ndarray | None, n: int) -> list[str]:
+    """The n CSV cells of a column: the repr of each number, each tag as it
+    is, true or false for each flag, and a blank for each None."""
+    if column is None:
+        return [""] * n
+    values = column.tolist()
+    kind = column.dtype.kind
+    if kind == "U":
+        return values
+    if kind == "b":
+        return ["true" if v else "false" for v in values]
+    if kind == "O":
+        return ["" if v is None else v if isinstance(v, str) else repr(v)
+                for v in values]
+    return list(map(repr, values))
 
 
 def result_to_csv(result: SweepResult) -> str:
     quantity = QUANTITIES[result.header["config"]["quantity"]]
-    extra = quantity.channels
     lines = [f"# diracvisc {result.header['code_version']}",
              "# config: " + json.dumps(result.header["config"],
                                        sort_keys=True,
                                        separators=(",", ":"))]
     head = ["E (eV)", "B (T)", "Omega (eV)", "A", quantity.value_label]
-    head += list(extra) + ["regime", "converged"]
+    head += list(quantity.channels) + ["regime", "converged"]
     lines.append(",".join(head))
-    for r in result.rows:
-        cells = [_fmt(r.E), _fmt(r.B), _fmt(r.Omega), _fmt(r.A), _fmt(r.value)]
-        cells += [_fmt(r.channels.get(c)) for c in extra]
-        cells += [r.regime_tag, _fmt(r.converged)]
-        lines.append(",".join(cells))
+    n = len(result)
+    lines += map(",".join, zip(*(_cells(c, n)
+                                 for c in result.columns.values())))
     return "\n".join(lines) + "\n"
 
 
@@ -479,7 +544,8 @@ def result_to_svg(result: SweepResult) -> str:
         color = palette[i % len(palette)]
         parts.append(f"<polyline points='{path}' fill='none' "
                      f"stroke='{color}' stroke-width='1.5'/>")
-        label = "A=" + _fmt(key[0]) + (f" B={_fmt(key[1])}" if key[1] else "")
+        label = f"A={float(key[0])!r}" + (f" B={float(key[1])!r}" if key[1]
+                                          else "")
         parts.append(f"<text x='{width-pad-150}' y='{pad+14*(i+1)}' "
                      f"fill='{color}' font-size='12'>{label}</text>")
     parts.append("</svg>")

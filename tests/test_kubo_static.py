@@ -763,6 +763,35 @@ class TestRegimesAndClosedForms:
         tag, wct, low = detect_regime(1.0, params100, sp, s)
         assert tag == OVERLAPPED and wct < 0.5 and not low
 
+    # fig2a's and fig3's 10 T rows, solved over their A columns
+    @pytest.mark.parametrize("a_values", [(20.0, 50.0, 100.0, 500.0),
+                                          (50.0, 100.0, 500.0)],
+                             ids=["fig2a", "fig3"])
+    def test_column_regimes_equal_detect_regime(self, a_values,
+                                                spectrum10_500):
+        energies = np.linspace(-0.3, 0.3, 121)
+        e = np.tile(energies, len(a_values))
+        sigma = solve_self_energy_landau(
+            e, ModelParams(disorder_A=a_values[0]), spectrum10_500,
+            A=np.repeat(a_values, energies.size)).sigma
+        # and the Hall's gap floor, E = 0 and Im Sigma = 0, where w_eff tau
+        # is inf, a finite w_eff tau that overflows, and nan
+        floored = sigma.real + 1j * np.minimum(sigma.imag, -1e-15)
+        extra_e = np.array([0.0, 0.0, 0.1, 1e-300, 0.1, 0.1])
+        extra_s = np.array([-2e-3j, 1e-3 - 1e-300j, 2e-3 + 0j,
+                            1e-3 - 1e-300j, complex(math.nan, math.nan),
+                            1e-3 - 3e-3j])
+        e = np.concatenate((e, e, extra_e))
+        s = np.concatenate((sigma, floored, extra_s))
+        want = [detect_regime(float(E), None, spectrum10_500, complex(si))
+                for E, si in zip(e, s)]
+        tags, low = kubo_static._regimes(e, spectrum10_500, s)
+        assert tags == [tag for tag, _, _ in want]
+        assert low == [flag for _, _, flag in want]
+        wct = [w for _, w, _ in want]
+        assert math.isinf(wct[-6]) and math.isinf(wct[-3])
+        assert set(tags) == {SEPARATED, OVERLAPPED} and any(low)
+
     def test_overlapped_equivalence(self):
         # numeric Landau sums vs the overlapped closed form, within 15%
         # in the w_eff tau < 0.5 regime

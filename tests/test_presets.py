@@ -21,7 +21,8 @@ from pathlib import Path
 
 import pytest
 
-from diracvisc import figure_preset, result_to_csv, run_sweep
+from diracvisc import (figure_preset, result_to_csv, result_to_json,
+                       result_to_svg, run_sweep)
 
 PRESETS = ("fig1", "fig2a", "fig2b", "fig3", "fig4", "fig5")
 BASELINE = Path(__file__).parent / "data" / "preset_rows.json.gz"
@@ -68,6 +69,36 @@ def test_preset_matches_recorded_rows(name, baseline):
             else:
                 assert abs(a - b) <= max(REL * abs(b), FLOOR * scale), \
                     (col, i, a, b)
+
+
+def _cell(x) -> str:
+    if x is None:
+        return ""
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    return repr(x)
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_json_and_svg_read_the_csv_rows(name):
+    # the JSON and SVG writers read SweepResult.rows, the CSV writer its
+    # columns: every JSON cell prints as its CSV cell, and the SVG draws
+    # one labelled line per series of those rows
+    result = run_sweep(figure_preset(name))
+    lines = [ln for ln in result_to_csv(result).splitlines()
+             if not ln.startswith("#")]
+    columns, *rows = list(csv.reader(lines))
+    payload = json.loads(result_to_json(result))["rows"]
+    for row, r in zip(rows, payload, strict=True):
+        cells = [_cell(r[k]) for k in ("E", "B", "Omega", "A", "value")]
+        cells += [_cell(r["channels"].get(c)) for c in columns[5:-2]]
+        assert cells + [r["regime_tag"], _cell(r["converged"])] == row
+    by_omega = len({r["Omega"] for r in payload}) > len({r["E"] for r in payload})
+    series = {(r["A"], r["B"], r["E"] if by_omega else r["Omega"])
+              for r in payload}
+    svg = result_to_svg(result)
+    assert svg.count("<polyline") == len(series)
+    assert all(f">A={a!r}" in svg for a, _, _ in series)
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--record"]:

@@ -13,7 +13,7 @@ import pytest
 
 import diracvisc
 from diracvisc import (ConvergenceError, GridSpec, ModelParams, SweepSpec,
-                       build_spectrum, figure_preset, hall_static_numeric,
+                       build_spectrum, dos, figure_preset, hall_static_numeric,
                        parse_csv_config, result_to_csv, result_to_json,
                        result_to_svg, run_sweep, shear_b0_numeric,
                        shear_bfield_numeric, solve_self_energy_b0,
@@ -25,7 +25,7 @@ from diracvisc.oracles import (MAX_MATERIALIZED_LEVELS,
                                landau_green_sum_direct, shear_pair_sums_direct)
 from diracvisc.sweep import QUANTITIES
 from test_kubo_static import collapsed_log_sum, small_spectrum
-from test_scba import solved_z
+from test_scba import DAMPED, solved_z
 
 
 def exact_cutoff_root(E, params, seed):
@@ -261,6 +261,7 @@ class TestColumns:
                                            quantity, params, spectrum)
 
     def test_one_landau_solve_per_column(self, monkeypatch):
+        # fig3's three A columns at 10 T are one B row: one solve of 363
         calls = []
         solve = kubo_static.solve_self_energy_landau
 
@@ -271,32 +272,31 @@ class TestColumns:
         monkeypatch.setattr(kubo_static, "solve_self_energy_landau", record)
         spec = figure_preset("fig3")
         rows = run_sweep(spec).rows
-        assert calls == [spec.e_grid.count] * len(spec.a_values)
+        assert calls == [spec.e_grid.count * len(spec.a_values)]
         assert len(rows) == spec.e_grid.count * len(spec.a_values)
 
-    # a self_energy column is one solve whose CSV is byte-identical to
-    # per-energy scalar solves: at B = 0 and 10 T, with the branch re-solve
-    # of A = 50, E = +-0.21 among them, and at the 1 T trap; a column that
-    # fails (B = 0, A = 1.2) is retried energy by energy and only the
-    # failed row is flagged
+    # a self_energy row, every A at one B, is one solve whose CSV is
+    # byte-identical to per-energy scalar solves: at B = 0 and 10 T, with
+    # the branch re-solve of A = 50, E = +-0.21 among them, and at the 1 T
+    # trap; a row that fails (B = 0, A = 1.2) is retried energy by energy
+    # and only the failed row is flagged
     @pytest.mark.parametrize("b_grid,a_values,e_grid,calls,failed", [
         (GridSpec(0.0, 10.0, 2), (20.0, 50.0, 500.0),
-         GridSpec(-0.21, 0.21, 15), [15] * 6, None),
+         GridSpec(-0.21, 0.21, 15), [45, 45], None),
         (GridSpec(1.0, 1.0, 1), (500.0,), GridSpec(0.0, 2.0 * NEWTON_TRAP, 5),
          [5], None),
         (None, DIVERGING["a_values"], DIVERGING["e_grid"], [3, 1, 1, 1],
          5.4)])
     def test_self_energy_column_is_one_solve(self, b_grid, a_values, e_grid,
                                              calls, failed, monkeypatch):
-        def per_energy(e, spectrum, Omega, params, fixed):
-            rows = []
-            for E in e:
-                sol = sweep._solve_sigma(E, spectrum, params)
-                rows.append({"value": sol.sigma.imag,
-                             "channels": {"re_sigma": sol.sigma.real,
-                                          "residual": sol.residual,
-                                          "iterations": sol.iterations}})
-            return rows
+        def per_energy(e, Omega, A, spectrum, params, fixed):
+            sols = [sweep._solve_sigma(E, None, spectrum,
+                                       replace(params, disorder_A=a))
+                    for E, a in zip(e.tolist(), A.tolist())]
+            sigma = np.array([sol.sigma for sol in sols])
+            return {"value": sigma.imag, "re_sigma": sigma.real,
+                    "residual": np.array([sol.residual for sol in sols]),
+                    "iterations": np.array([sol.iterations for sol in sols])}
 
         spec = SweepSpec(quantity="self_energy", e_grid=e_grid, b_grid=b_grid,
                          a_values=a_values)
@@ -330,6 +330,165 @@ class TestColumns:
         rows = run_sweep(SweepSpec(quantity="vertex_check", **DIVERGING)).rows
         assert [r.converged for r in rows] == [True, True, True]
         assert all(r.value <= 1e-8 for r in rows)
+
+
+# a row's energies: the A = 50 branch re-solve (E = +-0.21), the A = 500
+# gap roots of a 10 T ladder, the Dirac point and a level's flank
+ROW_ENERGIES = np.array([-0.21, 0.21, 0.0, 0.13, *DAMPED["gaps"]["energy"]])
+ROW_A = (20.0, 50.0, 500.0)
+# (quantity, B, span of the long row's energies); no Hall at B = 0
+ROW_CASES = [(q, B, span) for B, span in ((0.0, 2.0), (10.0, 0.3))
+             for q in ("self_energy", "dos", "static_shear", "static_hall")
+             if (q, B) != ("static_hall", 0.0)]
+
+
+def row_arrays(quantity, e, params, spectrum, A=None):
+    """Every output array of a static quantity over the energies e, at the
+    disorder column A (params.disorder_A when None)."""
+    if quantity in ("self_energy", "dos"):
+        sol = (solve_self_energy_b0(e, params, A=A) if spectrum is None
+               else solve_self_energy_landau(e, params, spectrum, A=A))
+        if quantity == "dos":
+            return [dos(e, sol.sigma, params, spectrum, A=A)]
+        return [sol.sigma, sol.residual, sol.steps]
+    if quantity == "static_hall":
+        v = hall_static_numeric(e, params, spectrum, A=A)
+    elif spectrum is None:
+        v = shear_b0_numeric(e, params, A=A)
+    else:
+        v = shear_bfield_numeric(e, params, spectrum, A=A)
+    return [v.value, *v.channels.values(), np.array(v.regime_tag),
+            np.array(v.low_confidence)]
+
+
+def assert_row_is_its_disorder_calls(quantity, B, energies, a_values):
+    """One call over every (A, E) of a row equals, to the bit, the calls
+    at each A on its own."""
+    params = ModelParams(disorder_A=a_values[0])
+    spectrum = None if B == 0.0 else build_spectrum(params, B)
+    row = row_arrays(quantity, np.tile(energies, len(a_values)), params,
+                     spectrum, np.repeat(a_values, energies.size))
+    each = [row_arrays(quantity, energies, ModelParams(disorder_A=a),
+                       spectrum) for a in a_values]
+    for k, got in enumerate(row):
+        want = np.concatenate([arrays[k] for arrays in each])
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), k
+
+
+class TestDisorderRows:
+    @pytest.mark.parametrize("quantity,B,span", ROW_CASES)
+    def test_row_equals_its_disorder_calls(self, quantity, B, span):
+        assert_row_is_its_disorder_calls(quantity, B, ROW_ENERGIES, ROW_A)
+
+    def test_row_holds_the_re_solve_and_the_gap_roots(self, spectrum10_50):
+        params = ModelParams(disorder_A=20.0)
+        sol = solve_self_energy_landau(
+            np.tile(ROW_ENERGIES, 3), params, spectrum10_50,
+            A=np.repeat(ROW_A, ROW_ENERGIES.size))
+        sigma = sol.sigma.reshape(3, -1)
+        real = np.abs(sigma.imag) <= 1e-9 * np.abs(sigma)
+        # A = 50: the broadened roots of the re-solve; A = 500: real roots
+        # at the frozen gap energies
+        assert not real[1, :2].any()
+        assert real[2, 4:].all()
+
+    @pytest.mark.parametrize("quantity,B,span", ROW_CASES)
+    def test_long_row_equals_its_disorder_calls(self, quantity, B, span):
+        # 2 x 4,096 energies: the Landau step's ladder call then holds
+        # 16,384 values, where numpy computes scale * (temporary) in place
+        # with the operands swapped
+        assert_row_is_its_disorder_calls(
+            quantity, B, np.linspace(-span, span, 4096), (20.0, 500.0))
+
+    def test_bad_disorder_column_is_refused(self, spectrum10_50):
+        params = ModelParams(disorder_A=20.0)
+        for A in ([20.0, -1.0], [20.0, math.inf], [20.0]):
+            with pytest.raises(ValueError, match="disorder"):
+                solve_self_energy_landau(np.array([0.1, 0.2]), params,
+                                         spectrum10_50, A=np.array(A))
+            with pytest.raises(ValueError, match="disorder"):
+                solve_self_energy_b0(np.array([0.1, 0.2]), params,
+                                     A=np.array(A))
+
+
+def cell(x) -> str:
+    """The per-cell CSV formatter that the column writer replaced."""
+    if x is None:
+        return ""
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return repr(float(x))
+
+
+def reference_csv(result) -> str:
+    """The CSV of result's rows, written row by row, cell by cell."""
+    quantity = QUANTITIES[result.header["config"]["quantity"]]
+    lines = [f"# diracvisc {result.header['code_version']}",
+             "# config: " + json.dumps(result.header["config"],
+                                       sort_keys=True,
+                                       separators=(",", ":"))]
+    head = ["E (eV)", "B (T)", "Omega (eV)", "A", quantity.value_label]
+    lines.append(",".join(head + list(quantity.channels)
+                          + ["regime", "converged"]))
+    for r in result.rows:
+        cells = [cell(r.E), cell(r.B), cell(r.Omega), cell(r.A),
+                 cell(r.value)]
+        cells += [cell(r.channels.get(c)) for c in quantity.channels]
+        lines.append(",".join(cells + [r.regime_tag, cell(r.converged)]))
+    return "\n".join(lines) + "\n"
+
+
+TWO_FIELDS = dict(e_grid=GridSpec(-0.21, 0.21, 3), b_grid=GridSpec(0.0, 10.0, 2),
+                  a_values=(20.0, 500.0))
+CSV_CASES = [
+    ("self_energy", dict(e_grid=GridSpec(0.0, 1.0, 3), a_values=(20.0, 50.0))),
+    ("self_energy", TWO_FIELDS),
+    ("self_energy", DIVERGING),
+    ("dos", TWO_FIELDS),
+    ("dos", DIVERGING),
+    ("static_shear", TWO_FIELDS),
+    ("static_shear", DIVERGING),
+    ("static_hall", dict(TWO_FIELDS, b_grid=GridSpec(5.0, 10.0, 2))),
+    ("dynamic_shear", dict(e_grid=GridSpec(0.0, 0.2, 2),
+                           omega_grid=GridSpec(0.05, 0.1, 2),
+                           a_values=(20.0, 50.0))),
+    ("dynamic_hall", dict(e_grid=GridSpec(0.05, 0.13, 2),
+                          b_grid=GridSpec(10.0, 10.0, 1),
+                          omega_grid=GridSpec(-0.3, 0.3, 2),
+                          a_values=(50.0, 500.0))),
+    ("vertex_check", TWO_FIELDS),
+]
+
+
+class TestCsvOracle:
+    @pytest.mark.parametrize("quantity,grids", CSV_CASES)
+    def test_column_writer_equals_the_cell_writer(self, quantity, grids):
+        result = run_sweep(SweepSpec(quantity=quantity, **grids))
+        text = result_to_csv(result)
+        assert text == reference_csv(result)
+        rows = [line.split(",") for line in text.splitlines()[3:]]
+        assert len(rows) == len(result)
+        if grids is DIVERGING:
+            # the failed point: nan, its other cells blank, not converged
+            failed = [r for r in rows if r[-1] == "false"]
+            assert failed == [["5.4", "", "", "1.2", "nan"]
+                              + [""] * (len(rows[0]) - 6) + ["false"]]
+            assert [(r.channels, r.regime_tag) for r in result.rows
+                    if not r.converged] == [({}, "")]
+        if quantity == "self_energy":
+            assert all(r[7].isdigit() for r in rows if r[-1] == "true")
+
+    def test_cells_are_blank_without_their_grid(self):
+        text = result_to_csv(run_sweep(tiny_spec()))
+        assert all(line.split(",")[1:3] == ["", ""]
+                   for line in text.splitlines()[3:])
+
+    def test_vertex_check_without_field_leaves_the_landau_ratio_blank(self):
+        result = run_sweep(SweepSpec(quantity="vertex_check", **TWO_FIELDS))
+        for r in result.rows:
+            assert ("ratio_landau" in r.channels) == (r.B == 10.0)
 
 
 class TestDynamicBlocks:
@@ -798,6 +957,21 @@ class TestCli:
         assert "usage error" in captured.err and "E_c" in captured.err
         assert "E = " in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("quantity,omega", [
+        ("vertex_check", []), ("static_shear", []),
+        ("dynamic_shear", ["--omega", "0.2"])])
+    @pytest.mark.parametrize("a_values", ["20,-1", "20,nan", "0"])
+    def test_bad_disorder_evaluates_no_row(self, quantity, omega, a_values,
+                                           monkeypatch, capsys):
+        # a row runs every A at once, so each A is checked before any row
+        calls = []
+        monkeypatch.setattr(sweep, "_eval_point", lambda *a: calls.append(a))
+        code = main(["sweep", "--quantity", quantity, "--e", "0.1",
+                     "--a", a_values, *omega])
+        assert code == 2 and calls == []
+        err = capsys.readouterr().err
+        assert "usage error: disorder_A must be positive and finite" in err
 
     @pytest.mark.parametrize("fixed", ['{"degeneracy": 4.7}'])
     def test_fractional_integer_setting_is_usage_error(self, fixed, capsys):
