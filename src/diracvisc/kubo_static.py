@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import LandauSpectrum, ModelParams, effective_cyclotron
-from .scba import (SelfEnergySolution, dos, ladder_sums, pole_sum,
+from .scba import (SelfEnergySolution, _log, dos, ladder_sums, pole_sum,
                    relaxation_time, solve_self_energy_b0,
                    solve_self_energy_landau)
 
@@ -56,10 +56,10 @@ def _t_integral(z1, z2, T):
     far = np.abs(a - b) > 1e-8 * (np.abs(a) + np.abs(b))
     af, bf = a[far], b[far]
     # np.multiply keeps the operand order at any size (see scba._psi)
-    out[far] = (np.multiply(af, np.log(af) - np.log(af - T))
-                - np.multiply(bf, np.log(bf) - np.log(bf - T))) / (bf - af)
+    out[far] = (np.multiply(af, _log(af) - _log(af - T))
+                - np.multiply(bf, _log(bf) - _log(bf - T))) / (bf - af)
     m = 0.5 * (a[~far] + b[~far])
-    out[~far] = m / (m - T) - 1.0 + np.log(m - T) - np.log(m)
+    out[~far] = m / (m - T) - 1.0 + _log(m - T) - _log(m)
     return out[()]
 
 

@@ -42,13 +42,37 @@ class SelfEnergySolution:
                            # input), a branch re-solve included
 
 
+def _log(z):
+    """The principal Log z = ln|z| + i atan2(Im z, Re z) of a complex scalar
+    or array, the Log of every B = 0 SCBA step and radial kernel.
+
+    Domain and special values are np.log's: Im Log lies in [-pi, pi], and
+    on the cut the sign of Im z's zero picks the side, so -1 + 0j gives
+    i pi and -1 - 0j gives -i pi; +-0 + 0j gives -inf + (0 or pi) j with
+    np.log's divide-by-zero warning, and inf and nan come out as np.log's.
+    The two parts are written in place, not summed as ln|z| + 1j atan2,
+    which would turn Im = -0 into +0 and inf + nan j into nan + nan j.
+    |z| is taken by hypot, so no square under- or overflows, and each part
+    is within 4 ulps of max(|ln|z||, pi). Near |z| = 1 that is an
+    absolute bound: np.log keeps ln|z| relative-accurate there, at about
+    ten times the cost. Below |z| ~ 1e-308 hypot's subnormal result loses
+    digits; _radial rescales |z| < 1e-70 first and the SCBA seed floor is
+    1e-300, so no B = 0 caller goes there.
+    """
+    z = np.asarray(z, dtype=complex)
+    out = np.empty(z.shape, dtype=complex)
+    np.log(np.abs(z), out=out.real)
+    np.arctan2(z.imag, z.real, out=out.imag)
+    return out[()]
+
+
 def _log_branch(z, cutoff: float):
     """Log(-Ec^2 / z^2) on the branch continuous over the retarded domain.
 
     With z = E - Sigma in the closed upper half-plane this equals
     2 ln Ec + i pi - 2 Log z and makes Im Sigma even / Re Sigma odd in E.
     """
-    return 2.0 * math.log(cutoff) + 1j * math.pi - 2.0 * np.log(z)
+    return 2.0 * math.log(cutoff) + 1j * math.pi - 2.0 * _log(z)
 
 
 def _iterate(e: np.ndarray, seed: np.ndarray, fmap, tol: float,

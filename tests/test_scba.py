@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
@@ -30,11 +30,124 @@ DAMPED = json.loads((Path(__file__).parent / "data"
                      / "damped_landau_sigma.json").read_text())
 
 
-def fixed_point_residual_b0(E, sigma, params):
-    """Reinsert sigma into the defining closed-log equation."""
+def fixed_point_residual_b0(E, sigma, params, drop_real_part=False):
+    """Reinsert sigma into the defining closed-log equation, its Log taken
+    by numpy's complex log (the solver takes scba._log); with
+    drop_real_part the map's real part is dropped, as in the solve."""
     z = E - sigma
     log = 2.0 * math.log(params.cutoff_Ec) + 1j * math.pi - 2.0 * np.log(z)
-    return abs(sigma - (-(z / params.disorder_A) * log)) / abs(sigma)
+    out = -(z / params.disorder_A) * log
+    if drop_real_part:
+        out = 1j * out.imag
+    return abs(sigma - out) / abs(sigma)
+
+
+def complex_parts(re, im):
+    """A complex array from its parts, a signed zero kept."""
+    out = np.empty(np.broadcast(re, im).shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def log_sample(size, seed):
+    """size complex numbers for scba._log: a fifth with |z| within ~1e-3
+    of 1, where the B = 0 SCBA's z lies, the rest with |z| log-uniform
+    over 1e-300..1e300 at uniform angles, the first 800 of them on the
+    four half-axes, each half-axis with both signed zeros."""
+    rng = np.random.default_rng(seed)
+    r = 10.0 ** rng.uniform(-300.0, 300.0, size)
+    r[:size // 5] = 1.0 + rng.normal(0.0, 1e-3, size // 5)
+    z = r * np.exp(1j * rng.uniform(-math.pi, math.pi, size))
+    axis = r[size // 5:size // 5 + 100]
+    z[size // 5:size // 5 + 800] = np.concatenate([
+        complex_parts(sign * axis, zero) if real else
+        complex_parts(zero, sign * axis)
+        for real in (True, False) for sign in (1.0, -1.0)
+        for zero in (0.0, -0.0)])
+    return z
+
+
+def log_error(got, want, z):
+    """|got - want| per part, in units of eps max(|ln|z||, pi)."""
+    scale = np.finfo(float).eps * np.maximum(np.abs(np.log(np.abs(z))),
+                                             math.pi)
+    return np.maximum(abs(got.real - want.real),
+                      abs(got.imag - want.imag)) / scale
+
+
+class TestLog:
+    def test_meets_np_log(self):
+        z = log_sample(4000, 1)
+        for re_sign, im_sign in itertools.product((1.0, -1.0), repeat=2):
+            assert ((np.sign(z.real) == re_sign)
+                    & (np.sign(z.imag) == im_sign)).any()
+        assert (z.imag == 0.0).sum() == (z.real == 0.0).sum() == 400
+        assert abs(z).min() < 1e-290 and abs(z).max() > 1e290
+        assert log_error(scba._log(z), np.log(z), z).max() <= 4.0
+
+    def test_meets_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        z = log_sample(4000, 2)[::10]
+        # mpmath has no signed zero: on the cut it takes Im Log = +pi
+        z = z[~((z.real < 0.0) & np.signbit(z.imag) & (z.imag == 0.0))]
+        got = scba._log(z)
+        with mpmath.workdps(40):
+            want = np.array([complex(mpmath.log(mpmath.mpc(x.real, x.imag)))
+                             for x in z])
+        assert log_error(got, want, z).max() <= 4.0
+
+    def test_special_values_are_np_log_s(self):
+        inf, nan = math.inf, math.nan
+        z = complex_parts(
+            [-1.0, -1.0, 1.0, -0.0, inf, -inf, inf, -inf, nan, 2.0, inf,
+             -inf, nan, nan, 0.5],
+            [0.0, -0.0, -0.0, -1.0, 1.0, 1.0, -inf, inf, 1.0, nan, nan,
+             nan, inf, -inf, -inf])
+        got, want = scba._log(z), np.log(z)
+        assert got[0] == 1j * math.pi and got[1] == -1j * math.pi
+        np.testing.assert_array_equal(got, want)
+        for part in ("real", "imag"):
+            g, w = getattr(got, part), getattr(want, part)
+            assert (np.isnan(g) == np.isnan(w)).all()
+            assert (np.signbit(g) == np.signbit(w))[~np.isnan(w)].all()
+        assert np.isinf(got.real[4:8]).all() and np.isnan(got[8:14]).all()
+        assert got[14] == complex(math.inf, -0.5 * math.pi)
+
+    @pytest.mark.parametrize("re,im,angle", [
+        (0.0, 0.0, 0.0), (0.0, -0.0, -0.0), (-0.0, 0.0, math.pi),
+        (-0.0, -0.0, -math.pi)])
+    def test_zero_is_minus_inf_with_np_log_s_warning(self, re, im, angle):
+        z = complex_parts(np.array([re]), im)
+        with pytest.warns(RuntimeWarning) as ours:
+            got = scba._log(z)
+        with pytest.warns(RuntimeWarning) as numpy_s:
+            want = np.log(z)
+        assert [str(w.message) for w in ours] == [
+            str(w.message) for w in numpy_s] == [
+            "divide by zero encountered in log"]
+        assert got.tobytes() == want.tobytes()
+        assert got[0].real == -math.inf and got[0].imag == angle
+        assert np.signbit(got[0].imag) == np.signbit(angle)
+
+    def test_scalar_gives_a_scalar(self):
+        got = scba._log(-1.0 - 1j)
+        assert isinstance(got, np.complex128)
+        assert got == scba._log(np.array([-1.0 - 1j]))[0]
+
+    def test_column_equals_its_one_element_calls(self):
+        # the batching rule where numpy's SIMD log and arctan2 run: any
+        # batch, chunk or stride gives every element the same bits
+        z = log_sample(20000, 3)
+        column = scba._log(z)
+        ones = np.array([scba._log(x) for x in z])
+        assert column.tobytes() == ones.tobytes()
+        for size in range(1, 34):
+            chunks = np.concatenate([scba._log(z[i:i + size])
+                                     for i in range(0, z.size, size)])
+            assert chunks.tobytes() == column.tobytes(), size
+        wide = np.zeros(2 * z.size, dtype=complex)
+        wide[1::2] = z
+        assert scba._log(wide[1::2]).tobytes() == column.tobytes()
 
 
 class TestB0Solver:
@@ -71,6 +184,21 @@ class TestB0Solver:
         assert fixed_point_residual_b0(E, sol.sigma, params) <= 10.0 * 1e-10 * 50
         # the spec bound: residual of the converged iterate itself
         assert sol.residual <= 1e-10
+
+    @settings(max_examples=200, deadline=None)
+    @given(E=st.floats(-7.0, 7.0),
+           A=st.floats(math.log(1.6), math.log(1000.0)).map(math.exp),
+           drop=st.booleans())
+    @example(E=7.0, A=1.6, drop=False)
+    @example(E=-7.0, A=1.6, drop=True)
+    @example(E=0.0, A=1000.0, drop=False)
+    def test_roots_reinsert_into_numpy_log_map(self, E, A, drop):
+        # the solver's roots against an independent log; below A = 1.6
+        # the solve diverges (test_strong_disorder_root_is_found)
+        params = ModelParams(disorder_A=A)
+        sol = solve_self_energy_b0(E, params, drop_real_part=drop, tol=1e-10)
+        assert fixed_point_residual_b0(E, sol.sigma, params,
+                                       drop_real_part=drop) <= 2e-10
 
     def test_nonconvergence_raises_with_residual(self, params20):
         with pytest.raises(ConvergenceError) as exc:
