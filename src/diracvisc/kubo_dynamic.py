@@ -1,17 +1,16 @@
 """Frequency-dependent shear and Hall viscosities.
 
-B = 0: window integrals of the Kubo kernel over omega in [E - Omega, E],
-with the self-energy solved at every node. B != 0: Landau-level transition
-sums with |dn| = 2, either with the SCBA self-energy or with a constant
-broadening for clean-limit studies, integrated over the same window. At
-T > 0 both windows widen by 8 k_B T on each side and carry the Fermi
-factors f(omega) - f(omega + Omega). The dynamic Hall kink sum runs over
-the level pairs within 40 k_B T of its Fermi window at every T.
-
-shear_dynamic_b0, shear_dynamic_bfield and hall_dynamic take a block of
-(E, Omega) points (two arrays of one shape) in one call, in chunks of
-bounded memory, and reduce each point on its own; each point of the field
-shear keeps its own ladder window.
+Both dynamic shears are window integrals over omega in
+[E - |Omega| - 8 k_B T, E + 8 k_B T], taken by one driver,
+_window_integral: Gauss panels per point, one self-energy solve of the
+nodes omega and omega + |Omega|, the Fermi weights
+f(omega) - f(omega + |Omega|) and a kernel of (z_lo, z_up), summed per
+point. At B = 0 the kernel is the radial Kubo kernel; in a field it is the
+|dn| = 2 Landau transition sum, with the SCBA self-energy or a constant
+broadening (clean-limit studies). The dynamic Hall kink sum is a ladder
+sum over the level pairs within 40 k_B T of its Fermi window. All three
+take a block of (E, Omega) points (two arrays of one shape) in one call,
+in chunks of bounded memory, and reduce each point on its own.
 """
 from __future__ import annotations
 
@@ -37,9 +36,9 @@ _B0_RULE = np.polynomial.legendre.leggauss(24)
 _BFIELD_RULE = np.polynomial.legendre.leggauss(16)
 # reach of the dynamic Hall sum past its Fermi window, in k_B T
 _FERMI_REACH = 40.0  # _fermi reads exactly 1.0 at 40, below 4.3e-18 at -40
-# most window nodes one SCBA solve (and at B = 0 one _k_kernel call) of a
-# dynamic-shear block takes: each node holds about 0.5 kB of temporaries
-# (it is solved at omega and omega + Omega), so a chunk stays near 1 MB
+# most window nodes one solve and one kernel call of a dynamic-shear block
+# take: each node holds about 0.5 kB of temporaries (it is solved at omega
+# and omega + Omega), so a chunk stays near 1 MB
 _CHUNK_NODES = 1 << 11
 
 
@@ -85,8 +84,9 @@ def transition_table(e_fermi: float, spectrum: LandauSpectrum,
     within omega_max of e_fermi, so only the pairs (n, n + 2) with
     sqrt(n) hbar w_c <= |e_fermi| + omega_max are visited.
     """
-    if omega_max <= 0:
-        raise ValueError(f"omega_max must be positive, got {omega_max}")
+    if not (math.isfinite(e_fermi) and 0 < omega_max < math.inf):
+        raise ValueError("e_fermi must be finite and omega_max positive and "
+                         f"finite, got {e_fermi} and {omega_max}")
     hwc = spectrum.hbar_omega_c
     out: list[Transition] = []
     for n in range(_window_top(abs(e_fermi) + omega_max, spectrum) + 1):
@@ -107,34 +107,36 @@ def transition_table(e_fermi: float, spectrum: LandauSpectrum,
 
 
 # ---------------------------------------------------------------------------
-# B = 0 window integrals
+# Frequency-window integrals
 # ---------------------------------------------------------------------------
 
 def _cuts(lo: float, hi: float, breakpoints) -> list[float]:
     """lo, hi and the breakpoints strictly between them, sorted."""
-    return sorted({lo, hi, *[b for b in breakpoints if lo < b < hi]})
+    return [lo, *sorted({b for b in breakpoints if lo < b < hi}), hi]
 
 
-def _panel_nodes(left, right, rule):
-    """Nodes and weights of rule on the panels [left_i, right_i]."""
+def _panel_nodes(edges, rule):
+    """Nodes and weights of rule on the panels between consecutive edges,
+    for each list of edges."""
     xs, ws = rule
-    left, right = np.asarray(left), np.asarray(right)
+    left = np.array([x for c in edges for x in c[:-1]])
+    right = np.array([x for c in edges for x in c[1:]])
     mid, half = 0.5 * (left + right), 0.5 * (right - left)
     return ((mid[:, None] + half[:, None] * xs).ravel(),
             (half[:, None] * ws).ravel())
 
 
-def _gauss_panels(lo: float, hi: float, breakpoints, rule):
-    bks = _cuts(lo, hi, breakpoints)
-    return _panel_nodes(bks[:-1], bks[1:], rule)
-
-
 def _points(E, Omega):
     """E and |Omega| as 1-D arrays of one length, and the shape of the
-    block (() for two scalars); Omega = 0 is refused (use the static
-    quantity there)."""
+    block (() for two scalars). A non-finite value is refused, and so is
+    Omega = 0 (use the static quantity there)."""
     e, om = np.broadcast_arrays(np.asarray(E, dtype=float),
-                                np.abs(np.asarray(Omega, dtype=float)))
+                                np.asarray(Omega, dtype=float))
+    for name, x in (("E", e), ("Omega", om)):
+        if not np.isfinite(x).all():
+            raise ValueError(
+                f"{name} must be finite, got {x[~np.isfinite(x)][0]}")
+    om = np.abs(om)
     if not om.all():
         raise ValueError("Omega must be nonzero")
     return e.ravel(), om.ravel(), e.shape
@@ -145,61 +147,36 @@ def _shaped(values: np.ndarray, shape: tuple):
     return float(values[0]) if shape == () else values.reshape(shape)
 
 
-def shear_dynamic_b0(E, Omega, params: ModelParams, *,
-                     return_split: bool = False):
-    """Dynamic shear viscosity at B = 0.
+def _window_integral(E, Omega, T: float, window, rule, solve, kernel,
+                     pref: float) -> list:
+    """Per kernel row, each point's sum of pref / |Omega| * w * row over
+    the nodes of [E - |Omega| - 8 k_B T, E + 8 k_B T] (w: the Gauss weight
+    times f(omega) - f(omega + |Omega|)), in the block's shape.
 
-    Even in Omega. The window [E - Omega - 8 k_B T, E + 8 k_B T] is cut at
-    0, -Omega, E - Omega and E where they lie inside, each cut in thirds
-    and at -Omega/2 (interband 2 omega + Omega = 0); every node carries
-    f(omega) - f(omega + Omega), a step at T = 0. With return_split=True
-    also returns the interband (electron-hole, omega < 0 < omega + Omega)
-    and intraband window parts.
-
-    E and Omega are floats, or arrays of one shape whose values come back
-    in that shape. The nodes of a block's points are solved in one SCBA
-    call and two _k_kernel calls per chunk of whole points of at most
-    _CHUNK_NODES nodes, and each point sums its own nodes.
+    window(lo, hi, E, |Omega|) gives a point's panel edges and an extra
+    value; solve maps the nodes omega stacked on omega + |Omega| to
+    z = omega - Sigma; kernel(z, nodes, |Omega|, counts, extras) gives one
+    or more rows over the nodes. Whole points of at most _CHUNK_NODES
+    nodes (or one point) go together, for memory only: each point is
+    reduced on its own (np.add.reduceat), so a block equals its per-point
+    calls to the bit.
     """
     e, om, shape = _points(E, Omega)
-    T = params.temperature
-    # the panels of every point, and the panel count of each point
-    left, right, panels = [], [], []
-    for Ei, oi in zip(e.tolist(), om.tolist()):
-        lo, hi = Ei - oi - 8.0 * T, Ei + 8.0 * T
-        cuts = _cuts(lo, hi, (0.0, -oi, Ei - oi, Ei))
-        count = len(left)
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            edges = _cuts(a, b, (-0.5 * oi, a + (b - a) / 3.0,
-                                 b - (b - a) / 3.0))
-            left += edges[:-1]
-            right += edges[1:]
-        panels.append(len(left) - count)
-    per_point = np.array(panels) * _B0_RULE[0].size
-    first = np.concatenate(([0], np.cumsum(panels)))
-    tot, eh = np.empty(e.size), np.empty(e.size)
-    for part in _budget_slices(per_point, _CHUNK_NODES):
-        lo_panel, hi_panel = first[part.start], first[part.stop]
-        nodes, weights = _panel_nodes(left[lo_panel:hi_panel],
-                                      right[lo_panel:hi_panel], _B0_RULE)
-        n = per_point[part]
+    windows = [window(Ei - oi - 8.0 * T, Ei + 8.0 * T, Ei, oi)
+               for Ei, oi in zip(e.tolist(), om.tolist())]
+    counts = np.array([len(w[0]) - 1 for w in windows]) * rule[0].size
+    sums = []
+    for part in _budget_slices(counts, _CHUNK_NODES):
+        edges, extras = zip(*windows[part])
+        nodes, weights = _panel_nodes(edges, rule)
+        n = counts[part]
         mu, o = np.repeat(e[part], n), np.repeat(om[part], n)
         weights = weights * (_fermi(nodes, mu, T) - _fermi(nodes + o, mu, T))
-        sig = solve_self_energy_b0(np.concatenate((nodes, nodes + o)),
-                                   params, drop_real_part=True).sigma
-        s2, s1 = sig[:nodes.size], sig[nodes.size:]
-        z1 = nodes + o - s1
-        v = _b0_prefactor(params) / o * weights * (
-            _k_kernel(z1, nodes - s2.conjugate(), params).real
-            - _k_kernel(z1, nodes - s2, params).real)
-        start = np.cumsum(n) - n
-        tot[part] = np.add.reduceat(v, start)
-        eh[part] = np.add.reduceat(
-            np.where((nodes < 0.0) & (0.0 < nodes + o), v, 0.0), start)
-    tot, eh = _shaped(tot, shape), _shaped(eh, shape)
-    if return_split:
-        return tot, eh, tot - eh
-    return tot
+        rows = kernel(solve(np.array((nodes, nodes + o))), nodes, o, n, extras)
+        sums.append(np.add.reduceat(pref / o * weights * rows,
+                                    np.cumsum(n) - n, axis=-1))
+    return [_shaped(row, shape)
+            for row in np.concatenate(sums, axis=-1).reshape(-1, e.size)]
 
 
 def _fermi(x: np.ndarray | float, mu: float, temperature: float):
@@ -210,6 +187,43 @@ def _fermi(x: np.ndarray | float, mu: float, temperature: float):
     t = (mu - np.asarray(x)) / temperature
     e = np.exp(-np.abs(t))
     return np.where(t >= 0, 1.0, e) / (1.0 + e)
+
+
+def shear_dynamic_b0(E, Omega, params: ModelParams, *,
+                     return_split: bool = False):
+    """Dynamic shear viscosity at B = 0.
+
+    Even in Omega. The window (_window_integral) is cut at 0, -Omega,
+    E - Omega and E where they lie inside, each cut in thirds and at
+    -Omega/2 (interband 2 omega + Omega = 0), with 24 Gauss nodes per
+    panel. A node carries the radial kernel's RA - RR part with Re Sigma
+    dropped. With return_split=True also returns the interband
+    (electron-hole, omega < 0 < omega + Omega) and intraband window parts.
+    E and Omega are floats, or arrays of one shape whose values come back
+    in that shape.
+    """
+    def window(lo, hi, e, om):
+        cuts = _cuts(lo, hi, (0.0, -om, e - om, e))
+        edges = [lo]
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            edges += _cuts(a, b, (-0.5 * om, a + (b - a) / 3.0,
+                                  b - (b - a) / 3.0))[1:]
+        return edges, None
+
+    def solve(omega):
+        return omega - solve_self_energy_b0(
+            omega.ravel(), params, drop_real_part=True).sigma.reshape(2, -1)
+
+    def kernel(z, nodes, o, counts, extras):
+        z_lo, z_up = z
+        k = (_k_kernel(z_up, z_lo.conjugate(), params).real
+             - _k_kernel(z_up, z_lo, params).real)
+        return np.array((k, np.where((nodes < 0.0) & (0.0 < nodes + o),
+                                     k, 0.0)))
+
+    tot, eh = _window_integral(E, Omega, params.temperature, window,
+                               _B0_RULE, solve, kernel, _b0_prefactor(params))
+    return (tot, eh, tot - eh) if return_split else tot
 
 
 def shear_dynamic_b0_eh_limit(Omega: float, params: ModelParams) -> float:
@@ -236,17 +250,16 @@ def shear_dynamic_b0_ee_limit(E: float, Omega: float,
 # B != 0 transition sums
 # ---------------------------------------------------------------------------
 
-def _bfield_window(E: float, om: float, T: float, spectrum: LandauSpectrum,
-                   gam: float):
-    """The nodes, weights and n_top of one field dynamic shear point.
+def _bfield_window(lo: float, hi: float, om: float,
+                   spectrum: LandauSpectrum, gam: float):
+    """The panel edges of one field dynamic shear window [lo, hi], and n_top.
 
-    The window [E - om - 8 k_B T, E + 8 k_B T] is cut at the levels
-    +-sqrt(m) hbar w_c, m <= n_top + 2, near the window, shifted by 0 or
-    -om and by 0 or +-4 gam; breakpoints closer than a quarter width are
-    clustered (panel count control). The pairs n <= n_top have a level
-    inside level_window, the window reach plus max(100 gam, 8 hbar w_c).
+    The window is cut at the levels +-sqrt(m) hbar w_c, m <= n_top + 2,
+    near the window, shifted by 0 or -om and by 0 or +-4 gam; breakpoints
+    closer than a quarter width are clustered (panel count control). The
+    pairs n <= n_top have a level inside level_window, the window reach
+    plus max(100 gam, 8 hbar w_c).
     """
-    lo, hi = E - om - 8.0 * T, E + 8.0 * T
     hwc = spectrum.hbar_omega_c
     level_window = max(abs(lo), abs(hi)) + om + max(100.0 * gam, 8.0 * hwc)
     n_top = min(int((level_window / hwc) ** 2), spectrum.n_cutoff - 2)
@@ -259,7 +272,7 @@ def _bfield_window(E: float, om: float, T: float, spectrum: LandauSpectrum,
     for b in np.unique(bks[(lo < bks) & (bks < hi)]).tolist():
         if not merged or b - merged[-1] > 0.25 * gam:
             merged.append(b)
-    return (*_gauss_panels(lo, hi, merged, _BFIELD_RULE), n_top)
+    return _cuts(lo, hi, merged), n_top
 
 
 def shear_dynamic_bfield(E, Omega, params: ModelParams,
@@ -274,57 +287,43 @@ def shear_dynamic_bfield(E, Omega, params: ModelParams,
     (s, s') level chains factor: a node carries 4 sum_n (n + 1)
     [Im g_n(z_up) Im g_{n+2}(z_lo) + Im g_n(z_lo) Im g_{n+2}(z_up)], z_lo at
     omega and z_up at omega + Omega, over the pairs with a level inside
-    level_window (_bfield_window). With the SCBA self-energy the far terms
-    fall off only like 1/n, so the dropped tail is not small: at 10 T,
-    A = 20, Omega = 3e-4 the result lies 5.5% (E = 0.1 eV) and 14.5%
-    (E = 0) below the static shear, where the whole ladder comes within
-    2.3e-6 and 3.7e-5.
-
+    level_window (_bfield_window), 16 Gauss nodes per panel. With the
+    SCBA self-energy the far terms fall off only like 1/n, so the dropped
+    tail is not small: at 10 T, A = 20, Omega = 3e-4 the result lies 5.5%
+    (E = 0.1 eV) below the static shear; the whole ladder is within 2.3e-6.
     E and Omega are floats, or arrays of one shape whose values come back
-    in that shape. Each point keeps its own window, panels and n_top. The
-    nodes of a block's points are solved in one SCBA call per chunk of
-    whole points of at most _CHUNK_NODES nodes (or one point), for memory
-    only, and each point sums its own g_n rows, so a block equals its
-    per-point calls to the bit.
+    in that shape. Each point keeps its own window, panels and n_top.
     """
-    e, om, shape = _points(E, Omega)
-    T = params.temperature
-    hwc = spectrum.hbar_omega_c
     gam = (level_width(params, spectrum) if broadening is None
            else _check_broadening(broadening))
-    windows = [_bfield_window(Ei, oi, T, spectrum, gam)
-               for Ei, oi in zip(e.tolist(), om.tolist())]
-    per_point = np.array([nodes.size for nodes, _, _ in windows])
-    out = np.empty(e.size)
-    for part in _budget_slices(per_point, _CHUNK_NODES):
-        lower = np.concatenate([w[0] for w in windows[part]])
-        # the rows of z_lo and z_up
-        omega = np.stack((lower, lower + np.repeat(om[part], per_point[part])))
-        if broadening is None:
-            z = omega - solve_self_energy_landau(
-                omega.ravel(), params, spectrum).sigma.reshape(2, -1)
-        else:
-            z = omega + 1j * broadening
-        first = 0
-        for i, (nodes, wq, n_top) in enumerate(windows[part], part.start):
-            zi = z[:, first:first + nodes.size]
-            first += nodes.size
-            occ = _fermi(nodes, e[i], T) - _fermi(nodes + om[i], e[i], T)
-            # the g_n rows of about _CHUNK_TERMS terms (or one node) at a
-            # time, so the memory stays bounded where n_top grows as 1/B
+
+    def solve(omega):
+        if broadening is not None:
+            return omega + 1j * broadening
+        return omega - solve_self_energy_landau(
+            omega.ravel(), params, spectrum).sigma.reshape(2, -1)
+
+    def kernel(z, nodes, o, counts, n_tops):
+        # each point's g_n rows about _CHUNK_TERMS terms (or one node) at a
+        # time, so the memory stays bounded where n_top grows as 1/B
+        row = np.empty(nodes.size)
+        for stop, count, n_top in zip(np.cumsum(counts).tolist(),
+                                      counts.tolist(), n_tops):
             weight = np.arange(n_top + 1) + 1.0
             step = max(_CHUNK_TERMS // (n_top + 3), 1)
-            tot = np.empty(nodes.size)
-            for j in range(0, nodes.size, step):
-                g_lo, g_up = _g_array(zi[:, j:j + step], spectrum,
-                                      n_top + 2).imag
-                tot[j:j + step] = 4.0 * ((g_up[:, :-2] * g_lo[:, 2:]
-                                          + g_lo[:, :-2] * g_up[:, 2:])
-                                         @ weight)
-            pref = (params.degeneracy / 4.0) * hwc ** 2 / (
-                8.0 * math.pi ** 2 * spectrum.l_B ** 2 * om[i])
-            out[i] = pref * np.sum(wq * occ * tot)
-    return _shaped(out, shape)
+            for j in range(stop - count, stop, step):
+                k = slice(j, min(j + step, stop))
+                g_lo, g_up = _g_array(z[:, k], spectrum, n_top + 2).imag
+                row[k] = 4.0 * ((g_up[:, :-2] * g_lo[:, 2:]
+                                 + g_lo[:, :-2] * g_up[:, 2:]) @ weight)
+        return row
+
+    pref = (params.degeneracy / 4.0) * spectrum.hbar_omega_c ** 2 / (
+        8.0 * math.pi ** 2 * spectrum.l_B ** 2)
+    return _window_integral(
+        E, Omega, params.temperature,
+        lambda lo, hi, e, om: _bfield_window(lo, hi, om, spectrum, gam),
+        _BFIELD_RULE, solve, kernel, pref)[0]
 
 
 def _hall_chains(n: np.ndarray, hwc: float):

@@ -4,8 +4,8 @@ A sweep is described by a flat SweepSpec (JSON-serializable); rows are
 computed serially, one B row at a time: every (E, Omega, A) point at one
 field in one evaluator call. A static quantity solves its whole row in one
 SCBA call over a disorder column; a dynamic quantity makes one call per A
-inside the row, as its frequency windows depend on A. The result is a
-column table, its rows listed in lexicographic grid order
+inside the row, as the dynamic functions take a single params (one A). The
+result is a column table, its rows listed in lexicographic grid order
 (E, B, Omega, A) by one index permutation, so CSV output is byte-identical
 across runs; the CSV writer formats it column by column. Each quantity is
 one QUANTITIES entry: its evaluator, its CSV columns and the grids it

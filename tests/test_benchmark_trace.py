@@ -8,7 +8,8 @@ a solve off those call sites breaks the benchmark; this test makes it
 break the suite too. It also pins the traced call counts of the dynamic
 quantities: one hall_dynamic, one B = 0 shear_dynamic_b0 and one field
 shear_dynamic_bfield call per (B, A) block of a sweep, so a relapse to
-per-point calls fails here. perfbench/ is only read: its tracer and workload
+per-point calls fails here, and two counted _k_kernel calls per B = 0
+window solve. perfbench/ is only read: its tracer and workload
 modules are loaded from their files, and one traced pass of each
 workload's seed-0 sweeps runs in a temporary directory.
 """
@@ -73,3 +74,10 @@ def test_traced_pass_meets_the_contract(workload, tmp_path, capsys):
         assert metrics["kubo_dynamic.hall.calls"] == 1
     if workload == "landau_window":  # 3 points in 2 blocks
         assert metrics["kubo_dynamic.shear_bfield.calls"] == 2
+    if workload == "b0_window":
+        # two radial kernel calls per solve, counted through the module
+        # global kubo_dynamic._k_kernel: a kernel bound at import time
+        # would read 0 here
+        assert metrics["kubo_dynamic.k_kernel.calls"] == (
+            2 * metrics["kubo_dynamic.shear_b0.calls"]
+            * metrics["kubo_dynamic.shear_b0.solves_per_call"]) > 0

@@ -83,8 +83,8 @@ def shear_dynamic_bfield_four_chains(E, Omega, params, spectrum,
     for b in bks:
         if not merged or b - merged[-1] > 0.25 * gam:
             merged.append(b)
-    nodes, wq = kubo_dynamic._gauss_panels(lo, hi, merged,
-                                           kubo_dynamic._BFIELD_RULE)
+    nodes, wq = kubo_dynamic._panel_nodes([kubo_dynamic._cuts(lo, hi, merged)],
+                                          kubo_dynamic._BFIELD_RULE)
 
     if broadening is None:
         z_lo = nodes - solve_self_energy_landau(nodes, params, spectrum).sigma
@@ -194,6 +194,15 @@ class TestTransitionTable:
     def test_rejects_bad_omega_max(self, params500, spectrum10_500):
         with pytest.raises(ValueError):
             transition_table(0.0, spectrum10_500, 0.0)
+
+    @pytest.mark.parametrize("e_fermi,omega_max", [
+        (math.nan, 0.1), (math.inf, 0.1), (-math.inf, 0.1),
+        (0.05, math.nan), (0.05, math.inf)])
+    def test_rejects_non_finite_input(self, spectrum10_500, e_fermi,
+                                      omega_max):
+        # a window top cast from nan or inf to int made an empty table
+        with pytest.raises(ValueError, match="must be finite"):
+            transition_table(e_fermi, spectrum10_500, omega_max)
 
     @pytest.mark.parametrize("b_field,e_fermis,omega_maxes,levels", [
         (10.0, (-0.4, -0.13, 0.0, 0.05, 0.13, 3.0), (0.02, 0.1, 0.45),
@@ -473,9 +482,11 @@ class TestShearDynamicBfieldBlock:
 
     @staticmethod
     def node_counts(E, Omega, params, spectrum):
-        gam = level_width(params, spectrum)
-        return np.array([kubo_dynamic._bfield_window(
-            e, abs(om), params.temperature, spectrum, gam)[0].size
+        gam, T = level_width(params, spectrum), params.temperature
+        rule = kubo_dynamic._BFIELD_RULE[0].size
+        return np.array([(len(kubo_dynamic._bfield_window(
+            e - abs(om) - 8.0 * T, e + 8.0 * T, abs(om), spectrum, gam)[0])
+            - 1) * rule
             for e, om in zip(np.ravel(E).tolist(), np.ravel(Omega).tolist())])
 
     GRID_10T = ([0.05, 0.1, -0.13, 0.0], [0.02, -0.1, 0.3])
@@ -856,3 +867,27 @@ class TestStaticLimitReport:
         rep = static_limit_check(e1, params500, spectrum10_500)
         assert rep.shear_ratio <= 0.05
         assert rep.hall_static is not None
+
+
+class TestNonFiniteInput:
+    """A non-finite E or Omega is an input error that names the value, for
+    a scalar and for a block, before any window or ladder is built."""
+
+    @pytest.mark.parametrize("quantity", ["shear_b0", "shear_bfield",
+                                          "hall"])
+    @pytest.mark.parametrize("E,Omega,name", [
+        (math.nan, 0.1, "E"), (-math.inf, 0.1, "E"),
+        (0.05, math.nan, "Omega"), (0.05, math.inf, "Omega"),
+        ([0.05, math.nan], [0.1, 0.2], "E"),
+        ([[0.05], [0.1]], [0.1, -math.inf], "Omega")])
+    def test_refused(self, quantity, E, Omega, name, params500,
+                     spectrum10_500):
+        gamma = spectrum10_500.hbar_omega_c / 50.0
+        call = {"shear_b0": lambda: shear_dynamic_b0(E, Omega, params500),
+                "shear_bfield": lambda: shear_dynamic_bfield(
+                    E, Omega, params500, spectrum10_500),
+                "hall": lambda: hall_dynamic(E, Omega, params500,
+                                             spectrum10_500, gamma)}[quantity]
+        with pytest.raises(ValueError,
+                           match=rf"^{name} must be finite, got -?(nan|inf)$"):
+            call()
