@@ -10,7 +10,9 @@ point. At B = 0 the kernel is the radial Kubo kernel; in a field it is the
 broadening (clean-limit studies). The dynamic Hall kink sum is a ladder
 sum over the level pairs within 40 k_B T of its Fermi window. All three
 take a block of (E, Omega) points (two arrays of one shape) in one call,
-in chunks of bounded memory, and reduce each point on its own.
+in chunks of bounded memory, and reduce each point on its own; both
+shears also take a disorder A per point, and the kink sum does not depend
+on A.
 """
 from __future__ import annotations
 
@@ -128,10 +130,12 @@ def _panel_nodes(edges, rule):
 
 def _points(E, Omega):
     """E and |Omega| as 1-D arrays of one length, and the shape of the
-    block (() for two scalars). A non-finite value is refused, and so is
-    Omega = 0 (use the static quantity there)."""
+    block (() for two scalars). An empty block is refused, and so are a
+    non-finite value and Omega = 0 (use the static quantity there)."""
     e, om = np.broadcast_arrays(np.asarray(E, dtype=float),
                                 np.asarray(Omega, dtype=float))
+    if e.size == 0:
+        raise ValueError(f"the (E, Omega) block of shape {e.shape} is empty")
     for name, x in (("E", e), ("Omega", om)):
         if not np.isfinite(x).all():
             raise ValueError(
@@ -147,23 +151,34 @@ def _shaped(values: np.ndarray, shape: tuple):
     return float(values[0]) if shape == () else values.reshape(shape)
 
 
-def _window_integral(E, Omega, T: float, window, rule, solve, kernel,
-                     pref: float) -> list:
+def _window_integral(E, Omega, A, params: ModelParams, window, rule, solve,
+                     kernel, pref: float) -> list:
     """Per kernel row, each point's sum of pref / |Omega| * w * row over
     the nodes of [E - |Omega| - 8 k_B T, E + 8 k_B T] (w: the Gauss weight
     times f(omega) - f(omega + |Omega|)), in the block's shape.
 
-    window(lo, hi, E, |Omega|) gives a point's panel edges and an extra
-    value; solve maps the nodes omega stacked on omega + |Omega| to
+    A is each point's disorder (a float or an array of the block's shape;
+    None for params.disorder_A). window(lo, hi, E, |Omega|, A) gives a
+    point's panel edges and an extra value; solve(omega, a) maps the nodes
+    omega stacked on omega + |Omega|, at the disorders a of the nodes, to
     z = omega - Sigma; kernel(z, nodes, |Omega|, counts, extras) gives one
-    or more rows over the nodes. Whole points of at most _CHUNK_NODES
+    or more rows over the nodes of the points it is given. A point with a
+    node whose z is not finite (an SCBA solve left open) reads nan, and
+    the kernel skips its nodes. Whole points of at most _CHUNK_NODES
     nodes (or one point) go together, for memory only: each point is
     reduced on its own (np.add.reduceat), so a block equals its per-point
     calls to the bit.
     """
     e, om, shape = _points(E, Omega)
-    windows = [window(Ei - oi - 8.0 * T, Ei + 8.0 * T, Ei, oi)
-               for Ei, oi in zip(e.tolist(), om.tolist())]
+    a = np.broadcast_to(params.disorder_A if A is None else A,
+                        shape).astype(float).ravel()
+    bad = ~(np.isfinite(a) & (a > 0))
+    if bad.any():
+        raise ValueError(f"disorder_A must be positive and finite, got "
+                         f"{a[bad][0]}")
+    T = params.temperature
+    windows = [window(Ei - oi - 8.0 * T, Ei + 8.0 * T, Ei, oi, ai)
+               for Ei, oi, ai in zip(e.tolist(), om.tolist(), a.tolist())]
     counts = np.array([len(w[0]) - 1 for w in windows]) * rule[0].size
     sums = []
     for part in _budget_slices(counts, _CHUNK_NODES):
@@ -172,9 +187,17 @@ def _window_integral(E, Omega, T: float, window, rule, solve, kernel,
         n = counts[part]
         mu, o = np.repeat(e[part], n), np.repeat(om[part], n)
         weights = weights * (_fermi(nodes, mu, T) - _fermi(nodes + o, mu, T))
-        rows = kernel(solve(np.array((nodes, nodes + o))), nodes, o, n, extras)
-        sums.append(np.add.reduceat(pref / o * weights * rows,
-                                    np.cumsum(n) - n, axis=-1))
+        z = solve(np.array((nodes, nodes + o)), np.repeat(a[part], n))
+        ok = np.logical_and.reduceat(np.isfinite(z).all(axis=0),
+                                     np.cumsum(n) - n)
+        keep, kept = np.repeat(ok, n), n[ok]
+        rows = kernel(z[:, keep], nodes[keep], o[keep], kept,
+                      [x for x, good in zip(extras, ok.tolist()) if good])
+        part_sums = np.full((*rows.shape[:-1], n.size), math.nan)
+        part_sums[..., ok] = np.add.reduceat(
+            pref / o[keep] * weights[keep] * rows, np.cumsum(kept) - kept,
+            axis=-1)
+        sums.append(part_sums)
     return [_shaped(row, shape)
             for row in np.concatenate(sums, axis=-1).reshape(-1, e.size)]
 
@@ -189,7 +212,7 @@ def _fermi(x: np.ndarray | float, mu: float, temperature: float):
     return np.where(t >= 0, 1.0, e) / (1.0 + e)
 
 
-def shear_dynamic_b0(E, Omega, params: ModelParams, *,
+def shear_dynamic_b0(E, Omega, params: ModelParams, *, A=None,
                      return_split: bool = False):
     """Dynamic shear viscosity at B = 0.
 
@@ -200,9 +223,12 @@ def shear_dynamic_b0(E, Omega, params: ModelParams, *,
     dropped. With return_split=True also returns the interband
     (electron-hole, omega < 0 < omega + Omega) and intraband window parts.
     E and Omega are floats, or arrays of one shape whose values come back
-    in that shape.
+    in that shape. A, when given, is the disorder of each point (a float
+    or an array of the block's shape) and replaces params.disorder_A; the
+    nodes of every point are solved in one call, and each value is the
+    same bits as in a call at its own disorder.
     """
-    def window(lo, hi, e, om):
+    def window(lo, hi, e, om, disorder):
         cuts = _cuts(lo, hi, (0.0, -om, e - om, e))
         edges = [lo]
         for a, b in zip(cuts[:-1], cuts[1:]):
@@ -210,9 +236,10 @@ def shear_dynamic_b0(E, Omega, params: ModelParams, *,
                                   b - (b - a) / 3.0))[1:]
         return edges, None
 
-    def solve(omega):
+    def solve(omega, a):
         return omega - solve_self_energy_b0(
-            omega.ravel(), params, drop_real_part=True).sigma.reshape(2, -1)
+            omega.ravel(), params, A=np.tile(a, 2),
+            drop_real_part=True).sigma.reshape(2, -1)
 
     def kernel(z, nodes, o, counts, extras):
         z_lo, z_up = z
@@ -221,8 +248,8 @@ def shear_dynamic_b0(E, Omega, params: ModelParams, *,
         return np.array((k, np.where((nodes < 0.0) & (0.0 < nodes + o),
                                      k, 0.0)))
 
-    tot, eh = _window_integral(E, Omega, params.temperature, window,
-                               _B0_RULE, solve, kernel, _b0_prefactor(params))
+    tot, eh = _window_integral(E, Omega, A, params, window, _B0_RULE, solve,
+                               kernel, _b0_prefactor(params))
     return (tot, eh, tot - eh) if return_split else tot
 
 
@@ -277,7 +304,7 @@ def _bfield_window(lo: float, hi: float, om: float,
 
 def shear_dynamic_bfield(E, Omega, params: ModelParams,
                          spectrum: LandauSpectrum,
-                         broadening: float | None = None):
+                         broadening: float | None = None, *, A=None):
     """Dynamic shear viscosity in a field (|dn| = 2 transition sums).
 
     broadening=None solves the SCBA self-energy at every node omega and
@@ -292,16 +319,27 @@ def shear_dynamic_bfield(E, Omega, params: ModelParams,
     tail is not small: at 10 T, A = 20, Omega = 3e-4 the result lies 5.5%
     (E = 0.1 eV) below the static shear; the whole ladder is within 2.3e-6.
     E and Omega are floats, or arrays of one shape whose values come back
-    in that shape. Each point keeps its own window, panels and n_top.
+    in that shape. Each point keeps its own window, panels and n_top. A,
+    when given, is the disorder of each point (a float or an array of the
+    block's shape) and replaces params.disorder_A: a point's window
+    gamma is the level width at its A (or the broadening), and the nodes
+    of every point are solved in one call, each value the same bits as
+    in a call at its own disorder.
     """
-    gam = (level_width(params, spectrum) if broadening is None
-           else _check_broadening(broadening))
+    if broadening is not None:
+        _check_broadening(broadening)
 
-    def solve(omega):
+    def window(lo, hi, e, om, disorder):
+        gam = (level_width(params, spectrum, disorder) if broadening is None
+               else broadening)
+        return _bfield_window(lo, hi, om, spectrum, gam)
+
+    def solve(omega, a):
         if broadening is not None:
             return omega + 1j * broadening
         return omega - solve_self_energy_landau(
-            omega.ravel(), params, spectrum).sigma.reshape(2, -1)
+            omega.ravel(), params, spectrum,
+            A=np.tile(a, 2)).sigma.reshape(2, -1)
 
     def kernel(z, nodes, o, counts, n_tops):
         # each point's g_n rows about _CHUNK_TERMS terms (or one node) at a
@@ -320,10 +358,8 @@ def shear_dynamic_bfield(E, Omega, params: ModelParams,
 
     pref = (params.degeneracy / 4.0) * spectrum.hbar_omega_c ** 2 / (
         8.0 * math.pi ** 2 * spectrum.l_B ** 2)
-    return _window_integral(
-        E, Omega, params.temperature,
-        lambda lo, hi, e, om: _bfield_window(lo, hi, om, spectrum, gam),
-        _BFIELD_RULE, solve, kernel, pref)[0]
+    return _window_integral(E, Omega, A, params, window, _BFIELD_RULE, solve,
+                            kernel, pref)[0]
 
 
 def _hall_chains(n: np.ndarray, hwc: float):

@@ -117,16 +117,33 @@ def _resolve_sigma(sigma: SelfEnergySolution | complex | None,
     return sigma
 
 
-def _column(E, sigma, solve) -> tuple[np.ndarray, np.ndarray]:
-    """(energies, self-energies) as 1-D arrays for a float or a 1-D array
-    E; one solve() call for the whole column when no sigma is given."""
+def _column(E, sigma, solve) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(energies, self-energies, ok) for a float or a 1-D array E: ok marks
+    the energies whose Sigma is finite (an array solve writes nan where it
+    stays open), and the energies and self-energies are those at ok, as
+    1-D arrays; one solve() call for the whole column when no sigma is
+    given."""
     e = np.asarray(E, dtype=float).reshape(-1)
     s = np.asarray(_resolve_sigma(sigma, solve), dtype=complex).reshape(-1)
-    return e, s
+    ok = np.isfinite(s)
+    return e[ok], s[ok], ok
 
 
-def _viscosity(E, value, channels: dict, tags, low) -> ViscosityValue:
-    """Scalars for scalar E, per-energy arrays and tuples otherwise."""
+def _spread(ok: np.ndarray, values, fill) -> list:
+    """values, given at ok, over every element of ok; fill elsewhere."""
+    given = iter(values)
+    return [next(given) if good else fill for good in ok.tolist()]
+
+
+def _viscosity(E, ok, value, channels: dict, tags, low) -> ViscosityValue:
+    """Scalars for scalar E, per-energy arrays and tuples otherwise, from
+    the values at ok (see _column); an energy outside ok reads nan in its
+    value and channels, with a blank tag."""
+    if not ok.all():
+        value, *rest = (np.array(_spread(ok, x, math.nan))
+                        for x in (value, *channels.values()))
+        channels = dict(zip(channels, rest))
+        tags, low = _spread(ok, tags, ""), _spread(ok, low, False)
     if np.ndim(E) == 0:
         return ViscosityValue(value[0], {k: c[0] for k, c in channels.items()},
                               tags[0], low[0])
@@ -156,15 +173,15 @@ def shear_b0_numeric(E, params: ModelParams, *, A=None,
     array is solved in one SCBA call, at the disorder column A when one is
     given (see solve_self_energy_b0)."""
     _require_zero_temperature(params)
-    e, s = _column(E, sigma, lambda: solve_self_energy_b0(
+    e, s, ok = _column(E, sigma, lambda: solve_self_energy_b0(
         E, params, A=A, drop_real_part=True))
     zR = e - s
     zA = e - s.conjugate()
     pref = _b0_prefactor(params)
     ra = pref * _k_kernel(zR, zA, params).real
     rr = pref * _k_kernel(zR, zR, params).real
-    return _viscosity(E, ra - rr, {"RA": ra, "RR": rr}, [B_ZERO] * e.size,
-                      [False] * e.size)
+    return _viscosity(E, ok, ra - rr, {"RA": ra, "RR": rr},
+                      [B_ZERO] * e.size, [False] * e.size)
 
 
 def shear_b0_analytic(E: float, params: ModelParams) -> float:
@@ -241,14 +258,14 @@ def shear_bfield_numeric(E, params: ModelParams,
     (see solve_self_energy_landau).
     """
     _require_zero_temperature(params)
-    e, s = _column(E, sigma, lambda: solve_self_energy_landau(
+    e, s, ok = _column(E, sigma, lambda: solve_self_energy_landau(
         E, params, spectrum, A=A))
     s_ra, s_rr = shear_pair_sums(e - s, spectrum)
     scale = (params.degeneracy / 4.0) * spectrum.hbar_omega_c ** 2 / (
         math.pi ** 2 * spectrum.l_B ** 2)
     ra = 0.5 * scale * s_ra.real
     rr = 0.5 * scale * s_rr.real
-    return _viscosity(E, ra - rr, {"RA": ra, "RR": rr},
+    return _viscosity(E, ok, ra - rr, {"RA": ra, "RR": rr},
                       *_regimes(e, spectrum, s))
 
 
@@ -445,7 +462,7 @@ def hall_static_numeric(E, params: ModelParams,
     _hall_sums call.
     """
     _require_zero_temperature(params)
-    e, s = _column(E, sigma, lambda: solve_self_energy_landau(
+    e, s, ok = _column(E, sigma, lambda: solve_self_energy_landau(
         E, params, spectrum, A=A))
     s = s.real + 1j * np.minimum(s.imag, -_GAP_FLOOR)
     W = spectrum.hbar_omega_c ** 2
@@ -455,7 +472,7 @@ def hall_static_numeric(E, params: ModelParams,
     sum_i, sum_surface, sum_log = _hall_sums(e - s, spectrum)
     eta_i = scale * W / (16.0 * math.pi ** 2 * lb2) * sum_i
     eta_ii = scale * W / (8.0 * math.pi ** 2 * lb2) * (sum_surface - sum_log)
-    return _viscosity(E, eta_i + eta_ii,
+    return _viscosity(E, ok, eta_i + eta_ii,
                       {"RA": eta_i, "RR": np.zeros(e.size), "II": eta_ii},
                       *_regimes(e, spectrum, s))
 

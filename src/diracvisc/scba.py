@@ -21,7 +21,8 @@ _REAL_AXIS = 1e-9
 
 
 class ConvergenceError(RuntimeError):
-    """The SCBA Newton solve did not reach tolerance."""
+    """A scalar SCBA Newton solve did not reach tolerance (an array solve
+    writes nan at such an energy instead; see _solution)."""
 
     def __init__(self, message: str, residual: float, iterations: int,
                  sigma: complex):
@@ -35,7 +36,8 @@ class ConvergenceError(RuntimeError):
 @dataclass(frozen=True)
 class SelfEnergySolution:
     energy: float          # eV (an array for array input)
-    sigma: complex         # retarded Sigma(E), eV
+    sigma: complex         # retarded Sigma(E), eV; nan + nan j at an
+                           # energy of an array that stayed open
     residual: float        # |Sigma_out - Sigma_in| / max(|Sigma_out|, floor)
     iterations: int        # the largest entry of steps
     steps: int             # Newton steps per element (an array for array
@@ -120,17 +122,20 @@ def _at(column, idx):
 
 def _solution(E, e: np.ndarray, sigma: np.ndarray, residual: np.ndarray,
               steps: np.ndarray, tol: float) -> SelfEnergySolution:
-    """Scalars for scalar E, arrays otherwise; raises ConvergenceError with
-    the worst residual when any energy is still open."""
-    if not (residual <= tol).all():
-        worst = np.argmax(residual)
-        raise ConvergenceError("SCBA Newton solve did not converge",
-                               residual[worst], int(steps[worst]),
-                               sigma[worst])
+    """Scalars for scalar E, arrays otherwise. An energy still open (its
+    residual above tol, or nan) fails: a scalar E raises ConvergenceError
+    with its residual, and in an array its sigma reads nan + nan j while
+    its residual and steps stand, so np.isfinite(sigma) marks the energies
+    that converged."""
+    open_ = ~(residual <= tol)
     iterations = int(steps.max())
     if np.ndim(E) == 0:
+        if open_[0]:
+            raise ConvergenceError("SCBA Newton solve did not converge",
+                                   residual[0], iterations, sigma[0])
         return SelfEnergySolution(E, sigma[0], residual[0], iterations,
                                   iterations)
+    sigma[open_] = complex(math.nan, math.nan)
     return SelfEnergySolution(e, sigma, residual, iterations, steps)
 
 
@@ -307,9 +312,12 @@ def landau_green_sum(z, spectrum: LandauSpectrum):
     return ladder_sums(z, spectrum, closed)
 
 
-def level_width(params: ModelParams, spectrum: LandauSpectrum) -> float:
-    """The SCBA Landau level width hbar w_c / sqrt(2A)."""
-    return spectrum.hbar_omega_c / math.sqrt(2.0 * params.disorder_A)
+def level_width(params: ModelParams, spectrum: LandauSpectrum,
+                A: float | None = None) -> float:
+    """The SCBA Landau level width hbar w_c / sqrt(2A), at the disorder A
+    when given, else at params.disorder_A."""
+    a = params.disorder_A if A is None else A
+    return spectrum.hbar_omega_c / math.sqrt(2.0 * a)
 
 
 def solve_self_energy_landau(E, params: ModelParams, spectrum: LandauSpectrum,
@@ -339,7 +347,7 @@ def solve_self_energy_landau(E, params: ModelParams, spectrum: LandauSpectrum,
     e = np.asarray(E, dtype=float).reshape(-1)
 
     def per_disorder(a):
-        width = hwc / math.sqrt(2.0 * a)    # level_width at disorder a
+        width = level_width(params, spectrum, a)
         return (a, hwc ** 2 / (2.0 * a), width,
                 max(params.cutoff_Ec * math.exp(-a / 2.0), width))
 

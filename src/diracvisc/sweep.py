@@ -2,9 +2,10 @@
 
 A sweep is described by a flat SweepSpec (JSON-serializable); rows are
 computed serially, one B row at a time: every (E, Omega, A) point at one
-field in one evaluator call. A static quantity solves its whole row in one
-SCBA call over a disorder column; a dynamic quantity makes one call per A
-inside the row, as the dynamic functions take a single params (one A). The
+field in one evaluator call, whose SCBA solves take a disorder column (the
+dynamic Hall kink sum does not depend on A and is summed once per row). An
+SCBA energy left open reads nan, and run_sweep flags every point whose
+value is not finite as not converged: the sweep's one failure path. The
 result is a column table, its rows listed in lexicographic grid order
 (E, B, Omega, A) by one index permutation, so CSV output is byte-identical
 across runs; the CSV writer formats it column by column. Each quantity is
@@ -16,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from typing import Callable, NamedTuple
 
@@ -28,7 +29,7 @@ from .model import (DEFAULT_CUTOFF, ModelParams, build_spectrum, check_in_band,
 from .kubo_static import (hall_static_numeric, shear_b0_numeric,
                           shear_bfield_numeric)
 from .kubo_dynamic import hall_dynamic, shear_dynamic_b0, shear_dynamic_bfield
-from .scba import dos, solve_self_energy_b0, solve_self_energy_landau, ConvergenceError
+from .scba import dos, solve_self_energy_b0, solve_self_energy_landau
 
 
 # ---------------------------------------------------------------------------
@@ -92,27 +93,20 @@ def _static_hall(e, Omega, A, spectrum, params, fixed) -> dict:
     return _static_table(hall_static_numeric(e, params, spectrum, A=A))
 
 
-def _by_disorder(kubo, e, Omega, A, params, *args) -> dict:
-    """The values of kubo(E, Omega, params, *args), one call per distinct
-    disorder of A over its points."""
-    value = np.empty(e.size)
-    for a in dict.fromkeys(A.tolist()):
-        at = A == a
-        value[at] = kubo(e[at], Omega[at], replace(params, disorder_A=a),
-                         *args)
-    return {"value": value}
-
-
 def _dynamic_shear(e, Omega, A, spectrum, params, fixed) -> dict:
     if spectrum is None:
-        return _by_disorder(shear_dynamic_b0, e, Omega, A, params)
-    return _by_disorder(shear_dynamic_bfield, e, Omega, A, params, spectrum,
-                         fixed.get("broadening"))
+        return {"value": shear_dynamic_b0(e, Omega, params, A=A)}
+    return {"value": shear_dynamic_bfield(e, Omega, params, spectrum,
+                                          fixed.get("broadening"), A=A)}
 
 
 def _dynamic_hall(e, Omega, A, spectrum, params, fixed) -> dict:
+    # the kink sum does not depend on A: the row's (E, Omega) points at its
+    # first A are summed once and repeated for every A (the row is A-major)
     gamma = fixed.get("broadening", spectrum.hbar_omega_c / 50.0)
-    return _by_disorder(hall_dynamic, e, Omega, A, params, spectrum, gamma)
+    first = A == A[0]
+    value = hall_dynamic(e[first], Omega[first], params, spectrum, gamma)
+    return {"value": np.tile(value, A.size // value.size)}
 
 
 def _vertex_check(e, Omega, A, spectrum, params, fixed) -> dict:
@@ -342,26 +336,13 @@ def _join(tables: list[dict]) -> dict:
 def _eval_point(spec: SweepSpec, e: np.ndarray, B: float | None,
                 Omega: np.ndarray | None, A: np.ndarray) -> dict:
     """The column table of one B row over the points (e[i], Omega[i], A[i]),
-    in their order; Omega is None for a static quantity. The row is
-    evaluated in one call. When that call raises ConvergenceError, each
-    point is evaluated on its own, so only the points that fail are
-    flagged: their value reads nan and their other cells are blank."""
+    in their order, from one evaluator call; Omega is None for a static
+    quantity. A point whose SCBA solve stays open reads nan in its value
+    (and in its value channels), which run_sweep flags."""
     params = _make_params(float(A[0]), spec.fixed)
     spectrum = build_spectrum(params, B) if B else None
-    evaluate = QUANTITIES[spec.quantity].evaluate
-    try:
-        return evaluate(e, Omega, A, spectrum, params, spec.fixed)
-    except ConvergenceError:
-        pass
-    tables = []
-    for i in range(e.size):
-        at = slice(i, i + 1)
-        try:
-            tables.append(evaluate(e[at], None if Omega is None else Omega[at],
-                                   A[at], spectrum, params, spec.fixed))
-        except ConvergenceError:
-            tables.append({"value": np.full(1, math.nan)})
-    return _join(tables)
+    return QUANTITIES[spec.quantity].evaluate(e, Omega, A, spectrum, params,
+                                              spec.fixed)
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:

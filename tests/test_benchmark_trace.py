@@ -7,8 +7,8 @@ no call or an SCBA solve runs outside a traced span. A refactor that moves
 a solve off those call sites breaks the benchmark; this test makes it
 break the suite too. It also pins the traced call counts of the dynamic
 quantities: one hall_dynamic, one B = 0 shear_dynamic_b0 and one field
-shear_dynamic_bfield call per (B, A) block of a sweep, so a relapse to
-per-point calls fails here, and two counted _k_kernel calls per B = 0
+shear_dynamic_bfield call per B row of a sweep, so a relapse to per-point
+or per-A calls fails here, and two counted _k_kernel calls per B = 0
 window solve. perfbench/ is only read: its tracer and workload
 modules are loaded from their files, and one traced pass of each
 workload's seed-0 sweeps runs in a temporary directory.
@@ -43,9 +43,8 @@ PACKAGE = {"cli": cli, "sweep": sweep, "model": model,
 
 
 def blocks(config: dict) -> int:
-    """(B, A) blocks of a sweep config: one call per dynamic quantity each."""
-    fields = config["B"]["count"] if isinstance(config["B"], dict) else 1
-    return fields * len(config["A"])
+    """B rows of a sweep config: one call per dynamic quantity each."""
+    return config["B"]["count"] if isinstance(config["B"], dict) else 1
 
 
 @pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
@@ -72,7 +71,7 @@ def test_traced_pass_meets_the_contract(workload, tmp_path, capsys):
         if c["quantity"] == "dynamic_shear" and c["B"] is not None)
     if workload == "landau_10T":  # fig5's 348 points, 4 E x 87 Omega
         assert metrics["kubo_dynamic.hall.calls"] == 1
-    if workload == "landau_window":  # 3 points in 2 blocks
+    if workload == "landau_window":  # 3 points in 2 one-row sweeps
         assert metrics["kubo_dynamic.shear_bfield.calls"] == 2
     if workload == "b0_window":
         # two radial kernel calls per solve, counted through the module

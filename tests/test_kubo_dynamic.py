@@ -891,3 +891,61 @@ class TestNonFiniteInput:
         with pytest.raises(ValueError,
                            match=rf"^{name} must be finite, got -?(nan|inf)$"):
             call()
+
+
+def dynamic_shear(E, Omega, params, spectrum, A=None):
+    if spectrum is None:
+        return shear_dynamic_b0(E, Omega, params, A=A)
+    return shear_dynamic_bfield(E, Omega, params, spectrum, A=A)
+
+
+class TestDisorderColumn:
+    """A dynamic-shear block over several disorders against its per-A
+    calls, with the SCBA self-energy."""
+
+    A_VALUES = (20.0, 35.0, 500.0)
+
+    @pytest.mark.parametrize("B", [0.0, 10.0])
+    def test_row_equals_its_disorder_calls(self, B):
+        E, Omega = (g.ravel() for g in np.meshgrid(
+            [0.0, 0.1, -0.13], [0.05, -0.1], indexing="ij"))
+        params = ModelParams(disorder_A=self.A_VALUES[0])
+        spectrum = build_spectrum(params, B) if B else None
+        row = dynamic_shear(np.tile(E, 3), np.tile(Omega, 3), params,
+                            spectrum, np.repeat(self.A_VALUES, E.size))
+        each = np.concatenate([
+            dynamic_shear(E, Omega, ModelParams(disorder_A=a), spectrum)
+            for a in self.A_VALUES])
+        assert row.tobytes() == each.tobytes()
+
+    @pytest.mark.parametrize("B", [0.0, 10.0])
+    def test_one_disorder_broadcasts_over_the_block(self, B):
+        params = ModelParams(disorder_A=20.0)
+        spectrum = build_spectrum(params, B) if B else None
+        E, Omega = np.array([0.05, 0.13]), np.array([0.1, -0.2])
+        want = dynamic_shear(E, Omega, ModelParams(disorder_A=35.0), spectrum)
+        got = dynamic_shear(E, Omega, params, spectrum, 35.0)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("B", [0.0, 10.0])
+    @pytest.mark.parametrize("A", [-1.0, 0.0, math.nan, [20.0, math.inf]])
+    def test_bad_disorder_is_refused(self, B, A):
+        params = ModelParams(disorder_A=20.0)
+        spectrum = build_spectrum(params, B) if B else None
+        with pytest.raises(ValueError, match="disorder_A must be positive"):
+            dynamic_shear([0.05, 0.13], [0.1, 0.2], params, spectrum, A)
+
+
+class TestEmptyBlock:
+    @pytest.mark.parametrize("quantity", ["shear_b0", "shear_bfield",
+                                          "hall"])
+    @pytest.mark.parametrize("E,Omega", [([], []), (np.zeros((2, 0)), 0.1)])
+    def test_refused(self, quantity, E, Omega, params500, spectrum10_500):
+        gamma = spectrum10_500.hbar_omega_c / 50.0
+        call = {"shear_b0": lambda: shear_dynamic_b0(E, Omega, params500),
+                "shear_bfield": lambda: shear_dynamic_bfield(
+                    E, Omega, params500, spectrum10_500),
+                "hall": lambda: hall_dynamic(E, Omega, params500,
+                                             spectrum10_500, gamma)}[quantity]
+        with pytest.raises(ValueError, match=r"block of shape .* is empty"):
+            call()

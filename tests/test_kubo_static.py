@@ -11,15 +11,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import diracvisc
-from diracvisc import (LandauSpectrum, ModelParams, OVERLAPPED, SEPARATED,
-                       build_spectrum, detect_regime, hall_dynamic,
+from diracvisc import (B_ZERO, ConvergenceError, LandauSpectrum, ModelParams,
+                       OVERLAPPED, SEPARATED, build_spectrum, detect_regime, hall_dynamic,
                        hall_static_analytic,
                        hall_static_numeric, landau_energy, magnetic_length,
                        shear_b0_analytic, shear_b0_numeric,
                        shear_bfield_analytic, shear_bfield_dirac_limit,
                        shear_bfield_numeric, solve_self_energy_b0,
                        solve_self_energy_landau, stress_element_xx_minus_yy, stress_element_xy)
-from diracvisc import kubo_static, oracles
+from diracvisc import kubo_static, oracles, scba
 from diracvisc.kubo_static import (_hall_sums, _k_kernel, _radial,
                                    _t_integral, _weighted_log_sum,
                                    shear_pair_sums)
@@ -899,3 +899,46 @@ class TestSymmetry:
         for E in np.linspace(0.0, 0.3, 7):
             assert shear_bfield_numeric(E, params50,
                                         spectrum10_50).value >= -1e-9
+
+
+class TestOpenSolve:
+    """An SCBA energy left open: a scalar Kubo call raises, an array call
+    reads nan there (value and channels, blank tag) and keeps the rest."""
+
+    def test_b0_scalar_raises_and_array_reads_nan(self):
+        # A = 1.2: Newton diverges at E = 5.4
+        params = ModelParams(disorder_A=1.2)
+        with pytest.raises(ConvergenceError):
+            shear_b0_numeric(5.4, params)
+        v = shear_b0_numeric(np.array([5.3, 5.4]), params)
+        one = shear_b0_numeric(5.3, params)
+        assert v.value[0] == one.value and math.isnan(v.value[1])
+        for name, c in v.channels.items():
+            assert c[0] == one.channels[name] and math.isnan(c[1])
+        assert v.regime_tag == (B_ZERO, "")
+        assert v.low_confidence == (False, False)
+
+    @pytest.mark.parametrize("kubo", [shear_bfield_numeric,
+                                      hall_static_numeric])
+    def test_landau_scalar_raises_and_array_reads_nan(self, kubo, params50,
+                                                      spectrum10_50,
+                                                      monkeypatch):
+        energies = np.array([0.1, 0.2, -0.13])
+        clean = kubo(energies, params50, spectrum10_50)
+        iterate = scba._iterate
+
+        def leave_open(e, *args):     # every solve of E = 0.2 stays open
+            sigma, residual, steps = iterate(e, *args)
+            return sigma, np.where(e == 0.2, 0.5, residual), steps
+
+        monkeypatch.setattr(scba, "_iterate", leave_open)
+        with pytest.raises(ConvergenceError):
+            kubo(0.2, params50, spectrum10_50)
+        v = kubo(energies, params50, spectrum10_50)
+        for got, want in [(v.value, clean.value),
+                          *[(v.channels[k], c)
+                            for k, c in clean.channels.items()]]:
+            assert np.isnan(got).tolist() == [False, True, False]
+            assert got[[0, 2]].tobytes() == want[[0, 2]].tobytes()
+        assert v.regime_tag == (clean.regime_tag[0], "",
+                                clean.regime_tag[2])

@@ -287,12 +287,26 @@ class TestB0ArraySolve:
                                        drop_real_part=drop)
             assert sol.iterations <= 8
 
-    def test_nonconvergence_raises_for_arrays(self, params20):
+    def test_open_energies_read_nan_in_arrays(self, params20):
+        sol = solve_self_energy_b0(np.array([0.5, 1.0, 1.5]), params20,
+                                   max_iter=2)
+        assert np.isnan(sol.sigma.real).all() and np.isnan(sol.sigma.imag).all()
+        assert np.all(sol.residual > 1e-10) and np.isfinite(sol.residual).all()
+        assert sol.steps.tolist() == [2, 2, 2] and sol.iterations == 2
+
+    def test_open_energy_leaves_the_others_alone(self):
+        # A = 1.2 diverges at E = 5.4 only: the array flags that energy,
+        # keeps its residual and steps, and the rest are their scalar roots
+        params = ModelParams(disorder_A=1.2)
+        energies = np.array([5.2, 5.3, 5.4])
+        sol = solve_self_energy_b0(energies, params)
+        assert np.isfinite(sol.sigma).tolist() == [True, True, False]
+        assert sol.residual[2] > 1e-10 and sol.steps[2] == 100
+        for E, s in zip(energies[:2], sol.sigma[:2]):
+            assert s == solve_self_energy_b0(float(E), params).sigma
         with pytest.raises(ConvergenceError) as exc:
-            solve_self_energy_b0(np.array([0.5, 1.0, 1.5]), params20,
-                                 max_iter=2)
-        assert exc.value.residual > 0
-        assert exc.value.iterations == 2
+            solve_self_energy_b0(5.4, params)
+        assert exc.value.residual == sol.residual[2]
 
     def test_max_iter_must_be_positive(self, params20):
         with pytest.raises(ValueError, match="max_iter"):
@@ -786,25 +800,28 @@ class TestLandauArraySolve:
             assert s == pytest.approx(
                 damped_landau_sigma(E, params50, spectrum10_50), rel=1e-8)
 
-    def test_unconfirmed_real_root_raises(self, params50, spectrum10_50,
-                                          monkeypatch):
+    def test_unconfirmed_real_root_reads_nan(self, params50, spectrum10_50,
+                                             monkeypatch):
         # the real roots at E = +-0.21 stand only when the re-solve
-        # converges; a re-solve that stays open fails the solve
+        # converges; a re-solve that stays open leaves those energies open
         iterate = scba._iterate
         passes = []
 
         def resolve_stays_open(e, seed, *args):
             sigma, residual, steps = iterate(e, seed, *args)
             passes.append(e.copy())
-            if len(passes) == 2:
+            if len(passes) % 2 == 0:    # the re-solve of each solve below
                 residual = np.full(e.shape, 0.5)
             return sigma, residual, steps
 
         monkeypatch.setattr(scba, "_iterate", resolve_stays_open)
-        with pytest.raises(ConvergenceError) as exc:
-            solve_self_energy_landau(np.array([-0.21, 0.1, 0.21]), params50,
-                                     spectrum10_50)
+        sol = solve_self_energy_landau(np.array([-0.21, 0.1, 0.21]),
+                                       params50, spectrum10_50)
         np.testing.assert_array_equal(passes[1], [-0.21, 0.21])
+        assert np.isfinite(sol.sigma).tolist() == [False, True, False]
+        assert sol.residual[[0, 2]].tolist() == [0.5, 0.5]
+        with pytest.raises(ConvergenceError) as exc:
+            solve_self_energy_landau(0.21, params50, spectrum10_50)
         assert exc.value.residual == 0.5
 
     @pytest.mark.parametrize("A", [20.0, 50.0, 500.0])
@@ -832,12 +849,16 @@ class TestLandauArraySolve:
         ref = [damped_landau_sigma(E, params, spectrum) for E in energies]
         np.testing.assert_allclose(sol.sigma, ref, rtol=1e-8, atol=0.0)
 
-    def test_nonconvergence_raises_for_arrays(self, params50, spectrum10_50):
-        with pytest.raises(ConvergenceError) as exc:
-            solve_self_energy_landau(np.array([0.05, 0.1, 0.2]), params50,
-                                     spectrum10_50, max_iter=2)
-        assert exc.value.residual > 0
+    def test_open_energies_read_nan_in_arrays(self, params50, spectrum10_50):
+        sol = solve_self_energy_landau(np.array([0.05, 0.1, 0.2]), params50,
+                                       spectrum10_50, max_iter=2)
+        assert np.isnan(sol.sigma.real).all() and np.isnan(sol.sigma.imag).all()
+        assert np.all(sol.residual > 1e-10) and np.isfinite(sol.residual).all()
         # the open energies are solved again, and both passes count
+        assert sol.steps.tolist() == [4, 4, 4] and sol.iterations == 4
+        with pytest.raises(ConvergenceError) as exc:
+            solve_self_energy_landau(0.1, params50, spectrum10_50, max_iter=2)
+        assert exc.value.residual == sol.residual[1]
         assert exc.value.iterations == 4
 
     def test_max_iter_must_be_positive(self, params50, spectrum10_50):

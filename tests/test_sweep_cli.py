@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -225,7 +226,8 @@ COLUMNS = [
 # a Gauss node of a 1 T, A = 500 window where the cold-seed Landau Newton
 # solve cycles on the real axis, until the branch re-solve takes it
 NEWTON_TRAP = 0.1268914167697149
-# B = 0, A = 1.2: Newton diverges at E = 5.4 and raises ConvergenceError
+# B = 0, A = 1.2: Newton diverges at E = 5.4, where a scalar solve raises
+# ConvergenceError and an array solve reads nan
 DIVERGING = dict(e_grid=GridSpec(5.2, 5.4, 3), a_values=(1.2,))
 
 
@@ -278,25 +280,29 @@ class TestColumns:
     # a self_energy row, every A at one B, is one solve whose CSV is
     # byte-identical to per-energy scalar solves: at B = 0 and 10 T, with
     # the branch re-solve of A = 50, E = +-0.21 among them, and at the 1 T
-    # trap; a row that fails (B = 0, A = 1.2) is retried energy by energy
-    # and only the failed row is flagged
+    # trap; in a row that fails (B = 0, A = 1.2) only the failed row is
+    # flagged, with the residual and steps its scalar solve raises
     @pytest.mark.parametrize("b_grid,a_values,e_grid,calls,failed", [
         (GridSpec(0.0, 10.0, 2), (20.0, 50.0, 500.0),
          GridSpec(-0.21, 0.21, 15), [45, 45], None),
         (GridSpec(1.0, 1.0, 1), (500.0,), GridSpec(0.0, 2.0 * NEWTON_TRAP, 5),
          [5], None),
-        (None, DIVERGING["a_values"], DIVERGING["e_grid"], [3, 1, 1, 1],
-         5.4)])
+        (None, DIVERGING["a_values"], DIVERGING["e_grid"], [3], 5.4)])
     def test_self_energy_column_is_one_solve(self, b_grid, a_values, e_grid,
                                              calls, failed, monkeypatch):
         def per_energy(e, Omega, A, spectrum, params, fixed):
-            sols = [sweep._solve_sigma(E, None, spectrum,
-                                       replace(params, disorder_A=a))
-                    for E, a in zip(e.tolist(), A.tolist())]
-            sigma = np.array([sol.sigma for sol in sols])
+            cells = []
+            for E, a in zip(e.tolist(), A.tolist()):
+                try:
+                    sol = sweep._solve_sigma(E, None, spectrum,
+                                             replace(params, disorder_A=a))
+                    cells.append((sol.sigma, sol.residual, sol.iterations))
+                except ConvergenceError as exc:
+                    cells.append((complex(math.nan, math.nan), exc.residual,
+                                  exc.iterations))
+            sigma, residual, iterations = map(np.array, zip(*cells))
             return {"value": sigma.imag, "re_sigma": sigma.real,
-                    "residual": np.array([sol.residual for sol in sols]),
-                    "iterations": np.array([sol.iterations for sol in sols])}
+                    "residual": residual, "iterations": iterations}
 
         spec = SweepSpec(quantity="self_energy", e_grid=e_grid, b_grid=b_grid,
                          a_values=a_values)
@@ -315,7 +321,7 @@ class TestColumns:
                                 evaluate=per_energy))
         assert result_to_csv(result) == result_to_csv(run_sweep(spec))
 
-    def test_failed_energy_is_the_only_row_flagged(self):
+    def test_failed_energy_is_the_only_row_flagged(self, monkeypatch):
         with pytest.raises(ConvergenceError):
             solve_self_energy_b0(5.4, ModelParams(disorder_A=1.2))
         for quantity in ("self_energy", "dos", "static_shear"):
@@ -326,6 +332,26 @@ class TestColumns:
             for r in rows[:2]:
                 one = run_sweep(replace(spec, e_grid=GridSpec(r.E, r.E, 1)))
                 assert one.rows == [r]
+        # the failed self_energy row keeps its residual and Newton steps
+        failed = run_sweep(SweepSpec(quantity="self_energy",
+                                     **DIVERGING)).rows[2]
+        assert math.isnan(failed.channels["re_sigma"])
+        assert failed.channels["residual"] > 1e-10
+        assert failed.channels["iterations"] == 100
+        # beside other disorders: one solve of all 12 energies, and only
+        # the A = 1.2, E = 5.4 row is flagged
+        sizes = []
+
+        def record(E, *args, **kwargs):
+            sizes.append(np.size(E))
+            return solve_self_energy_b0(E, *args, **kwargs)
+
+        monkeypatch.setattr(sweep, "solve_self_energy_b0", record)
+        rows = run_sweep(SweepSpec(quantity="self_energy",
+                                   e_grid=DIVERGING["e_grid"],
+                                   a_values=(1.2, 10.0, 20.0, 35.0))).rows
+        assert sizes == [12]
+        assert [(r.E, r.A) for r in rows if not r.converged] == [(5.4, 1.2)]
         # the vertex check solves no SCBA, so its column has no failure
         rows = run_sweep(SweepSpec(quantity="vertex_check", **DIVERGING)).rows
         assert [r.converged for r in rows] == [True, True, True]
@@ -471,12 +497,16 @@ class TestCsvOracle:
         rows = [line.split(",") for line in text.splitlines()[3:]]
         assert len(rows) == len(result)
         if grids is DIVERGING:
-            # the failed point: nan, its other cells blank, not converged
+            # the failed point: nan in its value and value channels, a
+            # blank regime, not converged; self_energy keeps its residual
+            # and steps
             failed = [r for r in rows if r[-1] == "false"]
-            assert failed == [["5.4", "", "", "1.2", "nan"]
-                              + [""] * (len(rows[0]) - 6) + ["false"]]
-            assert [(r.channels, r.regime_tag) for r in result.rows
-                    if not r.converged] == [({}, "")]
+            assert [r[:5] for r in failed] == [["5.4", "", "", "1.2", "nan"]]
+            channels = {"self_energy": ["nan", failed[0][6], "100"],
+                        "dos": [], "static_shear": ["nan", "nan"]}[quantity]
+            assert failed[0][5:] == channels + ["", "false"]
+            if quantity == "self_energy":
+                assert float(failed[0][6]) > 1e-10
         if quantity == "self_energy":
             assert all(r[7].isdigit() for r in rows if r[-1] == "true")
 
@@ -507,7 +537,8 @@ class TestDynamicBlocks:
                          omega_grid=GridSpec(-0.3, 0.3, 4),
                          a_values=(50.0, 500.0))
         rows = run_sweep(spec).rows
-        assert calls == [3 * 4] * (2 * 2)  # one call per (B, A) block
+        # one call per B row: the kink sum does not depend on A
+        assert calls == [3 * 4] * 2
         keys = [(r.E, r.B, r.Omega, r.A) for r in rows]
         assert keys == sorted(keys) and len(set(keys)) == 48
         want = []
@@ -519,38 +550,62 @@ class TestDynamicBlocks:
         got = np.array([r.value for r in rows])
         assert got.tobytes() == np.array(want).tobytes()
 
-    # calls: each block evaluator fails once on the whole block of 12
-    # points and then takes them one by one
-    @pytest.mark.parametrize("quantity,name,B,calls", [
-        ("dynamic_hall", "hall_dynamic", 10.0, 1 + 12),
-        ("dynamic_shear", "shear_dynamic_b0", None, 1 + 12),
-        ("dynamic_shear", "shear_dynamic_bfield", 10.0, 1 + 12)])
-    def test_failed_point_is_the_only_row_flagged(self, quantity, name, B,
-                                                  calls, monkeypatch):
-        spec = SweepSpec(quantity=quantity, e_grid=GridSpec(0.0, 0.2, 3),
-                         b_grid=None if B is None else GridSpec(B, B, 1),
-                         omega_grid=GridSpec(-0.3, 0.3, 4), a_values=(50.0,))
-        want = run_sweep(spec).rows
-        bad = want[5]
-        real = getattr(sweep, name)
-        seen = []
 
-        def failing(E, Omega, *args, **kwargs):
-            seen.append(np.size(E))
-            if np.any((E == bad.E) & (Omega == bad.Omega)):
-                raise ConvergenceError("injected", 1.0, 100, 0j)
-            return real(E, Omega, *args, **kwargs)
+# every quantity that solves the SCBA, with grids whose E = 0.2 rows (and
+# only those) solve an energy in OPEN_BAND: the E = 0.2 windows reach into
+# it at every Omega, and the E = 0 windows end at 0.1
+OPEN_BAND = (0.15, 0.25)
+OPEN_CASES = [
+    ("self_energy", dict(e_grid=GridSpec(0.0, 0.2, 3),
+                         b_grid=GridSpec(0.0, 10.0, 2))),
+    ("dos", dict(e_grid=GridSpec(0.0, 0.2, 3), b_grid=GridSpec(0.0, 10.0, 2))),
+    ("static_shear", dict(e_grid=GridSpec(0.0, 0.2, 3),
+                          b_grid=GridSpec(0.0, 10.0, 2))),
+    ("static_hall", dict(e_grid=GridSpec(0.0, 0.2, 3),
+                         b_grid=GridSpec(5.0, 10.0, 2))),
+    ("dynamic_shear", dict(e_grid=GridSpec(0.0, 0.2, 2),
+                           b_grid=GridSpec(0.0, 10.0, 2),
+                           omega_grid=GridSpec(0.05, 0.1, 2))),
+]
 
-        monkeypatch.setattr(sweep, name, failing)
-        rows = run_sweep(spec).rows
-        assert len(seen) == calls
-        assert [r.converged for r in rows] == [r is not bad for r in want]
-        assert math.isnan(rows[5].value)
-        scale = max(abs(r.value) for r in want)
-        for r, w in zip(rows, want):
-            assert (r.E, r.Omega) == (w.E, w.Omega)
-            if w is not bad:
-                assert abs(r.value - w.value) <= 1e-12 * scale
+
+class TestOpenSolves:
+    @pytest.mark.parametrize("quantity,grids", OPEN_CASES)
+    def test_open_energies_flag_their_rows_only(self, quantity, grids,
+                                                monkeypatch):
+        # _iterate leaves every energy in OPEN_BAND open, as a diverging
+        # Newton solve would; each B row is still one evaluator call, only
+        # the rows that solve such an energy are flagged, the other rows
+        # are byte-identical to a clean run, and nothing warns
+        spec = SweepSpec(quantity=quantity, a_values=(20.0, 500.0), **grids)
+        clean = result_to_csv(run_sweep(spec)).splitlines()
+        iterate = scba._iterate
+
+        def leave_open(e, *args):
+            sigma, residual, steps = iterate(e, *args)
+            inside = (OPEN_BAND[0] < e) & (e < OPEN_BAND[1])
+            return sigma, np.where(inside, 0.5, residual), steps
+
+        calls = []
+        evaluate = QUANTITIES[quantity].evaluate
+
+        def record(e, *args):
+            calls.append(e.size)
+            return evaluate(e, *args)
+
+        monkeypatch.setattr(scba, "_iterate", leave_open)
+        monkeypatch.setitem(QUANTITIES, quantity,
+                            QUANTITIES[quantity]._replace(evaluate=record))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = run_sweep(spec)
+        assert len(calls) == spec.b_grid.count
+        assert [r.converged for r in result.rows] == [r.E != 0.2
+                                                      for r in result.rows]
+        assert all(math.isnan(r.value) for r in result.rows if r.E == 0.2)
+        lines = result_to_csv(result).splitlines()
+        assert [a for a, r in zip(lines[3:], result.rows) if r.converged] == [
+            c for c, r in zip(clean[3:], result.rows) if r.converged]
 
 
 def full_ladder_fields(quantity, E, params, spectrum):
@@ -1020,6 +1075,12 @@ class TestCli:
         assert rc == 1
         assert "compute error" in capsys.readouterr().err
 
+    def test_solve_sigma_left_open_exits_1(self, capsys):
+        # a scalar solve still raises where an array solve reads nan
+        assert main(["solve-sigma", "--E", "5.4", "--A", "1.2"]) == 1
+        assert ("compute error: SCBA Newton solve did not converge"
+                in capsys.readouterr().err)
+
     def test_import_leaves_out_scipy_integrate(self):
         # only the quadrature validation route needs scipy.integrate
         src = str(Path(diracvisc.__file__).resolve().parents[1])
@@ -1226,6 +1287,23 @@ class TestCli:
             row for row in cli._validate_checks()
             if row[0].startswith("Landau SCBA roots re-inserted"))
         assert status == cli.PASS, detail
+
+    def test_validate_fails_on_an_open_root(self, monkeypatch, capsys):
+        # an open root reads nan; max(0.0, nan) would be 0.0 and PASS
+        solve = cli.solve_self_energy_landau
+
+        def one_open(E, *args, **kwargs):
+            sol = solve(E, *args, **kwargs)
+            if np.size(E) == 41:    # the re-insertion check's energies
+                sol.sigma[20] = complex(math.nan, math.nan)
+            return sol
+
+        monkeypatch.setattr(cli, "solve_self_energy_landau", one_open)
+        assert main(["validate"]) == 1
+        out = capsys.readouterr().out
+        assert (f"[{cli.FAIL:>15}] Landau SCBA roots re-inserted (B=10 T, "
+                "A=20 and 500, 41 E): max residual nan, max Im Sigma nan eV"
+                in out)
 
     def test_validate_ladder_closed_forms(self):
         status = next(status for name, status, _ in cli._validate_checks()
