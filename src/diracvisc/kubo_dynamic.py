@@ -25,7 +25,7 @@ from .model import LandauSpectrum, ModelParams
 from .kubo_static import (_CHUNK_TERMS, _b0_prefactor, _budget_slices,
                           _g_array, _k_kernel, hall_static_numeric,
                           shear_b0_numeric, shear_bfield_numeric)
-from .scba import (level_width, solve_self_energy_b0,
+from .scba import (_require_finite, level_width, solve_self_energy_b0,
                    solve_self_energy_landau)
 
 ELECTRON_HOLE = "electron_hole"
@@ -134,12 +134,7 @@ def _points(E, Omega):
     non-finite value and Omega = 0 (use the static quantity there)."""
     e, om = np.broadcast_arrays(np.asarray(E, dtype=float),
                                 np.asarray(Omega, dtype=float))
-    if e.size == 0:
-        raise ValueError(f"the (E, Omega) block of shape {e.shape} is empty")
-    for name, x in (("E", e), ("Omega", om)):
-        if not np.isfinite(x).all():
-            raise ValueError(
-                f"{name} must be finite, got {x[~np.isfinite(x)][0]}")
+    _require_finite("(E, Omega) block", E=e, Omega=om)
     om = np.abs(om)
     if not om.all():
         raise ValueError("Omega must be nonzero")
@@ -190,7 +185,9 @@ def _window_integral(E, Omega, A, params: ModelParams, window, rule, solve,
         z = solve(np.array((nodes, nodes + o)), np.repeat(a[part], n))
         ok = np.logical_and.reduceat(np.isfinite(z).all(axis=0),
                                      np.cumsum(n) - n)
-        keep, kept = np.repeat(ok, n), n[ok]
+        # every node converged: views, not masked copies
+        keep = slice(None) if ok.all() else np.repeat(ok, n)
+        kept = n[ok]
         rows = kernel(z[:, keep], nodes[keep], o[keep], kept,
                       [x for x, good in zip(extras, ok.tolist()) if good])
         part_sums = np.full((*rows.shape[:-1], n.size), math.nan)

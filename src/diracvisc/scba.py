@@ -87,20 +87,22 @@ def _iterate(e: np.ndarray, seed: np.ndarray, fmap, tol: float,
     stops leaves its slope unused. Each energy
     stops at the first iterate whose residual |F - Sigma|/|F| is <= tol and
     keeps F(Sigma) as its root; an energy still open after max_iter steps
-    keeps its last F(Sigma) and residual. F and the Newton iterates are
-    reflected to the retarded branch (Im <= 0). Returns the sigma, residual
-    and step-count arrays.
+    keeps its last F(Sigma) and residual. The iterates keep the seed's
+    dtype: complex Sigma, or a real Im Sigma on the imaginary axis. F and
+    the Newton iterates are reflected to the retarded branch (Im <= 0; a
+    real x becomes -|x|). Returns the sigma, residual and step-count
+    arrays.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    sigma = np.empty(e.shape, dtype=complex)
+    sigma = np.empty(e.shape, dtype=seed.dtype)
     residual = np.empty(e.shape)
     steps = np.empty(e.shape, dtype=int)
     idx = np.arange(e.size)     # the energies still iterating
     s = seed
     for it in range(1, max_iter + 1):
         out, slope = fmap(e[idx], s, *(_at(c, idx) for c in columns))
-        out = np.where(out.imag > 0, out.conjugate(), out)
+        out = _retarded(out)
         res = np.abs(out - s) / np.maximum(np.abs(out), _RESIDUAL_FLOOR)
         done = (res <= tol) | (it == max_iter)
         stop = idx[done]
@@ -109,9 +111,16 @@ def _iterate(e: np.ndarray, seed: np.ndarray, fmap, tol: float,
             break
         left = ~done
         idx, s, out = idx[left], s[left], out[left]
-        s = s - (s - out) / slope[left]
-        s = np.where(s.imag > 0, s.conjugate(), s)
+        s = _retarded(s - (s - out) / slope[left])
     return sigma, residual, steps
+
+
+def _retarded(x: np.ndarray) -> np.ndarray:
+    """x on the retarded branch: a complex x with Im x > 0 conjugated, a
+    real x (an Im Sigma) as -|x|."""
+    if np.iscomplexobj(x):
+        return np.where(x.imag > 0, x.conjugate(), x)
+    return -np.abs(x)
 
 
 def _at(column, idx):
@@ -139,21 +148,39 @@ def _solution(E, e: np.ndarray, sigma: np.ndarray, residual: np.ndarray,
     return SelfEnergySolution(e, sigma, residual, iterations, steps)
 
 
+def _require_finite(block: str, **columns: np.ndarray) -> None:
+    """Refuse an empty block and a non-finite value in any of its columns
+    (named by the keywords) with a ValueError."""
+    first = next(iter(columns.values()))
+    if first.size == 0:
+        raise ValueError(f"the {block} of shape {first.shape} is empty")
+    for name, x in columns.items():
+        if not np.isfinite(x).all():
+            raise ValueError(
+                f"{name} must be finite, got {x[~np.isfinite(x)][0]}")
+
+
 def _disorder_columns(A, e: np.ndarray, params: ModelParams, per_disorder):
     """per_disorder(a), a tuple of floats, over the energies e: its floats
     at params.disorder_A when A is None, or at A's one value when all are
     equal; otherwise one column per entry, computed once for each distinct
-    disorder a of A, a 1-D array like e."""
+    disorder a of A, a 1-D array like e.
+
+    The distinct values are the first values of A's runs of equal entries,
+    taken in order of appearance (np.unique would sort, and the first sort
+    in a process costs about 1 MB of resident memory), so a one-value
+    column costs one vector compare and no Python work per entry. A nan
+    differs from its neighbours, so it starts a run and is refused.
+    """
     if A is None:
         return per_disorder(params.disorder_A)
     a = np.asarray(A, dtype=float).reshape(-1)
     if a.shape != e.shape:
         raise ValueError(f"the disorder column A holds {a.size} values for "
                          f"{e.size} energies")
-    # the distinct values in order of appearance: np.unique would sort, and
-    # the first sort in a process costs about 1 MB of resident memory
+    firsts = a[np.concatenate(([True], a[1:] != a[:-1]))]
     entries = {}
-    for value in dict.fromkeys(a.tolist()):
+    for value in dict.fromkeys(firsts.tolist()):
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"disorder_A must be positive and finite, got "
                              f"{value}")
@@ -170,7 +197,8 @@ def solve_self_energy_b0(E, params: ModelParams, *, A=None,
                          drop_real_part: bool = False, tol: float = 1e-10,
                          max_iter: int = 100) -> SelfEnergySolution:
     """Root of Sigma = F(Sigma) = -(z/A) Log(-Ec^2/z^2), z = E - Sigma, for
-    one energy or a 1-D array of energies.
+    one energy or a 1-D array of energies; an empty or non-finite E is
+    refused with a ValueError.
 
     A, when given, is the disorder of each energy (a 1-D array like E) and
     replaces params.disorder_A; an array over several disorders is one
@@ -178,24 +206,40 @@ def solve_self_energy_b0(E, params: ModelParams, *, A=None,
     own disorder. Newton's method (_iterate) with the closed-form slope
     h' = 1 - (Log(-Ec^2/z^2) - 2)/A. drop_real_part=True forces Re Sigma to
     zero, the branch all B = 0 closed forms (and the B = 0 Kubo kernels) are
-    built on, and solves the real equation for gamma = -Im Sigma with the
-    real slope 1 - (ln(Ec^2/|z|^2) - 2)/A.
+    built on, and solves the real equation y = Im F for y = Im Sigma,
+    z = E - iy, in real arithmetic: with ln|z| = ln hypot(E, y) and
+    arg z = atan2(-y, E),
+    Im F = -((E/A)(pi - 2 arg z) + (-y/A)(2 ln Ec - 2 ln|z|)), and the
+    slope is 1 - (ln(Ec^2/|z|^2) - 2)/A.
     """
     Ec = params.cutoff_Ec
     e = np.asarray(E, dtype=float).reshape(-1)
+    _require_finite("energy column", E=e)
     a, floor = _disorder_columns(
         A, e, params, lambda a: (a, max(Ec * math.exp(-a / 2.0), 1e-300)))
+    width = np.maximum(floor, math.pi * np.abs(e) / a)
 
-    def fmap(e, s, a):
-        z = e - s
-        log = _log_branch(z, Ec)
-        out = -(z / a) * log
-        if drop_real_part:
-            out, log = 1j * out.imag, log.real
-        return out, 1.0 - (log - 2.0) / a
+    if drop_real_part:
+        log_ec2 = 2.0 * math.log(Ec)
 
-    seed = -1j * np.maximum(floor, math.pi * np.abs(e) / a)
-    return _solution(E, e, *_iterate(e, seed, fmap, tol, max_iter, a), tol)
+        def fmap(e, y, a):
+            log = log_ec2 - 2.0 * np.log(np.hypot(e, y))
+            out = -((e / a) * (math.pi - 2.0 * np.arctan2(-y, e))
+                    + (-y / a) * log)
+            return out, 1.0 - (log - 2.0) / a
+
+        seed = -width
+    else:
+        def fmap(e, s, a):
+            z = e - s
+            log = _log_branch(z, Ec)
+            return -(z / a) * log, 1.0 - (log - 2.0) / a
+
+        seed = -1j * width
+    sigma, residual, steps = _iterate(e, seed, fmap, tol, max_iter, a)
+    if drop_real_part:
+        sigma = 1j * sigma
+    return _solution(E, e, sigma, residual, steps, tol)
 
 
 # psi(w) ~ ln w - 1/2w - sum_k (B_2k / 2k) w^(-2k) (DLMF 5.11.2), the
@@ -324,7 +368,8 @@ def solve_self_energy_landau(E, params: ModelParams, spectrum: LandauSpectrum,
                              *, A=None, tol: float = 1e-10,
                              max_iter: int = 100) -> SelfEnergySolution:
     """Root of Sigma = F(Sigma) = ((hbar w_c)^2 / 2A) sum_{n,s} G_{ns}(E) for
-    one energy or a 1-D array of energies.
+    one energy or a 1-D array of energies; an empty or non-finite E is
+    refused with a ValueError.
 
     A, when given, is the disorder of each energy (a 1-D array like E) and
     replaces params.disorder_A; an array over several disorders is one
@@ -345,6 +390,7 @@ def solve_self_energy_landau(E, params: ModelParams, spectrum: LandauSpectrum,
     """
     hwc = spectrum.hbar_omega_c
     e = np.asarray(E, dtype=float).reshape(-1)
+    _require_finite("energy column", E=e)
 
     def per_disorder(a):
         width = level_width(params, spectrum, a)

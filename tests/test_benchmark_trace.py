@@ -8,8 +8,10 @@ a solve off those call sites breaks the benchmark; this test makes it
 break the suite too. It also pins the traced call counts of the dynamic
 quantities: one hall_dynamic, one B = 0 shear_dynamic_b0 and one field
 shear_dynamic_bfield call per B row of a sweep, so a relapse to per-point
-or per-A calls fails here, and two counted _k_kernel calls per B = 0
-window solve. perfbench/ is only read: its tracer and workload
+or per-A calls fails here, two counted _k_kernel calls per B = 0 window
+solve, and at least one call of the Newton core scba._iterate per SCBA
+solve (exactly one per B = 0 solve), so a solve that bypasses that core
+fails here too. perfbench/ is only read: its tracer and workload
 modules are loaded from their files, and one traced pass of each
 workload's seed-0 sweeps runs in a temporary directory.
 """
@@ -69,11 +71,17 @@ def test_traced_pass_meets_the_contract(workload, tmp_path, capsys):
     assert metrics["kubo_dynamic.shear_bfield.calls"] == sum(
         blocks(c) for c in configs
         if c["quantity"] == "dynamic_shear" and c["B"] is not None)
+    # every SCBA solve runs the one Newton core scba._iterate (a Landau
+    # solve twice when it re-solves an energy), so a solve that bypasses
+    # it reads fewer core calls than solves
+    solves = metrics["scba.b0.calls"] + metrics["scba.landau.calls"]
+    assert traced.counts["scba.iterate"] >= solves
     if workload == "landau_10T":  # fig5's 348 points, 4 E x 87 Omega
         assert metrics["kubo_dynamic.hall.calls"] == 1
     if workload == "landau_window":  # 3 points in 2 one-row sweeps
         assert metrics["kubo_dynamic.shear_bfield.calls"] == 2
     if workload == "b0_window":
+        assert traced.counts["scba.iterate"] == solves == 5
         # two radial kernel calls per solve, counted through the module
         # global kubo_dynamic._k_kernel: a kernel bound at import time
         # would read 0 here

@@ -942,3 +942,14 @@ class TestOpenSolve:
             assert got[[0, 2]].tobytes() == want[[0, 2]].tobytes()
         assert v.regime_tag == (clean.regime_tag[0], "",
                                 clean.regime_tag[2])
+
+
+class TestEmptyColumn:
+    # the SCBA solve refuses an empty energy column before any Newton step
+    def test_shear_b0(self, params20):
+        with pytest.raises(ValueError, match=r"energy column .* is empty"):
+            shear_b0_numeric(np.array([]), params20)
+
+    def test_hall(self, params50, spectrum10_50):
+        with pytest.raises(ValueError, match=r"energy column .* is empty"):
+            hall_static_numeric(np.array([]), params50, spectrum10_50)

@@ -313,6 +313,150 @@ class TestB0ArraySolve:
             solve_self_energy_b0(1.0, params20, max_iter=0)
 
 
+def complex_b0_map(Ec):
+    """The B = 0 map with Re Sigma dropped as it was taken in complex
+    arithmetic: F = i Im[-(z/A) Log(-Ec^2/z^2)], z = E - Sigma, with the
+    real slope 1 - (ln(Ec^2/|z|^2) - 2)/A."""
+    def fmap(e, s, a):
+        z = e - s
+        log = scba._log_branch(z, Ec)
+        out = -(z / a) * log
+        out, log = 1j * out.imag, log.real
+        return out, 1.0 - (log - 2.0) / a
+
+    return fmap
+
+
+class TestRealB0Map:
+    # 14,001 energies over the cutoff band, both signed zeros among them
+    ENERGIES = np.concatenate((np.linspace(-7.0, 7.0, 14001), [0.0, -0.0]))
+
+    @pytest.mark.parametrize("A", [1.6, 2.0, 5.0, 10.0, 20.0, 35.0, 100.0,
+                                   1000.0])
+    def test_matches_the_complex_map(self, A):
+        params = ModelParams(disorder_A=A)
+        e = self.ENERGIES
+        floor = max(params.cutoff_Ec * math.exp(-A / 2.0), 1e-300)
+        seed = -1j * np.maximum(floor, math.pi * np.abs(e) / A)
+        want, _, want_steps = scba._iterate(
+            e, seed, complex_b0_map(params.cutoff_Ec), 1e-10, 100, A)
+        sol = solve_self_energy_b0(e, params, drop_real_part=True)
+        assert np.all(sol.sigma.real == 0.0) and np.all(sol.sigma.imag <= 0.0)
+        np.testing.assert_array_equal(sol.steps, want_steps)
+        np.testing.assert_allclose(sol.sigma.imag, want.imag, rtol=2e-15,
+                                   atol=0.0)
+
+    def test_open_energy_still_reads_nan_and_raises(self):
+        params = ModelParams(disorder_A=1.2)
+        sol = solve_self_energy_b0(np.array([5.2, 5.4]), params,
+                                   drop_real_part=True)
+        assert np.isfinite(sol.sigma).tolist() == [True, False]
+        assert sol.steps[1] == 100 and sol.residual[1] > 1e-10
+        with pytest.raises(ConvergenceError) as exc:
+            solve_self_energy_b0(5.4, params, drop_real_part=True)
+        assert exc.value.iterations == 100
+        assert exc.value.residual == sol.residual[1]
+
+    def test_newton_iterates_stay_real(self, params20, monkeypatch):
+        iterate = scba._iterate
+        seeds = []
+
+        def record(e, seed, *args):
+            seeds.append(seed.dtype)
+            return iterate(e, seed, *args)
+
+        monkeypatch.setattr(scba, "_iterate", record)
+        solve_self_energy_b0(np.array([0.0, 0.5]), params20,
+                             drop_real_part=True)
+        solve_self_energy_b0(np.array([0.0, 0.5]), params20)
+        assert seeds == [np.dtype(float), np.dtype(complex)]
+
+
+# both SCBA solvers, the B = 0 one with and without Re Sigma, at 10 T
+SOLVERS = {
+    "b0": lambda E, params, A=None: solve_self_energy_b0(
+        E, params, A=A, drop_real_part=True),
+    "b0_complex": lambda E, params, A=None: solve_self_energy_b0(
+        E, params, A=A),
+    "landau": lambda E, params, A=None: solve_self_energy_landau(
+        E, params, build_spectrum(params, 10.0), A=A),
+}
+
+
+class TestEnergyColumnRefused:
+    # an empty or non-finite energy column is refused before any Newton
+    # step, with the (E, Omega) block check of the dynamic Kubo layer
+    @pytest.fixture(autouse=True)
+    def no_newton_step(self, monkeypatch):
+        def no_solve(*args):
+            raise AssertionError("no Newton step expected")
+
+        monkeypatch.setattr(scba, "_iterate", no_solve)
+
+    @pytest.mark.parametrize("solver", sorted(SOLVERS))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("with_A", [False, True])
+    def test_non_finite_energy(self, solver, bad, with_A, params20):
+        solve = SOLVERS[solver]
+        energies = np.array([0.1, bad, 0.2])
+        with pytest.raises(ValueError, match=f"E must be finite, got {bad}"):
+            solve(bad, params20, A=20.0 if with_A else None)
+        with pytest.raises(ValueError, match=f"E must be finite, got {bad}"):
+            solve(energies, params20,
+                  A=np.full(3, 20.0) if with_A else None)
+
+    @pytest.mark.parametrize("solver", sorted(SOLVERS))
+    @pytest.mark.parametrize("with_A", [False, True])
+    def test_empty_energy_column(self, solver, with_A, params20):
+        with pytest.raises(ValueError, match=r"energy column .* is empty"):
+            SOLVERS[solver](np.array([]), params20,
+                            A=np.array([]) if with_A else None)
+
+
+class TestDisorderRuns:
+    # distinct disorders are found from the runs of equal values
+    COLUMN = np.array([20.0, 50.0, 20.0, 20.0, 500.0, 50.0])
+    ENERGIES = np.array([-0.21, 0.1, 0.0, 0.05, 0.3, -0.13])
+
+    @pytest.mark.parametrize("solver", sorted(SOLVERS))
+    def test_interleaved_column_equals_its_per_disorder_solves(self, solver):
+        solve = SOLVERS[solver]
+        sol = solve(self.ENERGIES, ModelParams(disorder_A=35.0),
+                    A=self.COLUMN)
+        sigma, residual = np.empty(6, complex), np.empty(6)
+        steps = np.empty(6, int)
+        for a in (20.0, 50.0, 500.0):
+            at = self.COLUMN == a
+            one = solve(self.ENERGIES[at], ModelParams(disorder_A=a))
+            sigma[at], residual[at], steps[at] = (one.sigma, one.residual,
+                                                  one.steps)
+        assert sol.sigma.tobytes() == sigma.tobytes()
+        assert sol.residual.tobytes() == residual.tobytes()
+        assert sol.steps.tobytes() == steps.tobytes()
+
+    @pytest.mark.parametrize("solver", sorted(SOLVERS))
+    def test_one_value_column_is_the_params_disorder(self, solver, params20):
+        solve = SOLVERS[solver]
+        want = solve(self.ENERGIES, ModelParams(disorder_A=50.0))
+        got = solve(self.ENERGIES, params20, A=np.full(6, 50.0))
+        for x, y in ((got.sigma, want.sigma), (got.residual, want.residual),
+                     (got.steps, want.steps)):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+    @pytest.mark.parametrize("solver", sorted(SOLVERS))
+    @pytest.mark.parametrize("bad", [math.nan, 0.0, -1.0])
+    @pytest.mark.parametrize("where", [[0], [2], [3], [5], [2, 3], [0, 1]])
+    def test_bad_disorder_anywhere_is_refused(self, solver, bad, where,
+                                              params20):
+        # in the interleaved column and in a one-value column
+        for column in (self.COLUMN.copy(), np.full(6, 20.0)):
+            column[where] = bad
+            with pytest.raises(ValueError, match=rf"disorder_A must be "
+                                                 rf"positive and finite, "
+                                                 rf"got {bad}"):
+                SOLVERS[solver](self.ENERGIES, params20, A=column)
+
+
 class TestAsymptoticB0:
     def test_values(self, params20):
         v0 = self_energy_b0_asymptotic(0.0, params20)
